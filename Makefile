@@ -6,6 +6,15 @@ verify:
 	cargo build --release
 	cargo test -q
 
+# The repo's benchmark (BENCHMARK.json, perfbench/) must not rot: its
+# own tests, then a ~17 s smoke of every workload. perfbench is a
+# separate package, so this is what catches an API change that breaks
+# it before the benchmark pipeline does.
+.PHONY: bench-quick
+bench-quick:
+	cargo test --offline --manifest-path perfbench/Cargo.toml
+	cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --quick
+
 # Perf smoke: the perf benches end to end in SMOKE mode — shrunken
 # budgets/epochs/traces, metrics pipelines fully exercised, no JSON
 # snapshot rewrites (numbers from noisy runners must not be published).
@@ -52,8 +61,7 @@ perf-admission:
 	cargo bench --bench admission
 
 # Full chaos run only: rewrites BENCH_chaos.json (three chaos
-# intensities vs a chaos-free oracle, degrade-in-place A/B, 3 trace
-# seeds each).
+# intensities vs a chaos-free oracle, 3 trace seeds each).
 .PHONY: perf-chaos
 perf-chaos:
 	cargo bench --bench chaos

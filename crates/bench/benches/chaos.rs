@@ -9,12 +9,7 @@
 //! * **no losses** — `lost_jobs == 0` in every cell, chaos or not;
 //! * **warm reboots engage** — flapped/recovered boards preload a
 //!   nonzero number of archived evaluation-cache entries over the
-//!   sweep (the cache-archive warm-boot path actually fires);
-//! * **degrade-in-place pays** — at the lowest chaos intensity,
-//!   keeping admissible residents on a degraded board (re-priced in
-//!   place, migrating only when the priced gain clears the rebalancer
-//!   bar) achieves at least the aggregate throughput of the
-//!   evacuate-everything arm.
+//!   sweep (the cache-archive warm-boot path actually fires).
 //!
 //! Every row stamps a Drive-As-Code `config_digest` over the trace +
 //! chaos-script + orchestrator knobs that drove it.
@@ -92,7 +87,7 @@ fn trace_cfg(scale: &BenchScale) -> TraceConfig {
     }
 }
 
-fn config(scale: &BenchScale, degrade_evacuates_all: bool) -> OrchestratorConfig {
+fn config(scale: &BenchScale) -> OrchestratorConfig {
     OrchestratorConfig {
         online: OnlineConfig {
             cold_budget: SearchBudget::with_iterations(scale.cold_iterations),
@@ -100,17 +95,11 @@ fn config(scale: &BenchScale, degrade_evacuates_all: bool) -> OrchestratorConfig
             ..OnlineConfig::default()
         },
         rebalance: Some(RebalanceConfig::default()),
-        degrade_evacuates_all,
         ..OrchestratorConfig::warm()
     }
 }
 
-fn run(
-    scale: &BenchScale,
-    seed: u64,
-    script: &FleetScript,
-    degrade_evacuates_all: bool,
-) -> OrchestratorReport {
+fn run(scale: &BenchScale, seed: u64, script: &FleetScript) -> OrchestratorReport {
     let trace = ArrivalTrace::generate(
         ArrivalProcess::Poisson {
             rate_per_s: 0.3 * BOARDS as f64,
@@ -120,7 +109,7 @@ fn run(
     );
     let mut sim = OrchestratorSim::new(
         FleetSpec::homogeneous(BOARDS, BoardProfile::hikey970()),
-        config(scale, degrade_evacuates_all),
+        config(scale),
         AnalyticModel::new,
     );
     sim.run(&trace, script, scale.horizon_ms)
@@ -148,7 +137,7 @@ struct Cell {
 
 /// Averages one chaos arm over the trace seeds, pairing each chaos run
 /// with its chaos-free oracle on the same traffic.
-fn cell(scale: &BenchScale, intensity: f64, degrade_evacuates_all: bool) -> Cell {
+fn cell(scale: &BenchScale, intensity: f64) -> Cell {
     let cfg = script_config(scale, intensity);
     let (mut tps, mut otps) = (Vec::new(), Vec::new());
     let (mut att, mut oatt) = (Vec::new(), Vec::new());
@@ -169,8 +158,8 @@ fn cell(scale: &BenchScale, intensity: f64, degrade_evacuates_all: bool) -> Cell
     };
     for seed in scale.trace_seeds {
         let script = FleetScript::generate(&cfg, seed ^ 0xC4A05);
-        let chaos = run(scale, *seed, &script, degrade_evacuates_all);
-        let oracle = run(scale, *seed, &FleetScript::none(), degrade_evacuates_all);
+        let chaos = run(scale, *seed, &script);
+        let oracle = run(scale, *seed, &FleetScript::none());
         tps.push(chaos.summary.mean_aggregate_tps);
         otps.push(oracle.summary.mean_aggregate_tps);
         att.push(chaos.summary.slo.guaranteed_attainment);
@@ -204,12 +193,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut all_pass = true;
     let mut total_warm_boots = 0usize;
-    let mut low_in_place_tps = 0.0;
     for (name, intensity) in intensities {
-        let c = cell(&scale, intensity, false);
-        if name == "low" {
-            low_in_place_tps = c.tps;
-        }
+        let c = cell(&scale, intensity);
         total_warm_boots += c.warm_boots;
         let lost_pct = (1.0 - c.tps / c.oracle_tps.max(1e-12)) * 100.0;
         // Every join, recovery and in-place degrade is a chance to
@@ -226,7 +211,6 @@ fn main() {
         let mut drive = trace_config_pairs(&trace_cfg(&scale));
         drive.extend(fleet_script_pairs(&script_config(&scale, intensity)));
         drive.push(("boards", BOARDS.to_string()));
-        drive.push(("degrade_evacuates_all", "false".into()));
         drive.push(("intensity", format!("{intensity:?}")));
         let digest = config_digest(&drive);
         println!(
@@ -288,30 +272,6 @@ fn main() {
         if warm_pass { "pass" } else { "FAIL" },
     );
 
-    // Degrade-in-place vs evacuate-always A/B at the lowest intensity.
-    let evac_all = cell(&scale, intensities[0].1, true);
-    let in_place_pass = low_in_place_tps >= evac_all.tps;
-    all_pass &= in_place_pass;
-    println!(
-        "degrade A/B (low intensity): in-place {low_in_place_tps:.2} inf/s vs evacuate-always \
-         {:.2} inf/s ({:+.2}%) [{}]",
-        evac_all.tps,
-        (low_in_place_tps / evac_all.tps.max(1e-12) - 1.0) * 100.0,
-        if in_place_pass { "pass" } else { "FAIL" },
-    );
-    let ab_json = format!(
-        concat!(
-            "  \"degrade_ab\": {{\"intensity\": \"low\", ",
-            "\"in_place_tps\": {:.4}, \"evacuate_all_tps\": {:.4}, ",
-            "\"in_place_gain_pct\": {:.2}, \"evacuate_all_evacuated_jobs\": {}, \"pass\": {}}}"
-        ),
-        low_in_place_tps,
-        evac_all.tps,
-        (low_in_place_tps / evac_all.tps.max(1e-12) - 1.0) * 100.0,
-        evac_all.evacuated,
-        in_place_pass,
-    );
-
     let json = format!(
         concat!(
             "{{\n",
@@ -319,6 +279,7 @@ fn main() {
             "  \"trace_seeds\": {:?},\n",
             "  \"horizon_ms\": {},\n",
             "  \"boards\": {},\n",
+            "  \"host_threads\": {},\n",
             "  \"note\": \"Seeded chaos scripts (failures, joins, in-place degrades to a ",
             "weaker profile pool, recoveries, fail->rejoin flaps) replayed against a ",
             "{}-board orchestrated fleet under Poisson traffic with 30% guaranteed-class ",
@@ -327,26 +288,23 @@ fn main() {
             "resident the weaker profile still admits (re-priced in place; migrations ",
             "must clear the rebalancer's priced gain bar); flapped and recovered boards ",
             "warm-boot by preloading the cache-archive segment matching their hardware ",
-            "fingerprint. degrade_ab re-runs the lowest intensity with ",
-            "degrade_evacuates_all = true (every resident evacuated on degrade). ",
+            "fingerprint. ",
             "config_digest is the FNV-1a hash of the declarative trace + chaos-script + ",
-            "orchestrator knobs that drove the row. pass = zero lost jobs everywhere, ",
-            "nonzero warm boots across the sweep, and degrade-in-place >= evacuate-always ",
-            "aggregate throughput at low intensity\",\n",
+            "orchestrator knobs that drove the row. pass = zero lost jobs everywhere and ",
+            "nonzero warm boots across the sweep\",\n",
             "  \"all_pass\": {},\n",
             "  \"warm_boots_total\": {},\n",
-            "  \"rows\": [\n{}\n  ],\n",
-            "{}\n",
+            "  \"rows\": [\n{}\n  ]\n",
             "}}\n"
         ),
         scale.trace_seeds,
         scale.horizon_ms,
         BOARDS,
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         BOARDS,
         all_pass,
         total_warm_boots,
         rows.join(",\n"),
-        ab_json,
     );
     if smoke {
         println!("smoke mode: skipping BENCH_chaos.json rewrite\n{json}");

@@ -24,7 +24,7 @@ use omniboost_models::{
     ModelId, TraceConfig, TraceEvent,
 };
 use omniboost_orchestrator::{
-    tenant_tps_ratio, BoardProfile, EvacOrder, FleetSpec, OrchestratorConfig, OrchestratorReport,
+    tenant_tps_ratio, BoardProfile, FleetSpec, OrchestratorConfig, OrchestratorReport,
     OrchestratorSim, PlacementPolicy, RebalanceConfig,
 };
 use omniboost_serve::{LatencyStats, OnlineConfig, SearchBudget};
@@ -151,12 +151,7 @@ fn poisson_trace(scale: &BenchScale, seed: u64, weights: Vec<f64>) -> ArrivalTra
     )
 }
 
-fn run_board_failure(
-    scale: &BenchScale,
-    seed: u64,
-    rebalancing: bool,
-    evac_order: EvacOrder,
-) -> OrchestratorReport {
+fn run_board_failure(scale: &BenchScale, seed: u64, rebalancing: bool) -> OrchestratorReport {
     let trace = poisson_trace(scale, seed, Vec::new());
     let script = FleetScript::new(vec![FleetTraceEvent {
         at_ms: scale.horizon_ms / 2,
@@ -169,10 +164,7 @@ fn run_board_failure(
             BoardProfile::hikey970(),
             BoardProfile::hikey970_lite(),
         ]),
-        OrchestratorConfig {
-            evac_order,
-            ..config(scale, PlacementPolicy::LeastLoaded, rebalancing)
-        },
+        config(scale, PlacementPolicy::LeastLoaded, rebalancing),
         AnalyticModel::new,
     );
     sim.run(&trace, &script, scale.horizon_ms)
@@ -253,22 +245,14 @@ fn main() {
     );
 
     // ---- 2. Board failure: zero lost jobs + evacuation latency -------
-    // Three arms: no rebalancing, rebalancing (both heaviest-first
-    // evacuation, the default), and rebalancing with arrival-order
-    // evacuation as the A/B reference for the non-regression bar.
+    // Two arms: without and with rebalancing.
     let mut failure_rows = Vec::new();
-    let mut evac_wait_means = Vec::new();
-    let arms = [
-        (false, EvacOrder::HeaviestFirst),
-        (true, EvacOrder::HeaviestFirst),
-        (true, EvacOrder::Arrival),
-    ];
-    for (rebalancing, evac_order) in arms {
+    for rebalancing in [false, true] {
         let (mut lost, mut evacuated, mut relocated) = (0usize, 0usize, 0usize);
         let mut waits: Vec<LatencyStats> = Vec::new();
         let mut tps = Vec::new();
         for seed in scale.trace_seeds {
-            let r = run_board_failure(&scale, *seed, rebalancing, evac_order);
+            let r = run_board_failure(&scale, *seed, rebalancing);
             lost += r.summary.lost_jobs;
             evacuated += r.summary.evacuated_jobs;
             relocated += r.summary.evacuees_relocated_same_tick;
@@ -290,12 +274,10 @@ fn main() {
                 max_ms: with.iter().map(|w| w.max_ms).fold(0.0, f64::max),
             }
         };
-        evac_wait_means.push(wait.mean_ms);
         println!(
-            "board-failure (rebalance {}, evac {:?}): {} evacuated ({} same tick), {} lost, \
+            "board-failure (rebalance {}): {} evacuated ({} same tick), {} lost, \
              evacuation wait mean {:.0} ms, agg {:.2} inf/s [{}]",
             rebalancing,
-            evac_order,
             evacuated,
             relocated,
             lost,
@@ -306,18 +288,16 @@ fn main() {
         let mut drive = trace_config_pairs(&poisson_trace_cfg(&scale, Vec::new()));
         drive.extend(scale_pairs(&scale));
         drive.push(("boards", "3+1lite".into()));
-        drive.push(("evac_order", format!("{evac_order:?}")));
         drive.push(("rebalance", rebalancing.to_string()));
         failure_rows.push(format!(
             concat!(
-                "    {{\"rebalance\": {}, \"evac_order\": \"{:?}\", ",
+                "    {{\"rebalance\": {}, ",
                 "\"config_digest\": \"{:#018x}\", \"trace_seeds\": {}, ",
                 "\"evacuated_jobs\": {}, ",
                 "\"relocated_same_tick\": {}, \"lost_jobs\": {}, \"evacuation_wait_ms\": {}, ",
                 "\"mean_aggregate_tps\": {:.4}, \"pass\": {}}}"
             ),
             rebalancing,
-            evac_order,
             config_digest(&drive),
             scale.trace_seeds.len(),
             evacuated,
@@ -328,19 +308,6 @@ fn main() {
             pass,
         ));
     }
-    // Non-regression bar for the heaviest-first default: its pooled
-    // evacuation-wait mean must not exceed arrival order's by more than
-    // 10% + 1 ms (both rebalancing arms; the single-seed smoke run is
-    // informational only).
-    let evac_pass = evac_wait_means[1] <= evac_wait_means[2] * 1.10 + 1.0 || smoke;
-    all_pass &= evac_pass;
-    println!(
-        "evacuation-order A/B: heaviest-first mean {:.0} ms vs arrival {:.0} ms [{}]",
-        evac_wait_means[1],
-        evac_wait_means[2],
-        if evac_pass { "pass" } else { "FAIL" },
-    );
-
     // ---- 3. Tenant fairness: FairShare vs LeastLoaded ----------------
     let mut ratios = (Vec::new(), Vec::new());
     let mut tpss = (Vec::new(), Vec::new());
@@ -398,6 +365,7 @@ fn main() {
             "  \"cold_iterations\": {},\n",
             "  \"warm_iterations\": {},\n",
             "  \"rebalance_period_ms\": {},\n",
+            "  \"host_threads\": {},\n",
             "  \"note\": \"Orchestrated fleets driven by omniboost-orchestrator over the DES ",
             "board stand-in with the analytic model guiding every search. skewed_departure: ",
             "deterministic mass departure leaves 4 jobs piled on board 0 while 3 boards idle; ",
@@ -405,8 +373,7 @@ fn main() {
             "rescheduling against migrated layers), the pinned arm may not. board_failure: ",
             "board 0 dies mid-trace on a heterogeneous 3+1-lite fleet; every resident job must ",
             "re-place or queue (lost_jobs == 0) and evacuation latency is simulated ms from ",
-            "failure to landing on a new board; evacuation_order_ab compares the heaviest-first ",
-            "default against arrival-order evacuation (non-regression on the wait mean). ",
+            "failure to landing on a new board (evacuees re-place heaviest model first). ",
             "tenant_fairness: Poisson traffic with one ",
             "tenant submitting 70% of jobs; fair-share placement reserves the emptiest board ",
             "for tenants below fair share, judged on the max/min per-tenant mean-throughput ",
@@ -414,8 +381,6 @@ fn main() {
             "  \"all_pass\": {},\n",
             "{},\n",
             "  \"board_failure\": [\n{}\n  ],\n",
-            "  \"evacuation_order_ab\": {{\"heaviest_first_wait_mean_ms\": {:.3}, ",
-            "\"arrival_wait_mean_ms\": {:.3}, \"pass\": {}}},\n",
             "{}\n",
             "}}\n"
         ),
@@ -423,12 +388,10 @@ fn main() {
         scale.cold_iterations,
         scale.warm_iterations,
         scale.rebalance_period_ms,
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         all_pass,
         skew_json,
         failure_rows.join(",\n"),
-        evac_wait_means[1],
-        evac_wait_means[2],
-        evac_pass,
         fairness_json,
     );
     if smoke {

@@ -4,6 +4,14 @@
 //! the serving runtime schedules jobs **within** a fixed fleet, this
 //! crate owns the fleet itself.
 //!
+//! There is one tick loop in the stack and it is not here:
+//! [`OrchestratorSim`] is a replay driver over
+//! [`omniboost_serve::ServingEngine`], the same engine `ServingSim` and
+//! the RPC daemon drive. The orchestrator merges an arrival trace, a
+//! fleet script and periodic rebalance stamps into that loop and
+//! contributes policy — what each fleet event does, and what runs after
+//! a tick's boards have rescheduled:
+//!
 //! * **Heterogeneous fleets** ([`FleetSpec`], [`BoardProfile`]) — mix
 //!   full and degraded board profiles (e.g. [`omniboost_hw::Board::hikey970`]
 //!   next to [`omniboost_hw::Board::hikey970_lite`]); placement compares
@@ -13,11 +21,11 @@
 //! * **Lifecycle events** ([`omniboost_models::FleetEvent`]) — seeded
 //!   scripts of board failures, graceful drains and joins interleave
 //!   with the arrival trace. On fail/drain every resident job is
-//!   **evacuated** through the admission-gated placement path (re-placed
-//!   now or FIFO-queued — never silently lost; the conservation
-//!   invariant is proptested), and evacuation latency is a first-class
-//!   metric. Joined boards immediately serve placements, queue drains
-//!   and rebalancing.
+//!   **evacuated** heaviest model first through the engine's
+//!   admission-gated placement path (re-placed now or queued — never
+//!   silently lost; the conservation invariant is proptested), and
+//!   evacuation latency is a first-class metric. Joined boards
+//!   immediately serve placements, queue drains and rebalancing.
 //! * **Partial failures** — `BoardDegrade` swaps a board to a weaker
 //!   profile from [`FleetSpec::degrade_profiles`] **in place**:
 //!   residents the weaker profile still admits stay put and re-price on
@@ -25,8 +33,7 @@
 //!   rebalancer's bar), only the overflow evicts. `BoardRecover`
 //!   restores the original hardware, and flapped/recovered/degraded
 //!   boards **warm-boot** by preloading the run's `CacheArchive`
-//!   segment matching their fingerprint. [`EvacOrder`] adds
-//!   `TenantDeficitFirst` re-placement for the least-served tenant.
+//!   segment matching their fingerprint.
 //! * **Migration-costed rebalancing** ([`RebalanceConfig`]) — a
 //!   periodic step proposes moving the newest job from the most-loaded
 //!   board to the least-loaded one, prices both sides with warm-started
@@ -56,8 +63,8 @@ mod spec;
 pub use cells::{CellConfig, ShardedRebalancer};
 pub use rebalance::{RebalanceConfig, RebalanceMove, RebalanceTick, Rebalancer};
 pub use sim::{
-    EvacOrder, FleetEventRecord, OrchestratorConfig, OrchestratorReport, OrchestratorSim,
-    OrchestratorSummary, OrchestratorTick,
+    FleetEventRecord, OrchestratorConfig, OrchestratorReport, OrchestratorSim, OrchestratorSummary,
+    OrchestratorTick,
 };
 pub use spec::{BoardProfile, FleetSpec};
 

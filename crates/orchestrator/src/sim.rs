@@ -1,43 +1,35 @@
-//! The orchestration event loop: one merged timeline of job events,
-//! fleet-lifecycle events and periodic rebalance ticks, replayed
-//! against a (possibly heterogeneous, possibly shrinking and growing)
-//! fleet.
+//! The orchestrator's replay driver and fleet-event policy.
+//!
+//! The tick loop is [`omniboost_serve::ServingEngine`]'s — the same one
+//! `ServingSim` and the RPC daemon drive. [`OrchestratorSim::run`] only
+//! merges three stamped streams (the arrival trace, the
+//! [`FleetScript`] and the periodic rebalance stamps) and feeds them to
+//! the engine; what this module owns is policy:
+//!
+//! * what each [`FleetEvent`] does to the fleet — evacuation on
+//!   fail/drain (heaviest model first), the in-place hardware swap of
+//!   degrade/recover, joins, and the in-run [`CacheArchive`] that lets
+//!   flapped, degraded and recovered boards boot warm;
+//! * the post-flush stage of every tick — targeted relief for boards
+//!   degraded this tick, then the periodic [`Rebalancer`] /
+//!   [`ShardedRebalancer`] pass;
+//! * the report: engine tick records joined with the fleet events and
+//!   rebalance moves of the same stamp.
 
 use crate::cells::{CellConfig, ShardedRebalancer};
-use crate::rebalance::{balance_slice, RebalanceConfig, RebalanceMove, Rebalancer};
+use crate::rebalance::{balance_slice, RebalanceConfig, RebalanceMove, RebalanceTick, Rebalancer};
 use crate::spec::FleetSpec;
 use omniboost_estimator::CacheArchive;
 use omniboost_hw::{Board, EvalCacheStats, Fnv1a, ThroughputModel};
 use omniboost_models::{zoo, ArrivalTrace, FleetEvent, FleetScript, JobEvent, JobSpec};
 use omniboost_serve::{
-    AdmissionPolicy, BoardDecision, Fleet, LatencyStats, Mempool, OnlineConfig, OnlineScheduler,
-    PlacementPolicy, ReschedulePolicy, SloAccumulator, SloSummary, SubmitOutcome,
-    TenantAccumulator, TenantSummary,
+    AdmissionPolicy, BoardDecision, Fleet, LatencyStats, OnlineConfig, OnlineScheduler,
+    PlacementPolicy, ReschedulePolicy, ServingConfig, ServingEngine, SloSummary, TenantSummary,
 };
 use omniboost_telemetry::{LogHistogram, Telemetry};
+use std::collections::HashMap;
 use std::hash::Hasher;
 use std::path::PathBuf;
-
-/// In what order a failed/drained board's residents are re-placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvacOrder {
-    /// Arrival order — the historical behaviour.
-    Arrival,
-    /// Heaviest model first (by per-inference FLOPs, ties on the lower
-    /// job id): big jobs get first pick of scarce headroom, since a
-    /// light job fits almost anywhere but a VGG-19 may only fit on the
-    /// emptiest board. The default.
-    #[default]
-    HeaviestFirst,
-    /// Most-deficient tenant first: evacuees rank ascending by their
-    /// tenant's attained throughput **integral**
-    /// ([`TenantAccumulator::attained_integral`] — inference-seconds
-    /// delivered so far, 0 for tenants that never attained anything),
-    /// so the tenant the fleet has served least gets first pick of the
-    /// scarce post-failure headroom. Ties fall back to heaviest-first,
-    /// then the lower job id, keeping the order fully deterministic.
-    TenantDeficitFirst,
-}
 
 /// Full orchestrator configuration.
 #[derive(Debug, Clone)]
@@ -66,16 +58,6 @@ pub struct OrchestratorConfig {
     /// the queue-drain ordering that used to be the standalone
     /// `queue_order` field).
     pub admission: AdmissionPolicy,
-    /// Evacuation re-placement ordering on board failure/drain.
-    pub evac_order: EvacOrder,
-    /// A/B arm for the chaos bench: when `true`, a
-    /// [`FleetEvent::BoardDegrade`] evacuates **every** resident job off
-    /// the degraded board (like a failure, except the weakened board
-    /// stays in rotation for later placements). The default `false`
-    /// keeps the degrade-in-place behaviour — survivors re-price on the
-    /// weakened hardware and migrate only when a priced rebalance move
-    /// clears the migration-cost gate.
-    pub degrade_evacuates_all: bool,
 }
 
 impl OrchestratorConfig {
@@ -91,8 +73,6 @@ impl OrchestratorConfig {
             rebalance: Some(RebalanceConfig::default()),
             cells: None,
             admission: AdmissionPolicy::default(),
-            evac_order: EvacOrder::HeaviestFirst,
-            degrade_evacuates_all: false,
         }
     }
 
@@ -103,6 +83,18 @@ impl OrchestratorConfig {
         Self {
             rebalance: None,
             ..Self::warm()
+        }
+    }
+
+    /// The engine's share of the configuration.
+    fn serving(&self) -> ServingConfig {
+        ServingConfig {
+            policy: self.policy,
+            placement: self.placement,
+            online: self.online,
+            use_memo: self.use_memo,
+            cache_path: self.cache_path.clone(),
+            admission: self.admission,
         }
     }
 }
@@ -116,12 +108,26 @@ pub struct FleetEventRecord {
     /// board's fresh index). `None` when the event was a no-op (dead
     /// target, empty join pool).
     pub slot: Option<usize>,
-    /// Jobs evacuated off the board (fail/drain only), arrival order.
+    /// Jobs evacuated off the board, in re-placement order.
     pub evacuated: Vec<u64>,
     /// How many evacuees found a new board in the same tick.
     pub relocated: usize,
     /// How many evacuees had to queue.
     pub queued: usize,
+}
+
+impl FleetEventRecord {
+    /// The record of an event that changed nothing (dead target, empty
+    /// profile pool, recovery of a board that was never degraded).
+    fn noop(event: FleetEvent) -> Self {
+        Self {
+            event,
+            slot: None,
+            evacuated: Vec::new(),
+            relocated: 0,
+            queued: 0,
+        }
+    }
 }
 
 /// Everything that happened at one orchestrated timestamp.
@@ -371,22 +377,166 @@ impl OrchestratorReport {
 }
 
 /// The orchestration control plane: a fleet built from a [`FleetSpec`],
-/// the shared admission mempool ([`omniboost_serve::Mempool`]), and the
-/// merged event loop over job events, fleet events and rebalance ticks.
+/// replayed through a [`ServingEngine`] under a trace, a fleet script
+/// and periodic rebalancing.
 ///
-/// Each [`OrchestratorSim::run`] rebuilds the fleet from the spec —
-/// lifecycle events mutate fleet structure, so replays always start
-/// from the scripted initial fleet (evaluation caches still persist
-/// across *processes* via [`OrchestratorConfig::cache_path`]).
+/// Each [`OrchestratorSim::run`] rebuilds the engine (and so the fleet)
+/// from the spec — lifecycle events mutate fleet structure, so replays
+/// always start from the scripted initial fleet (evaluation caches
+/// still persist across *processes* via
+/// [`OrchestratorConfig::cache_path`]).
 pub struct OrchestratorSim<M, F> {
     spec: FleetSpec,
     config: OrchestratorConfig,
     make_evaluator: F,
-    /// Observability handle: propagated to the run's fleet (and through
+    /// Observability handle: propagated to the run's engine (and through
     /// it to every board runtime). No-op by default; never consulted by
     /// any scheduling decision, so replay digests are unchanged by it.
     telemetry: Telemetry,
     _marker: std::marker::PhantomData<M>,
+}
+
+/// Fleet-event state of one run.
+#[derive(Default)]
+struct ChaosState {
+    /// Degraded slots' pre-brown-out hardware, for recovery. First
+    /// degrade of a slot captures the healthy board; stacked degrades
+    /// keep it; fail/drain forgets it (that board is gone for good).
+    original_boards: HashMap<usize, Board>,
+    /// In-run cache archive feeding warm reboots: every lifecycle event
+    /// that tears a scheduler down (fail, drain, degrade, recover)
+    /// first archives the fleet's caches per profile, and every board
+    /// that comes up (join, degrade, recover) preloads its profile's
+    /// segment — so a flapped board reboots warm.
+    archive: CacheArchive,
+    warm_boots: usize,
+    warm_boot_entries: usize,
+    /// Slots degraded in the tick being assembled — the donors of its
+    /// targeted relief pass.
+    degraded: Vec<usize>,
+}
+
+/// Which rebalancing driver a run uses, with the configuration it runs
+/// under: the single whole-fleet rebalancer (reads the load index for
+/// donors/receivers) or the sharded-cell driver.
+enum RebalanceDriver {
+    Single(Rebalancer, RebalanceConfig),
+    Sharded(ShardedRebalancer, RebalanceConfig, CellConfig),
+}
+
+impl RebalanceDriver {
+    fn config(&self) -> &RebalanceConfig {
+        match self {
+            Self::Single(_, config) | Self::Sharded(_, config, _) => config,
+        }
+    }
+
+    fn tick<M: ThroughputModel + Send + Sync>(
+        &mut self,
+        fleet: &mut Fleet<M>,
+        at_ms: u64,
+    ) -> RebalanceTick {
+        match self {
+            Self::Single(rebalancer, config) => rebalancer.tick(fleet, config, at_ms),
+            Self::Sharded(sharded, config, cells) => sharded.tick(fleet, config, cells, at_ms),
+        }
+    }
+}
+
+/// Rebalancing state of one run: the driver, its next stamp and tallies.
+struct Rebalancing {
+    driver: RebalanceDriver,
+    next_ms: u64,
+    ticks: usize,
+    rejected: usize,
+}
+
+impl Rebalancing {
+    fn new(config: &OrchestratorConfig) -> Option<Self> {
+        let rebalance = config.rebalance.clone()?;
+        let next_ms = rebalance.period_ms.max(1);
+        let driver = match config.cells.clone() {
+            Some(cells) => RebalanceDriver::Sharded(ShardedRebalancer::new(), rebalance, cells),
+            None => RebalanceDriver::Single(Rebalancer::new(), rebalance),
+        };
+        Some(Self {
+            driver,
+            next_ms,
+            ticks: 0,
+            rejected: 0,
+        })
+    }
+
+    /// The engine's post-flush stage at stamp `t`: accepted moves land
+    /// in `moves`; returns whether the periodic pass committed any (the
+    /// engine then offers the freed headroom to the pool).
+    fn after_flush<M: ThroughputModel + Send + Sync>(
+        &mut self,
+        fleet: &mut Fleet<M>,
+        t: u64,
+        degraded: &[usize],
+        telemetry: &Telemetry,
+        moves: &mut Vec<RebalanceMove>,
+    ) -> bool {
+        // Targeted relief for boards degraded this tick: jobs that
+        // stayed resident through the swap re-priced on the weaker
+        // profile; a migration happens only when its priced gain clears
+        // the same bar the periodic rebalancer enforces
+        // (`min_gain_per_layer`), so a mild brown-out degrades in place
+        // instead of stampeding.
+        if !degraded.is_empty() {
+            let _span = telemetry.span("orchestrator.rebalance.relief");
+            let config = self.driver.config();
+            for &donor in degraded {
+                let slot = &fleet.slots()[donor];
+                if !slot.active || slot.jobs.is_empty() {
+                    continue;
+                }
+                let donors = [(donor, slot.load_score())];
+                let receivers = fleet.least_loaded(config.top_k_boards, &[donor]);
+                let out = balance_slice(fleet.slots_mut(), &donors, &receivers, config, t);
+                for mv in &out.moves {
+                    fleet.reindex(mv.from);
+                    fleet.reindex(mv.to);
+                }
+                self.rejected += out.rejected;
+                telemetry.incr("orchestrator.rebalance_rejected", out.rejected as u64);
+                moves.extend(out.moves);
+            }
+        }
+        // Periodic rebalance — priced against the fresh deployments,
+        // after the tick's events settled.
+        if self.next_ms != t {
+            return false;
+        }
+        self.ticks += 1;
+        self.next_ms = t + self.driver.config().period_ms.max(1);
+        let span = telemetry.span("orchestrator.rebalance");
+        let outcome = self.driver.tick(fleet, t);
+        drop(span);
+        self.rejected += outcome.rejected;
+        if outcome.rejected > 0 {
+            telemetry.incr("orchestrator.rebalance_rejected", outcome.rejected as u64);
+            if telemetry.is_recording() {
+                telemetry.event(
+                    "orchestrator.rebalance_rejected",
+                    format!(
+                        "t_ms={t} rejected={} accepted={}",
+                        outcome.rejected,
+                        outcome.moves.len()
+                    ),
+                );
+            }
+        }
+        let accepted = !outcome.moves.is_empty();
+        moves.extend(outcome.moves);
+        accepted
+    }
+}
+
+/// Whether `board` names a slot still in rotation.
+fn alive<M: ThroughputModel + Send + Sync>(engine: &ServingEngine<M>, board: usize) -> bool {
+    engine.fleet().slots().get(board).is_some_and(|s| s.active)
 }
 
 impl<M, F> OrchestratorSim<M, F>
@@ -411,12 +561,12 @@ where
         }
     }
 
-    /// Injects a telemetry handle. Chaos incidents (degrades, warm
-    /// reboots, evictions, rejected rebalance proposals) land in its
-    /// flight recorder, rebalance/evacuation phases open spans, and the
-    /// chaos counters mirror into its registry. The next
-    /// [`OrchestratorSim::run`] propagates the handle to every board
-    /// runtime it builds.
+    /// Injects a telemetry handle. Chaos incidents (every applied fleet
+    /// event, rejected rebalance proposals) land in its flight
+    /// recorder, rebalance/evacuation phases open spans next to the
+    /// engine's own, and the chaos counters mirror into its registry.
+    /// The next [`OrchestratorSim::run`] propagates the handle to the
+    /// engine and every board runtime it builds.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -427,821 +577,353 @@ where
         &self.telemetry
     }
 
-    fn build_scheduler(&mut self, board: &Board) -> OnlineScheduler<M> {
-        OnlineScheduler::new(
+    /// Builds the scheduler of a board coming up, preloaded from the
+    /// in-run archive's segment for its profile when there is one — a
+    /// flap rejoining, a brown-out repeating or a recovery then boots
+    /// warm instead of re-deriving every mapping cold. Returns the
+    /// scheduler and the entries preloaded.
+    fn boot(&mut self, chaos: &mut ChaosState, board: &Board) -> (OnlineScheduler<M>, usize) {
+        let mut scheduler = OnlineScheduler::new(
             (self.make_evaluator)(board.clone()),
             self.config.policy,
             self.config.online,
-        )
+        );
+        let capacity = self.config.online.eval_cache_capacity;
+        let Some(cache) = chaos.archive.segment(capacity, board) else {
+            return (scheduler, 0);
+        };
+        let entries = cache.cache().len();
+        scheduler.preload_cache(cache);
+        if entries > 0 {
+            chaos.warm_boots += 1;
+            chaos.warm_boot_entries += entries;
+            self.telemetry.incr("orchestrator.warm_boots", 1);
+            self.telemetry
+                .incr("orchestrator.warm_boot_entries", entries as u64);
+        }
+        (scheduler, entries)
+    }
+
+    /// Finishes an applied fleet event: re-places `evacuees` heaviest
+    /// model first (per-inference FLOPs, ties on the lower job id — a
+    /// light job fits almost anywhere, a VGG-19 may only fit on the
+    /// emptiest board) through the engine's admission-gated path, and
+    /// records the incident.
+    fn settle(
+        &self,
+        engine: &mut ServingEngine<M>,
+        event: FleetEvent,
+        slot: usize,
+        mut evacuees: Vec<JobSpec>,
+        warm_entries: usize,
+        t: u64,
+    ) -> FleetEventRecord {
+        evacuees.sort_by(|a, b| {
+            zoo::total_flops(b.model)
+                .cmp(&zoo::total_flops(a.model))
+                .then(a.id.cmp(&b.id))
+        });
+        let evacuated: Vec<u64> = evacuees.iter().map(|j| j.id).collect();
+        let (relocated, queued) = engine.requeue(evacuees, t);
+        self.telemetry
+            .incr("orchestrator.evacuated_jobs", evacuated.len() as u64);
+        if self.telemetry.is_recording() {
+            let kind = match event {
+                FleetEvent::BoardFail { .. } => "orchestrator.board_fail",
+                FleetEvent::BoardDrain { .. } => "orchestrator.board_drain",
+                FleetEvent::BoardJoin { .. } => "orchestrator.board_join",
+                FleetEvent::BoardDegrade { .. } => "orchestrator.board_degrade",
+                FleetEvent::BoardRecover { .. } => "orchestrator.board_recover",
+            };
+            self.telemetry.event(
+                kind,
+                format!(
+                    "t_ms={t} board={slot} evacuated={} relocated={relocated} \
+                     queued={queued} warm_entries={warm_entries}",
+                    evacuated.len()
+                ),
+            );
+        }
+        FleetEventRecord {
+            event,
+            slot: Some(slot),
+            evacuated,
+            relocated,
+            queued,
+        }
+    }
+
+    /// Applies one fleet-lifecycle event at stamp `t`, inside the
+    /// engine's open tick.
+    fn apply(
+        &mut self,
+        engine: &mut ServingEngine<M>,
+        chaos: &mut ChaosState,
+        event: FleetEvent,
+        t: u64,
+    ) -> FleetEventRecord {
+        let capacity = self.config.online.eval_cache_capacity;
+        match event {
+            FleetEvent::BoardFail { board } | FleetEvent::BoardDrain { board } => {
+                if !alive(engine, board) {
+                    return FleetEventRecord::noop(event);
+                }
+                let _span = self.telemetry.span("orchestrator.evacuate");
+                // The board is gone for good: forget any pre-degrade
+                // original, but archive its caches first — a flap's
+                // rejoin (same profile) warm-boots from this segment.
+                chaos.original_boards.remove(&board);
+                engine.fleet().archive_caches(&mut chaos.archive, capacity);
+                let evacuees = engine.deactivate(board, t);
+                self.settle(engine, event, board, evacuees, 0, t)
+            }
+            FleetEvent::BoardDegrade { board, profile } => {
+                let pool = &self.spec.degrade_profiles;
+                if !alive(engine, board) || pool.is_empty() {
+                    return FleetEventRecord::noop(event);
+                }
+                let hardware = pool[profile % pool.len()].board.clone();
+                let _span = self.telemetry.span("orchestrator.chaos.degrade");
+                self.telemetry.incr("orchestrator.degrades", 1);
+                // First degrade of this slot captures the healthy
+                // hardware for a later recovery.
+                chaos
+                    .original_boards
+                    .entry(board)
+                    .or_insert_with(|| engine.fleet().slots()[board].board.clone());
+                // Archive the healthy profile's caches (a recovery
+                // warm-boots from them), then swap the weakened board
+                // in place: only what it no longer admits evicts.
+                engine.fleet().archive_caches(&mut chaos.archive, capacity);
+                let (scheduler, warm) = self.boot(chaos, &hardware);
+                let evicted = engine.swap_board(board, hardware, scheduler, t);
+                self.telemetry
+                    .incr("orchestrator.degrade_evictions", evicted.len() as u64);
+                chaos.degraded.push(board);
+                self.settle(engine, event, board, evicted, warm, t)
+            }
+            FleetEvent::BoardRecover { board } => {
+                let original = alive(engine, board)
+                    .then(|| chaos.original_boards.remove(&board))
+                    .flatten();
+                let Some(hardware) = original else {
+                    return FleetEventRecord::noop(event);
+                };
+                let _span = self.telemetry.span("orchestrator.chaos.recover");
+                self.telemetry.incr("orchestrator.recovers", 1);
+                // Archive the degraded profile's caches (the next
+                // brown-out to the same profile warm-boots), restore
+                // the healthy hardware, preload its segment.
+                engine.fleet().archive_caches(&mut chaos.archive, capacity);
+                let (scheduler, warm) = self.boot(chaos, &hardware);
+                let evicted = engine.swap_board(board, hardware, scheduler, t);
+                // Restored capacity: waiting jobs may fit again.
+                // (Eviction on recovery only happens when a
+                // misconfigured degrade pool is *stronger* than the
+                // original board; jobs still conserve.)
+                engine.mark_capacity_freed(t);
+                self.settle(engine, event, board, evicted, warm, t)
+            }
+            FleetEvent::BoardJoin { profile } => {
+                // Profile indices wrap around the spec's pool: a script
+                // generated against a larger pool must still add a
+                // board, or every later scripted board index would
+                // silently target the wrong slot (the generator tracks
+                // joins in its alive set). Only an empty pool makes
+                // joins no-ops.
+                let pool = &self.spec.join_profiles;
+                if pool.is_empty() {
+                    return FleetEventRecord::noop(event);
+                }
+                let hardware = pool[profile % pool.len()].board.clone();
+                let (scheduler, warm) = self.boot(chaos, &hardware);
+                let slot = engine.add_board(hardware, scheduler, t);
+                self.settle(engine, event, slot, Vec::new(), warm, t)
+            }
+        }
     }
 
     /// Replays `trace` interleaved with `script` to completion.
-    /// `horizon_ms` bounds the throughput/utilization time integrals.
+    /// `horizon_ms` bounds the throughput/utilization time integrals
+    /// and the rebalance stamps.
     pub fn run(
         &mut self,
         trace: &ArrivalTrace,
         script: &FleetScript,
         horizon_ms: u64,
     ) -> OrchestratorReport {
-        let mut fleet: Fleet<M> = {
-            let boards: Vec<Board> = self.spec.initial.iter().map(|p| p.board.clone()).collect();
-            let config = &self.config;
-            let policy = config.placement;
-            let use_memo = config.use_memo;
-            // Work around the borrow of `self` inside the closure.
-            let mut schedulers: Vec<OnlineScheduler<M>> = Vec::new();
-            for board in &boards {
-                schedulers.push(self.build_scheduler(board));
-            }
-            let mut iter = schedulers.into_iter();
-            Fleet::new(boards, policy, use_memo, |_| {
-                iter.next().expect("one scheduler per board")
-            })
-        };
-        fleet.set_telemetry(self.telemetry.clone());
-        let mut cache_preloaded = 0usize;
-        if let Some(path) = self.config.cache_path.clone() {
-            if path.exists() {
-                if let Ok(archive) = CacheArchive::load(&path) {
-                    cache_preloaded =
-                        fleet.preload_caches(&archive, self.config.online.eval_cache_capacity);
-                }
-            }
-        }
+        let boards = self.spec.initial.iter().map(|p| p.board.clone()).collect();
+        let mut engine =
+            ServingEngine::new(boards, self.config.serving(), &mut self.make_evaluator);
+        engine.set_telemetry(self.telemetry.clone());
+        let mut chaos = ChaosState::default();
+        let mut rebalancing = Rebalancing::new(&self.config);
+        // What each tick did beyond its engine record: fleet events,
+        // accepted moves, boards in rotation afterwards.
+        let mut extras: Vec<(Vec<FleetEventRecord>, Vec<RebalanceMove>, usize)> = Vec::new();
 
-        let mut pool = Mempool::new(self.config.admission);
-        // Evacuees waiting in the pool: job id → the failure stamp
-        // their evacuation latency counts from.
-        let mut evac_pending: Vec<(u64, u64)> = Vec::new();
-        let mut evac_waits = LogHistogram::new();
-        let (mut evacuated_jobs, mut evac_relocated, mut evac_queued) = (0usize, 0usize, 0usize);
-        // Degraded slots' pre-brown-out hardware, for recovery. First
-        // degrade of a slot captures the healthy board; stacked degrades
-        // keep it; fail/drain forgets it (that board is gone for good).
-        let mut original_boards: std::collections::HashMap<usize, Board> =
-            std::collections::HashMap::new();
-        // In-run cache archive feeding warm reboots: every lifecycle
-        // event that tears a scheduler down (fail, drain, degrade,
-        // recover) first archives the fleet's caches per profile, and
-        // every board that comes up (join, degrade, recover) preloads
-        // its profile's segment — so a flapped board reboots warm.
-        let mut run_archive = CacheArchive::default();
-        let cache_capacity = self.config.online.eval_cache_capacity;
-        let (mut degrades, mut recovers) = (0usize, 0usize);
-        let (mut warm_boots, mut warm_boot_entries) = (0usize, 0usize);
-        let mut degrade_evictions = 0usize;
-        let mut live: Vec<u64> = Vec::new();
-        let mut tenant_acc = TenantAccumulator::new();
-        let mut slo_acc = SloAccumulator::new();
-        let rebalance = self.config.rebalance.clone();
-        let cells_config = self.config.cells.clone();
-        let mut driver = match &cells_config {
-            Some(_) => RebalanceDriver::Sharded(ShardedRebalancer::new()),
-            None => RebalanceDriver::Single(Rebalancer::new()),
-        };
-        let mut next_rebalance = rebalance.as_ref().map(|r| r.period_ms.max(1));
-        let (mut reb_ticks, mut reb_rejected) = (0usize, 0usize);
-
-        let mut ticks: Vec<OrchestratorTick> = Vec::new();
-        let mut last_t = 0u64;
-        let mut tps_integral = 0.0f64;
-        let mut busy_ms: Vec<u64> = vec![0; fleet.len()];
-        let mut peak_queue = 0usize;
-        let (mut arrivals, mut departures, mut placements) = (0usize, 0usize, 0usize);
-        let (mut failures, mut drains, mut joins) = (0usize, 0usize, 0usize);
-
-        let job_events = trace.events();
-        let fleet_events = script.events();
-        let (mut ji, mut fi) = (0usize, 0usize);
+        let mut job_events = trace.events().iter().peekable();
+        let mut fleet_events = script.events().iter().peekable();
         loop {
             // The next stamp across the three merged streams.
-            let mut t = u64::MAX;
-            if ji < job_events.len() {
-                t = t.min(job_events[ji].at_ms);
-            }
-            if fi < fleet_events.len() {
-                t = t.min(fleet_events[fi].at_ms);
-            }
-            if let Some(r) = next_rebalance {
-                if r < horizon_ms {
-                    t = t.min(r);
-                }
-            }
-            if t == u64::MAX {
+            let rebalance_due = rebalancing
+                .as_ref()
+                .map(|r| r.next_ms)
+                .filter(|r| *r < horizon_ms);
+            let stamps = [
+                job_events.peek().map(|e| e.at_ms),
+                fleet_events.peek().map(|e| e.at_ms),
+                rebalance_due,
+            ];
+            let Some(t) = stamps.into_iter().flatten().min() else {
                 break;
+            };
+            // Fleet events before job events: a board failing at `t`
+            // never receives the arrival stamped `t`.
+            let mut records = Vec::new();
+            while let Some(e) = fleet_events.next_if(|e| e.at_ms == t) {
+                records.push(self.apply(&mut engine, &mut chaos, e.event, t));
             }
-
-            // Integrate the interval since the previous tick with the
-            // still-current deployments.
-            let dt = t - last_t;
-            tps_integral += fleet.aggregate_throughput() * dt as f64;
-            tenant_acc.integrate(fleet.slots(), dt);
-            slo_acc.integrate(fleet.slots(), dt);
-            busy_ms.resize(fleet.len(), 0);
-            for (b, slot) in fleet.slots().iter().enumerate() {
-                if !slot.jobs.is_empty() {
-                    busy_ms[b] += dt;
-                }
-            }
-            last_t = t;
-
-            // TTL sweep first: an entry that outlived its TTL must not
-            // grab capacity this tick frees. No-op without a TTL.
-            let expired_ids = pool.expire(t);
-            for id in &expired_ids {
-                live.retain(|l| l != id);
-                evac_pending.retain(|(e, _)| e != id);
-            }
-
-            let mut tick_fleet_events = Vec::new();
-            let mut tick_events = Vec::new();
-            let mut placed = Vec::new();
-            let mut queued_ids = Vec::new();
-            let mut rejected_ids = Vec::new();
-            let mut capacity_freed = false;
-            // Slots degraded this tick — the targeted-rebalance donors
-            // of step 4½.
-            let mut degraded_this_tick: Vec<usize> = Vec::new();
-
-            // 1. Fleet-lifecycle events (before job events: a board
-            //    failing at `t` never receives the arrival stamped `t`).
-            while fi < fleet_events.len() && fleet_events[fi].at_ms == t {
-                let event = fleet_events[fi].event;
-                fi += 1;
-                let record = match event {
-                    FleetEvent::BoardFail { board } | FleetEvent::BoardDrain { board } => {
-                        let alive = board < fleet.len() && fleet.slots()[board].active;
-                        if !alive {
-                            FleetEventRecord {
-                                event,
-                                slot: None,
-                                evacuated: Vec::new(),
-                                relocated: 0,
-                                queued: 0,
-                            }
-                        } else {
-                            let _span = self.telemetry.span("orchestrator.evacuate");
-                            if matches!(event, FleetEvent::BoardFail { .. }) {
-                                failures += 1;
-                            } else {
-                                drains += 1;
-                            }
-                            // The board is gone for good: forget any
-                            // pre-degrade original, but archive its
-                            // caches first — a flap's rejoin (same
-                            // profile) warm-boots from this segment.
-                            original_boards.remove(&board);
-                            fleet.archive_caches(&mut run_archive, cache_capacity);
-                            // Evacuate: every resident job re-enters the
-                            // admission-gated placement path; what no
-                            // longer fits anywhere queues. Nothing is
-                            // ever dropped.
-                            let mut evacuees = fleet.deactivate(board);
-                            order_evacuees(self.config.evac_order, &tenant_acc, &mut evacuees);
-                            evacuated_jobs += evacuees.len();
-                            let (ids, relocated, to_queue) = requeue_evacuees(
-                                evacuees,
-                                &mut pool,
-                                &mut fleet,
-                                t,
-                                &mut placements,
-                                &mut placed,
-                                &mut queued_ids,
-                                &mut tenant_acc,
-                                &mut evac_pending,
-                                &mut evac_waits,
-                            );
-                            evac_relocated += relocated;
-                            evac_queued += to_queue;
-                            self.telemetry
-                                .incr("orchestrator.evacuated_jobs", ids.len() as u64);
-                            if self.telemetry.is_recording() {
-                                let kind = if matches!(event, FleetEvent::BoardFail { .. }) {
-                                    "orchestrator.board_fail"
-                                } else {
-                                    "orchestrator.board_drain"
-                                };
-                                self.telemetry.event(
-                                    kind,
-                                    format!(
-                                        "t_ms={t} board={board} evacuated={} \
-                                         relocated={relocated} queued={to_queue}",
-                                        ids.len()
-                                    ),
-                                );
-                            }
-                            FleetEventRecord {
-                                event,
-                                slot: Some(board),
-                                evacuated: ids,
-                                relocated,
-                                queued: to_queue,
-                            }
-                        }
-                    }
-                    FleetEvent::BoardDegrade { board, profile } => {
-                        let alive = board < fleet.len() && fleet.slots()[board].active;
-                        let pool_len = self.spec.degrade_profiles.len();
-                        if !alive || pool_len == 0 {
-                            FleetEventRecord {
-                                event,
-                                slot: None,
-                                evacuated: Vec::new(),
-                                relocated: 0,
-                                queued: 0,
-                            }
-                        } else {
-                            let _span = self.telemetry.span("orchestrator.chaos.degrade");
-                            degrades += 1;
-                            self.telemetry.incr("orchestrator.degrades", 1);
-                            let p = self.spec.degrade_profiles[profile % pool_len].clone();
-                            // First degrade of this slot captures the
-                            // healthy hardware for a later recovery.
-                            original_boards
-                                .entry(board)
-                                .or_insert_with(|| fleet.slots()[board].board.clone());
-                            // Archive the healthy profile's caches (a
-                            // recovery warm-boots from them), then swap
-                            // the weakened board in place.
-                            fleet.archive_caches(&mut run_archive, cache_capacity);
-                            let scheduler = self.build_scheduler(&p.board);
-                            let mut evicted = if self.config.degrade_evacuates_all {
-                                // A/B arm: evacuate everyone; the swap
-                                // then finds an empty slot.
-                                let mut all = fleet.evacuate_jobs(board);
-                                all.extend(fleet.swap_board(board, p.board.clone(), scheduler));
-                                all
-                            } else {
-                                // Degrade in place: only what the
-                                // weakened profile no longer admits.
-                                fleet.swap_board(board, p.board.clone(), scheduler)
-                            };
-                            let preloaded =
-                                preload_slot(&mut fleet, board, &run_archive, cache_capacity);
-                            if preloaded > 0 {
-                                warm_boots += 1;
-                                warm_boot_entries += preloaded;
-                                self.telemetry.incr("orchestrator.warm_boots", 1);
-                                self.telemetry
-                                    .incr("orchestrator.warm_boot_entries", preloaded as u64);
-                                if self.telemetry.is_recording() {
-                                    self.telemetry.event(
-                                        "orchestrator.warm_boot",
-                                        format!("t_ms={t} board={board} entries={preloaded}"),
-                                    );
-                                }
-                            }
-                            degrade_evictions += evicted.len();
-                            self.telemetry
-                                .incr("orchestrator.degrade_evictions", evicted.len() as u64);
-                            self.telemetry
-                                .incr("orchestrator.evacuated_jobs", evicted.len() as u64);
-                            if self.telemetry.is_recording() {
-                                self.telemetry.event(
-                                    "orchestrator.board_degrade",
-                                    format!(
-                                        "t_ms={t} board={board} evicted={} warm_entries={preloaded}",
-                                        evicted.len()
-                                    ),
-                                );
-                            }
-                            evacuated_jobs += evicted.len();
-                            order_evacuees(self.config.evac_order, &tenant_acc, &mut evicted);
-                            let (ids, relocated, to_queue) = requeue_evacuees(
-                                evicted,
-                                &mut pool,
-                                &mut fleet,
-                                t,
-                                &mut placements,
-                                &mut placed,
-                                &mut queued_ids,
-                                &mut tenant_acc,
-                                &mut evac_pending,
-                                &mut evac_waits,
-                            );
-                            evac_relocated += relocated;
-                            evac_queued += to_queue;
-                            degraded_this_tick.push(board);
-                            FleetEventRecord {
-                                event,
-                                slot: Some(board),
-                                evacuated: ids,
-                                relocated,
-                                queued: to_queue,
-                            }
-                        }
-                    }
-                    FleetEvent::BoardRecover { board } => {
-                        let alive = board < fleet.len() && fleet.slots()[board].active;
-                        let original = if alive {
-                            original_boards.remove(&board)
-                        } else {
-                            None
-                        };
-                        match original {
-                            Some(orig) => {
-                                let _span = self.telemetry.span("orchestrator.chaos.recover");
-                                recovers += 1;
-                                self.telemetry.incr("orchestrator.recovers", 1);
-                                // Archive the degraded profile's caches
-                                // (the next brown-out to the same
-                                // profile warm-boots), restore the
-                                // healthy hardware, preload its segment.
-                                fleet.archive_caches(&mut run_archive, cache_capacity);
-                                let scheduler = self.build_scheduler(&orig);
-                                let mut evicted = fleet.swap_board(board, orig, scheduler);
-                                let preloaded =
-                                    preload_slot(&mut fleet, board, &run_archive, cache_capacity);
-                                if preloaded > 0 {
-                                    warm_boots += 1;
-                                    warm_boot_entries += preloaded;
-                                    self.telemetry.incr("orchestrator.warm_boots", 1);
-                                    self.telemetry
-                                        .incr("orchestrator.warm_boot_entries", preloaded as u64);
-                                    if self.telemetry.is_recording() {
-                                        self.telemetry.event(
-                                            "orchestrator.warm_boot",
-                                            format!("t_ms={t} board={board} entries={preloaded}"),
-                                        );
-                                    }
-                                }
-                                if self.telemetry.is_recording() {
-                                    self.telemetry.event(
-                                        "orchestrator.board_recover",
-                                        format!(
-                                            "t_ms={t} board={board} evicted={} \
-                                             warm_entries={preloaded}",
-                                            evicted.len()
-                                        ),
-                                    );
-                                }
-                                // Restored capacity: waiting jobs may
-                                // fit again. (Eviction on recovery only
-                                // happens when a misconfigured degrade
-                                // pool is *stronger* than the original
-                                // board; jobs still conserve.)
-                                evacuated_jobs += evicted.len();
-                                self.telemetry
-                                    .incr("orchestrator.evacuated_jobs", evicted.len() as u64);
-                                order_evacuees(self.config.evac_order, &tenant_acc, &mut evicted);
-                                let (ids, relocated, to_queue) = requeue_evacuees(
-                                    evicted,
-                                    &mut pool,
-                                    &mut fleet,
-                                    t,
-                                    &mut placements,
-                                    &mut placed,
-                                    &mut queued_ids,
-                                    &mut tenant_acc,
-                                    &mut evac_pending,
-                                    &mut evac_waits,
-                                );
-                                evac_relocated += relocated;
-                                evac_queued += to_queue;
-                                capacity_freed = true;
-                                FleetEventRecord {
-                                    event,
-                                    slot: Some(board),
-                                    evacuated: ids,
-                                    relocated,
-                                    queued: to_queue,
-                                }
-                            }
-                            None => FleetEventRecord {
-                                event,
-                                slot: None,
-                                evacuated: Vec::new(),
-                                relocated: 0,
-                                queued: 0,
-                            },
-                        }
-                    }
-                    FleetEvent::BoardJoin { profile } => {
-                        // Profile indices wrap around the spec's pool: a
-                        // script generated against a larger pool must
-                        // still add a board, or every later scripted
-                        // board index would silently target the wrong
-                        // slot (the generator tracks joins in its alive
-                        // set). Only an empty pool makes joins no-ops.
-                        match self
-                            .spec
-                            .join_profiles
-                            .get(profile % self.spec.join_profiles.len().max(1))
-                            .cloned()
-                        {
-                            Some(p) => {
-                                joins += 1;
-                                let scheduler = self.build_scheduler(&p.board);
-                                let index = fleet.add_board(p.board, scheduler);
-                                busy_ms.resize(fleet.len(), 0);
-                                // A flap rejoining with a profile the
-                                // run has seen before warm-boots from
-                                // the archived cache segment instead of
-                                // re-deriving every mapping cold.
-                                let preloaded =
-                                    preload_slot(&mut fleet, index, &run_archive, cache_capacity);
-                                if preloaded > 0 {
-                                    warm_boots += 1;
-                                    warm_boot_entries += preloaded;
-                                    self.telemetry.incr("orchestrator.warm_boots", 1);
-                                    self.telemetry
-                                        .incr("orchestrator.warm_boot_entries", preloaded as u64);
-                                    if self.telemetry.is_recording() {
-                                        self.telemetry.event(
-                                            "orchestrator.warm_boot",
-                                            format!("t_ms={t} board={index} entries={preloaded}"),
-                                        );
-                                    }
-                                }
-                                if self.telemetry.is_recording() {
-                                    self.telemetry.event(
-                                        "orchestrator.board_join",
-                                        format!("t_ms={t} board={index} warm_entries={preloaded}"),
-                                    );
-                                }
-                                // Fresh capacity: waiting jobs may fit.
-                                capacity_freed = true;
-                                FleetEventRecord {
-                                    event,
-                                    slot: Some(index),
-                                    evacuated: Vec::new(),
-                                    relocated: 0,
-                                    queued: 0,
-                                }
-                            }
-                            None => FleetEventRecord {
-                                event,
-                                slot: None,
-                                evacuated: Vec::new(),
-                                relocated: 0,
-                                queued: 0,
-                            },
-                        }
-                    }
-                };
-                tick_fleet_events.push(record);
-            }
-
-            // 2. Job events (the trace orders departures before arrivals
-            //    at equal stamps).
-            while ji < job_events.len() && job_events[ji].at_ms == t {
-                let event = job_events[ji].event;
-                ji += 1;
-                tick_events.push(event);
-                match event {
+            // The trace orders departures before arrivals at equal
+            // stamps.
+            while let Some(e) = job_events.next_if(|e| e.at_ms == t) {
+                match e.event {
                     JobEvent::Arrive(job) => {
-                        arrivals += 1;
-                        tenant_acc.arrival(&job);
-                        slo_acc.arrival(&job);
-                        match pool.submit(&mut fleet, job, t) {
-                            SubmitOutcome::Placed(board) => {
-                                live.push(job.id);
-                                placements += 1;
-                                placed.push((job.id, board));
-                                tenant_acc.placement(&job, 0);
-                            }
-                            SubmitOutcome::Queued => {
-                                live.push(job.id);
-                                queued_ids.push(job.id);
-                            }
-                            // Rejected jobs never enter the system, so
-                            // they are excluded from the conservation
-                            // audit's live set (accounted, not lost).
-                            SubmitOutcome::Rejected(_) => rejected_ids.push(job.id),
-                        }
+                        engine.submit(job, t);
                     }
                     JobEvent::Depart { job_id } => {
-                        departures += 1;
-                        live.retain(|id| *id != job_id);
-                        if pool.depart(job_id) {
-                            evac_pending.retain(|(id, _)| *id != job_id);
-                        } else if let Some(board) = fleet.board_of(job_id) {
-                            fleet.remove_job(board, job_id);
-                            capacity_freed = true;
-                        }
+                        engine.depart(job_id, t);
                     }
                 }
             }
-
-            // 3. Queue drain whenever capacity grew (departure or join).
-            if capacity_freed && !pool.is_empty() {
-                let drained = pool.drain(&mut fleet, t, &tenant_acc);
-                absorb_drained(
-                    drained,
-                    t,
-                    &mut placements,
-                    &mut placed,
-                    &mut tenant_acc,
-                    &mut evac_pending,
-                    &mut evac_waits,
-                );
-            }
-            peak_queue = peak_queue.max(pool.len());
-
-            // 4. Reschedule dirty boards.
-            let mut decisions = fleet.flush_dirty();
-
-            // 4½. Targeted relief for boards degraded this tick: jobs
-            //     that stayed resident through the swap re-priced on the
-            //     weaker profile; a migration happens only when its
-            //     priced gain clears the same bar the periodic
-            //     rebalancer enforces (`min_gain_per_layer`), so a mild
-            //     brown-out degrades in place instead of stampeding.
-            let mut tick_moves: Vec<RebalanceMove> = Vec::new();
-            if !degraded_this_tick.is_empty() {
-                if let Some(config) = rebalance.as_ref() {
-                    let _span = self.telemetry.span("orchestrator.rebalance.relief");
-                    for &donor in &degraded_this_tick {
-                        let slot = &fleet.slots()[donor];
-                        if !slot.active || slot.jobs.is_empty() {
-                            continue;
-                        }
-                        let donors = vec![(donor, slot.load_score())];
-                        let receivers = fleet.least_loaded(config.top_k_boards, &[donor]);
-                        let out = balance_slice(fleet.slots_mut(), &donors, &receivers, config, t);
-                        for mv in &out.moves {
-                            fleet.reindex(mv.from);
-                            fleet.reindex(mv.to);
-                        }
-                        reb_rejected += out.rejected;
-                        self.telemetry
-                            .incr("orchestrator.rebalance_rejected", out.rejected as u64);
-                        tick_moves.extend(out.moves);
-                    }
-                }
-            }
-
-            // 5. Periodic rebalance — priced against the fresh
-            //    deployments, after the tick's events settled.
-            if next_rebalance == Some(t) {
-                let config = rebalance.as_ref().expect("rebalance scheduled");
-                reb_ticks += 1;
-                let span = self.telemetry.span("orchestrator.rebalance");
-                let outcome = match &mut driver {
-                    RebalanceDriver::Single(r) => r.tick(&mut fleet, config, t),
-                    RebalanceDriver::Sharded(s) => {
-                        let cells = cells_config.as_ref().expect("sharded driver has cells");
-                        s.tick(&mut fleet, config, cells, t)
-                    }
-                };
-                drop(span);
-                reb_rejected += outcome.rejected;
-                if outcome.rejected > 0 {
-                    self.telemetry
-                        .incr("orchestrator.rebalance_rejected", outcome.rejected as u64);
-                    if self.telemetry.is_recording() {
-                        self.telemetry.event(
-                            "orchestrator.rebalance_rejected",
-                            format!(
-                                "t_ms={t} rejected={} accepted={}",
-                                outcome.rejected,
-                                outcome.moves.len()
-                            ),
-                        );
-                    }
-                }
-                let accepted = !outcome.moves.is_empty();
-                tick_moves.extend(outcome.moves);
-                next_rebalance = Some(t + config.period_ms.max(1));
-                // A move can free admission headroom on the donor; let
-                // waiting jobs use it now rather than next departure.
-                if accepted && !pool.is_empty() {
-                    let drained = pool.drain(&mut fleet, t, &tenant_acc);
-                    absorb_drained(
-                        drained,
-                        t,
-                        &mut placements,
-                        &mut placed,
-                        &mut tenant_acc,
-                        &mut evac_pending,
-                        &mut evac_waits,
-                    );
-                    decisions.extend(fleet.flush_dirty());
-                    peak_queue = peak_queue.max(pool.len());
-                }
-            }
-
-            ticks.push(OrchestratorTick {
-                at_ms: t,
-                fleet_events: tick_fleet_events,
-                events: tick_events,
-                placements: placed,
-                queued: queued_ids,
-                rejected: rejected_ids,
-                expired: expired_ids,
-                decisions,
-                rebalances: tick_moves,
-                queue_depth: pool.len(),
-                board_jobs: fleet.board_jobs(),
-                active_boards: fleet.active_boards(),
-                aggregate_tps: fleet.aggregate_throughput(),
+            let mut moves = Vec::new();
+            let degraded = std::mem::take(&mut chaos.degraded);
+            engine.close_tick(t, |fleet, t| {
+                rebalancing.as_mut().is_some_and(|r| {
+                    r.after_flush(fleet, t, &degraded, &self.telemetry, &mut moves)
+                })
             });
+            extras.push((records, moves, engine.fleet().active_boards()));
         }
 
-        // Tail: integrate from the last event to the horizon.
-        if horizon_ms > last_t {
-            let dt = horizon_ms - last_t;
-            tps_integral += fleet.aggregate_throughput() * dt as f64;
-            tenant_acc.integrate(fleet.slots(), dt);
-            slo_acc.integrate(fleet.slots(), dt);
-            busy_ms.resize(fleet.len(), 0);
-            for (b, slot) in fleet.slots().iter().enumerate() {
-                if !slot.jobs.is_empty() {
-                    busy_ms[b] += dt;
-                }
-            }
+        let mut decision_hist = LogHistogram::new();
+        for (_, hist) in &engine.decision_histograms()[..3] {
+            decision_hist.merge(hist);
         }
+        let report = engine.finish(horizon_ms);
+        debug_assert_eq!(report.ticks.len(), extras.len());
+        let ticks = report
+            .ticks
+            .into_iter()
+            .zip(extras)
+            .map(
+                |(tick, (fleet_events, rebalances, active_boards))| OrchestratorTick {
+                    at_ms: tick.at_ms,
+                    fleet_events,
+                    events: tick.events,
+                    placements: tick.placements,
+                    queued: tick.queued,
+                    rejected: tick.rejected,
+                    expired: tick.expired,
+                    decisions: tick.decisions,
+                    rebalances,
+                    queue_depth: tick.queue_depth,
+                    board_jobs: tick.board_jobs,
+                    active_boards,
+                    aggregate_tps: tick.aggregate_tps,
+                },
+            )
+            .collect();
+        self.summarize(
+            ticks,
+            report.summary,
+            &chaos,
+            rebalancing.as_ref(),
+            &decision_hist,
+        )
+    }
 
-        if let Some(path) = self.config.cache_path.clone() {
-            let capacity = self.config.online.eval_cache_capacity;
-            if capacity > 0 {
-                let mut archive = CacheArchive::load(&path).unwrap_or_default();
-                fleet.archive_caches(&mut archive, capacity);
-                let _ = archive.save(&path);
-            }
-        }
-
-        // Conservation audit: every live (arrived, undeparted) job must
-        // be resident or queued. `lost_jobs` is the shortfall — zero by
-        // construction, proptested to stay zero.
-        let resident: usize = fleet.slots().iter().map(|s| s.jobs.len()).sum();
-        let lost_jobs = live.len().saturating_sub(resident + pool.len());
+    /// Joins the engine's summary with the run's fleet-event and
+    /// rebalance tallies.
+    fn summarize(
+        &self,
+        ticks: Vec<OrchestratorTick>,
+        s: omniboost_serve::ServingSummary,
+        chaos: &ChaosState,
+        rebalancing: Option<&Rebalancing>,
+        decision_hist: &LogHistogram,
+    ) -> OrchestratorReport {
         // Mirror the run's chaos tallies into the registry so a scrape
         // sees them even when every increment-site counter stayed 0.
         self.telemetry
-            .incr("orchestrator.lost_jobs", lost_jobs as u64);
+            .incr("orchestrator.lost_jobs", s.lost_jobs as u64);
         self.telemetry.incr("orchestrator.warm_boots", 0);
         self.telemetry.incr("orchestrator.warm_boot_entries", 0);
         self.telemetry.incr("orchestrator.evacuated_jobs", 0);
 
-        let all: Vec<&BoardDecision> = ticks.iter().flat_map(|t| t.decisions.iter()).collect();
-        let moves: Vec<&RebalanceMove> = ticks.iter().flat_map(|t| t.rebalances.iter()).collect();
-        let eval_cache = fleet
-            .slots()
-            .iter()
-            .map(|s| s.scheduler.eval_cache().stats())
-            .fold(EvalCacheStats::default(), EvalCacheStats::merge);
-        let horizon = horizon_ms.max(last_t).max(1);
-        let still_queued: Vec<JobSpec> = pool.queued_jobs();
-        let pool_stats = pool.stats();
-        let place_hist = pool.take_place_histogram();
-        let mut decision_hist = LogHistogram::new();
-        for d in &all {
-            decision_hist.record(d.decision_ms);
-        }
-        let summary = OrchestratorSummary {
-            events: trace.len(),
-            arrivals,
-            departures,
-            placements,
-            board_failures: failures,
-            board_drains: drains,
-            board_joins: joins,
-            evacuated_jobs,
-            evacuees_relocated_same_tick: evac_relocated,
-            evacuees_queued: evac_queued,
-            evacuation_wait: LatencyStats::from_histogram(&evac_waits),
-            evacuees_still_queued: evac_pending.len(),
-            lost_jobs,
-            rebalance_ticks: reb_ticks,
-            rebalance_moves: moves.len(),
-            rebalance_rejected: reb_rejected,
-            rebalance_gain_tps: moves.iter().map(|m| m.gain_tps).sum(),
-            rebalance_migrated_layers: moves.iter().map(|m| m.migrated_layers).sum(),
-            decisions: all.len(),
-            decision: LatencyStats::from_histogram(&decision_hist),
-            placement: LatencyStats::from_histogram(&place_hist),
-            migrated_layers: all.iter().map(|d| d.migrated_layers).sum(),
-            peak_queue_depth: peak_queue,
-            left_in_queue: pool.len(),
-            rejected: pool_stats.rejected,
-            expired: pool_stats.expired,
-            slo: slo_acc.finish(),
-            mean_aggregate_tps: tps_integral / horizon as f64,
-            board_utilization: busy_ms
-                .iter()
-                .map(|ms| *ms as f64 / horizon as f64)
-                .collect(),
-            tenants: tenant_acc.finish(horizon, &still_queued),
-            eval_cache,
-            cache_preloaded_entries: cache_preloaded,
-            board_degrades: degrades,
-            board_recovers: recovers,
-            warm_boots,
-            warm_boot_entries,
-            degrade_evictions,
+        let mut summary = OrchestratorSummary {
+            events: s.events,
+            arrivals: s.arrivals,
+            departures: s.departures,
+            placements: s.placements,
+            board_failures: 0,
+            board_drains: 0,
+            board_joins: 0,
+            board_degrades: 0,
+            board_recovers: 0,
+            warm_boots: chaos.warm_boots,
+            warm_boot_entries: chaos.warm_boot_entries,
+            degrade_evictions: 0,
+            evacuated_jobs: 0,
+            evacuees_relocated_same_tick: 0,
+            evacuees_queued: 0,
+            evacuation_wait: s.evacuation_wait,
+            evacuees_still_queued: s.evacuees_still_queued,
+            lost_jobs: s.lost_jobs,
+            rebalance_ticks: rebalancing.map_or(0, |r| r.ticks),
+            rebalance_moves: 0,
+            rebalance_rejected: rebalancing.map_or(0, |r| r.rejected),
+            rebalance_gain_tps: 0.0,
+            rebalance_migrated_layers: 0,
+            decisions: s.decisions,
+            decision: LatencyStats::from_histogram(decision_hist),
+            placement: s.placement,
+            migrated_layers: s.migrated_layers,
+            peak_queue_depth: s.peak_queue_depth,
+            left_in_queue: s.left_in_queue,
+            rejected: s.rejected,
+            expired: s.expired,
+            slo: s.slo,
+            mean_aggregate_tps: s.mean_aggregate_tps,
+            board_utilization: s.board_utilization,
+            tenants: s.tenants,
+            eval_cache: s.eval_cache,
+            cache_preloaded_entries: s.cache_preloaded_entries,
         };
+        // Applied events (a no-op's record carries no slot) and accepted
+        // moves, tallied off the tick records.
+        for tick in &ticks {
+            for fe in tick.fleet_events.iter().filter(|fe| fe.slot.is_some()) {
+                match fe.event {
+                    FleetEvent::BoardFail { .. } => summary.board_failures += 1,
+                    FleetEvent::BoardDrain { .. } => summary.board_drains += 1,
+                    FleetEvent::BoardJoin { .. } => summary.board_joins += 1,
+                    FleetEvent::BoardRecover { .. } => summary.board_recovers += 1,
+                    FleetEvent::BoardDegrade { .. } => {
+                        summary.board_degrades += 1;
+                        summary.degrade_evictions += fe.evacuated.len();
+                    }
+                }
+                summary.evacuated_jobs += fe.evacuated.len();
+                summary.evacuees_relocated_same_tick += fe.relocated;
+                summary.evacuees_queued += fe.queued;
+            }
+            for mv in &tick.rebalances {
+                summary.rebalance_moves += 1;
+                summary.rebalance_gain_tps += mv.gain_tps;
+                summary.rebalance_migrated_layers += mv.migrated_layers;
+            }
+        }
         OrchestratorReport { ticks, summary }
-    }
-}
-
-/// Which rebalancing driver a run uses: the single whole-fleet
-/// rebalancer (reads the load index for donors/receivers) or the
-/// sharded-cell driver.
-enum RebalanceDriver {
-    Single(Rebalancer),
-    Sharded(ShardedRebalancer),
-}
-
-/// Folds one [`Mempool::drain`]'s placements into the tick's records:
-/// placement counters, tenant queue waits, and evacuation latencies for
-/// drained jobs that were evacuees.
-fn absorb_drained(
-    drained: Vec<omniboost_serve::Drained>,
-    t: u64,
-    placements: &mut usize,
-    placed: &mut Vec<(u64, usize)>,
-    tenant_acc: &mut TenantAccumulator,
-    evac_pending: &mut Vec<(u64, u64)>,
-    evac_waits: &mut LogHistogram,
-) {
-    for d in drained {
-        *placements += 1;
-        placed.push((d.job.id, d.board));
-        tenant_acc.placement(&d.job, t - d.queued_at);
-        if let Some(p) = evac_pending.iter().position(|(id, _)| *id == d.job.id) {
-            let (_, failed_at) = evac_pending.remove(p);
-            evac_waits.record((t - failed_at) as f64);
-        }
-    }
-}
-
-/// Sorts evacuees into the configured re-placement order. All three
-/// orders are fully deterministic (final tiebreak on job id).
-fn order_evacuees(order: EvacOrder, tenant_acc: &TenantAccumulator, evacuees: &mut [JobSpec]) {
-    match order {
-        EvacOrder::Arrival => {}
-        EvacOrder::HeaviestFirst => evacuees.sort_by(|a, b| {
-            zoo::total_flops(b.model)
-                .cmp(&zoo::total_flops(a.model))
-                .then(a.id.cmp(&b.id))
-        }),
-        EvacOrder::TenantDeficitFirst => evacuees.sort_by(|a, b| {
-            tenant_acc
-                .attained_integral(a.tenant)
-                .total_cmp(&tenant_acc.attained_integral(b.tenant))
-                .then(
-                    zoo::total_flops(b.model)
-                        .cmp(&zoo::total_flops(a.model))
-                        .then(a.id.cmp(&b.id)),
-                )
-        }),
-    }
-}
-
-/// Re-places a batch of evacuees through the admission-gated mempool
-/// path (evacuees bypass validation and quota: an admitted job is
-/// never bounced). Returns the evacuee ids plus how many relocated
-/// same-tick and how many queued.
-#[allow(clippy::too_many_arguments)]
-fn requeue_evacuees<M: ThroughputModel + Send + Sync>(
-    evacuees: Vec<JobSpec>,
-    pool: &mut Mempool,
-    fleet: &mut Fleet<M>,
-    t: u64,
-    placements: &mut usize,
-    placed: &mut Vec<(u64, usize)>,
-    queued_ids: &mut Vec<u64>,
-    tenant_acc: &mut TenantAccumulator,
-    evac_pending: &mut Vec<(u64, u64)>,
-    evac_waits: &mut LogHistogram,
-) -> (Vec<u64>, usize, usize) {
-    let ids: Vec<u64> = evacuees.iter().map(|j| j.id).collect();
-    let (mut relocated, mut to_queue) = (0usize, 0usize);
-    for job in evacuees {
-        match pool.requeue(fleet, job, t) {
-            SubmitOutcome::Placed(slot) => {
-                relocated += 1;
-                *placements += 1;
-                placed.push((job.id, slot));
-                tenant_acc.placement(&job, 0);
-                evac_waits.record(0.0);
-            }
-            _ => {
-                to_queue += 1;
-                queued_ids.push(job.id);
-                evac_pending.push((job.id, t));
-            }
-        }
-    }
-    (ids, relocated, to_queue)
-}
-
-/// Warm-loads one slot's scheduler from the archive segment matching
-/// its (possibly just-swapped) hardware profile; returns the number of
-/// preloaded cache entries (0 when the profile has no segment yet).
-fn preload_slot<M: ThroughputModel + Send + Sync>(
-    fleet: &mut Fleet<M>,
-    index: usize,
-    archive: &CacheArchive,
-    capacity: usize,
-) -> usize {
-    match archive.segment(capacity, &fleet.slots()[index].board) {
-        Some(cache) => {
-            let entries = cache.cache().len();
-            fleet.slots_mut()[index].scheduler.preload_cache(cache);
-            entries
-        }
-        None => 0,
     }
 }

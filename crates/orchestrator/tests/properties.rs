@@ -6,10 +6,12 @@ use omniboost_models::{
     JobEvent, JobSpec, ModelId, TraceConfig, TraceEvent,
 };
 use omniboost_orchestrator::{
-    BoardProfile, CellConfig, EvacOrder, FleetSpec, OrchestratorConfig, OrchestratorReport,
-    OrchestratorSim, QueueOrder, RebalanceConfig,
+    BoardProfile, CellConfig, FleetSpec, OrchestratorConfig, OrchestratorReport, OrchestratorSim,
+    QueueOrder, RebalanceConfig,
 };
-use omniboost_serve::{AdmissionPolicy, OnlineConfig, PlacementPolicy, SearchBudget};
+use omniboost_serve::{
+    AdmissionPolicy, OnlineConfig, PlacementPolicy, SearchBudget, ServingConfig, ServingSim,
+};
 use proptest::prelude::*;
 
 const HORIZON_MS: u64 = 30_000;
@@ -399,9 +401,8 @@ fn tenant_deficit_queue_order_serves_starved_tenant_first() {
 }
 
 /// Evacuation ordering on board failure: with one VGG-19 among
-/// MobileNets on the failing board, `HeaviestFirst` re-places the
-/// VGG-19 before anything else while `Arrival` re-places the oldest
-/// job first.
+/// MobileNets on the failing board, the VGG-19 is re-placed before
+/// anything else, not the oldest job.
 #[test]
 fn evacuation_relocates_heaviest_models_first() {
     // Round-robin over two boards: odd ids land on board 0 (ids 1, 3, 5
@@ -425,19 +426,16 @@ fn evacuation_relocates_heaviest_models_first() {
         at_ms: 10_000,
         event: FleetEvent::BoardFail { board: 0 },
     }]);
-    let run = |order: EvacOrder| {
-        let config = OrchestratorConfig {
-            placement: PlacementPolicy::RoundRobin,
-            evac_order: order,
-            ..config(false)
-        };
-        let mut sim = OrchestratorSim::new(
-            FleetSpec::homogeneous(2, BoardProfile::hikey970()),
-            config,
-            AnalyticModel::new,
-        );
-        sim.run(&trace, &script, 15_000)
+    let config = OrchestratorConfig {
+        placement: PlacementPolicy::RoundRobin,
+        ..config(false)
     };
+    let mut sim = OrchestratorSim::new(
+        FleetSpec::homogeneous(2, BoardProfile::hikey970()),
+        config,
+        AnalyticModel::new,
+    );
+    let report = sim.run(&trace, &script, 15_000);
     let first_relocation = |report: &OrchestratorReport| {
         let tick = report
             .ticks
@@ -454,8 +452,7 @@ fn evacuation_relocates_heaviest_models_first() {
             .expect("board 1 has headroom for at least one evacuee")
             .0
     };
-    assert_eq!(first_relocation(&run(EvacOrder::HeaviestFirst)), 3);
-    assert_eq!(first_relocation(&run(EvacOrder::Arrival)), 1);
+    assert_eq!(first_relocation(&report), 3);
 }
 
 /// Batched rebalancing commits several moves in one priced set: two
@@ -925,14 +922,12 @@ fn flapped_board_warm_boots_from_the_cache_archive() {
     assert_eq!(report.summary.lost_jobs, 0);
 }
 
-/// Evacuation ordering pins `TenantDeficitFirst` semantics: on a board
-/// failure the first re-placed evacuee belongs to the tenant with the
-/// least attained throughput integral (here tenant 2, whose single
-/// MobileNet arrived last), even though another evacuee (tenant 0's
-/// VGG-19) is far heavier — while `HeaviestFirst` still picks the
-/// VGG-19 first.
+/// Evacuation ordering looks at the model, not the tenant: on a board
+/// failure the first re-placed evacuee is tenant 0's VGG-19 even though
+/// another evacuee belongs to the tenant with the least attained
+/// throughput integral (tenant 2, whose single MobileNet arrived last).
 #[test]
-fn evacuation_relocates_most_deficient_tenant_first() {
+fn evacuation_order_ignores_tenant_deficit() {
     // Round-robin over two boards: odd ids (1, 3, 5) land on board 0.
     // Tenant 0 owns everything except job 5 (tenant 2): five jobs
     // including the VGG-19, attaining a large throughput integral by
@@ -956,19 +951,16 @@ fn evacuation_relocates_most_deficient_tenant_first() {
         at_ms: 10_000,
         event: FleetEvent::BoardFail { board: 0 },
     }]);
-    let run = |order: EvacOrder| {
-        let config = OrchestratorConfig {
-            placement: PlacementPolicy::RoundRobin,
-            evac_order: order,
-            ..config(false)
-        };
-        let mut sim = OrchestratorSim::new(
-            FleetSpec::homogeneous(2, BoardProfile::hikey970()),
-            config,
-            AnalyticModel::new,
-        );
-        sim.run(&trace, &script, 15_000)
+    let config = OrchestratorConfig {
+        placement: PlacementPolicy::RoundRobin,
+        ..config(false)
     };
+    let mut sim = OrchestratorSim::new(
+        FleetSpec::homogeneous(2, BoardProfile::hikey970()),
+        config,
+        AnalyticModel::new,
+    );
+    let report = sim.run(&trace, &script, 15_000);
     let first_relocation = |report: &OrchestratorReport| {
         let tick = report
             .ticks
@@ -984,6 +976,70 @@ fn evacuation_relocates_most_deficient_tenant_first() {
             .expect("board 1 has headroom for at least one evacuee")
             .0
     };
-    assert_eq!(first_relocation(&run(EvacOrder::TenantDeficitFirst)), 5);
-    assert_eq!(first_relocation(&run(EvacOrder::HeaviestFirst)), 3);
+    assert_eq!(first_relocation(&report), 3);
+}
+
+/// The one loop is one loop: with no fleet script and no rebalancer the
+/// orchestrator adds nothing to the engine, so replaying a trace through
+/// `OrchestratorSim` and through `ServingSim` under the matching
+/// configuration must agree tick for tick, bit for bit.
+#[test]
+fn orchestrator_without_policy_replays_exactly_like_serving_sim() {
+    let trace = ArrivalTrace::generate(
+        ArrivalProcess::Poisson { rate_per_s: 0.9 },
+        &trace_config(),
+        23,
+    );
+    let boards = 3;
+    let mut orchestrator = OrchestratorSim::new(
+        FleetSpec::homogeneous(boards, BoardProfile::hikey970()),
+        OrchestratorConfig {
+            placement: PlacementPolicy::LeastLoaded,
+            ..config(false)
+        },
+        AnalyticModel::new,
+    );
+    let orchestrated = orchestrator.run(&trace, &FleetScript::none(), HORIZON_MS);
+    let mut serving = ServingSim::new(
+        vec![Board::hikey970(); boards],
+        ServingConfig {
+            online: quick_online(),
+            ..ServingConfig::warm()
+        },
+        AnalyticModel::new,
+    );
+    let served = serving.run(&trace, HORIZON_MS);
+
+    assert!(served.summary.decisions > 0, "the trace must schedule");
+    assert_eq!(orchestrated.ticks.len(), served.ticks.len());
+    let decisions = |d: &[omniboost_serve::BoardDecision]| -> Vec<_> {
+        d.iter()
+            .map(|d| {
+                (
+                    d.board,
+                    d.kind,
+                    d.migrated_layers,
+                    d.jobs,
+                    d.throughput.to_bits(),
+                )
+            })
+            .collect()
+    };
+    for (o, s) in orchestrated.ticks.iter().zip(&served.ticks) {
+        assert_eq!(o.at_ms, s.at_ms);
+        assert_eq!(o.placements, s.placements, "at {} ms", o.at_ms);
+        assert_eq!(o.queued, s.queued, "at {} ms", o.at_ms);
+        assert_eq!(
+            decisions(&o.decisions),
+            decisions(&s.decisions),
+            "at {} ms",
+            o.at_ms
+        );
+        assert_eq!(o.board_jobs, s.board_jobs, "at {} ms", o.at_ms);
+        assert_eq!(o.aggregate_tps.to_bits(), s.aggregate_tps.to_bits());
+    }
+    assert_eq!(
+        orchestrated.summary.mean_aggregate_tps.to_bits(),
+        served.summary.mean_aggregate_tps.to_bits()
+    );
 }

@@ -14,7 +14,7 @@
 use crate::api::{DepartRequest, SubmitRequest};
 use crate::client::{RpcClient, RpcError};
 use omniboost_models::{ArrivalTrace, JobEvent, SloClass};
-use omniboost_serve::LatencyStats;
+use omniboost_serve::{LatencyStats, LogHistogram};
 use std::time::Instant;
 
 /// How a replay stamps its requests.
@@ -76,7 +76,7 @@ pub fn replay_trace(
         sustained_rps: 0.0,
         rtt: LatencyStats::default(),
     };
-    let mut samples = Vec::with_capacity(trace.len());
+    let mut rtt = LogHistogram::new();
     let started = Instant::now();
     for event in trace.events() {
         let at_ms = match mode {
@@ -109,7 +109,7 @@ pub fn replay_trace(
                 client.depart(&DepartRequest { id: job_id, at_ms })?;
             }
         }
-        samples.push(sent.elapsed().as_secs_f64() * 1e3);
+        rtt.record(sent.elapsed().as_secs_f64() * 1e3);
         report.requests += 1;
     }
     report.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -118,6 +118,6 @@ pub fn replay_trace(
     } else {
         0.0
     };
-    report.rtt = LatencyStats::from_samples(samples);
+    report.rtt = LatencyStats::from_histogram(&rtt);
     Ok(report)
 }

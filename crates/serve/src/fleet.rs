@@ -717,19 +717,6 @@ impl<M: ThroughputModel + Sync> Fleet<M> {
         self.slots.iter().map(BoardSlot::throughput).sum()
     }
 
-    /// Evacuates every job off slot `index` **without** deactivating it
-    /// — the evacuate-always degrade arm (the weakened board stays in
-    /// rotation for later placements). Returns the jobs in arrival
-    /// order; the caller re-places them.
-    pub fn evacuate_jobs(&mut self, index: usize) -> Vec<JobSpec> {
-        let evacuees = self.slots[index].evacuate();
-        for job in &evacuees {
-            self.job_slots.remove(&job.id);
-        }
-        self.reindex(index);
-        evacuees
-    }
-
     /// Deactivates a slot (board failed or drained) and returns its
     /// evacuated jobs in arrival order. The caller re-places them.
     pub fn deactivate(&mut self, index: usize) -> Vec<JobSpec> {

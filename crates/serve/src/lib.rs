@@ -8,6 +8,12 @@
 //! arrive and depart over time, across more than one board. This crate
 //! layers an event-driven scheduling runtime on top of `omniboost`:
 //!
+//! * **One tick loop** ([`ServingEngine`]) — stamped inputs accumulate
+//!   into an open tick; closing it drains freed capacity, reschedules
+//!   dirty boards and records the tick. Trace replay ([`ServingSim`]),
+//!   the orchestrator's trace + fleet-script replay and the RPC daemon
+//!   are drivers of this one machine, so they share every admission,
+//!   accounting and persistence behaviour by construction.
 //! * **Arrival traces** — seeded, reproducible event sequences from
 //!   Poisson / bursty / diurnal-ramp generators
 //!   ([`omniboost_models::scenarios`]), replayed by a deterministic

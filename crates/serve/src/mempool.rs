@@ -218,8 +218,8 @@ pub struct Mempool {
     /// Wall-clock of every placement attempt routed through the pool
     /// (successful or not) — the orchestrator's `placement` latency
     /// surface. A bounded log-bucketed histogram, not a sample buffer:
-    /// a long-lived daemon must not grow per placement. Drained with
-    /// [`Mempool::take_place_histogram`].
+    /// a long-lived daemon must not grow per placement. Read with
+    /// [`Mempool::place_histogram`].
     place_hist: LogHistogram,
 }
 
@@ -274,10 +274,10 @@ impl Mempool {
         self.place_hist = LogHistogram::new();
     }
 
-    /// Drains the wall-clock histogram of every placement attempt since
-    /// the last take.
-    pub fn take_place_histogram(&mut self) -> LogHistogram {
-        std::mem::take(&mut self.place_hist)
+    /// Wall-clock histogram of every placement attempt since the last
+    /// [`Mempool::reset`].
+    pub fn place_histogram(&self) -> &LogHistogram {
+        &self.place_hist
     }
 
     /// Submits a fresh arrival: tries to place it now, otherwise

@@ -1,10 +1,11 @@
 //! The trace-replay serving runtime: replay an [`ArrivalTrace`] against
 //! a fleet, rescheduling per event and recording serving metrics.
 //!
-//! The event loop itself lives in [`crate::ServingEngine`] — an
-//! incremental, caller-clocked core shared with the `omniboost-rpc`
-//! daemon. This module keeps the report/summary types and the
-//! [`ServingSim`] driver that replays a whole trace through the engine.
+//! The tick loop itself lives in [`crate::ServingEngine`] — the one
+//! caller-clocked core that this replayer, the orchestrator's
+//! trace + script replayer and the `omniboost-rpc` daemon all drive.
+//! This module keeps the report/summary types and the [`ServingSim`]
+//! driver that replays a whole trace through the engine.
 
 use crate::engine::ServingEngine;
 use crate::fleet::PlacementPolicy;
@@ -131,22 +132,6 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Order statistics over raw samples (milliseconds).
-    pub fn from_samples(mut samples: Vec<f64>) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p99_rank = ((samples.len() as f64 * 0.99).ceil() as usize).max(1) - 1;
-        Self {
-            count: samples.len(),
-            median_ms: samples[samples.len() / 2],
-            mean_ms: samples.iter().sum::<f64>() / samples.len() as f64,
-            p99_ms: samples[p99_rank],
-            max_ms: *samples.last().unwrap(),
-        }
-    }
-
     /// Order statistics off a [`LogHistogram`]: count, mean and max are
     /// exact; median and p99 are nearest-rank values quantized to the
     /// histogram's log buckets (within one bucket width, ≲6%, of the
@@ -159,8 +144,8 @@ impl LatencyStats {
         let n = h.count();
         Self {
             count: n as usize,
-            // Rank n/2 + 1 is the upper median — the element
-            // `from_samples` picks at index `len / 2`.
+            // Rank n/2 + 1 is the upper median: index `len / 2` of the
+            // sorted samples.
             median_ms: h.rank_value(n / 2 + 1),
             mean_ms: h.mean(),
             p99_ms: h.rank_value(((n as f64 * 0.99).ceil() as u64).max(1)),
@@ -207,6 +192,11 @@ pub struct ServingSummary {
     /// Decision latency over **single-job-delta events only** — the
     /// bench's warm-vs-cold comparison axis.
     pub single_job_delta: LatencyStats,
+    /// Wall-clock latency of every placement attempt routed through the
+    /// pool (arrivals, queue drains, evacuee re-placements — including
+    /// attempts that ended in the queue). Wall-clock, so excluded from
+    /// the digests.
+    pub placement: LatencyStats,
     /// Total migration churn (layers moved across all decisions).
     pub migrated_layers: usize,
     /// Time-weighted mean fleet throughput over the horizon.
@@ -221,6 +211,19 @@ pub struct ServingSummary {
     /// sorted by tenant id — the measurement side of multi-tenant
     /// fairness (see [`crate::tenant_tps_ratio`]).
     pub tenants: Vec<TenantSummary>,
+    /// **Evacuation latency** in simulated milliseconds: from an
+    /// evacuee's [`ServingEngine::requeue`] to its landing on a new
+    /// board (same-tick relocations contribute 0 ms). Evacuees still
+    /// queued are not samples; see
+    /// [`ServingSummary::evacuees_still_queued`]. Empty unless a driver
+    /// evacuates boards.
+    pub evacuation_wait: LatencyStats,
+    /// Evacuees still waiting in the pool.
+    pub evacuees_still_queued: usize,
+    /// Jobs admitted and neither departed nor expired that are neither
+    /// resident nor queued — the conservation invariant demands
+    /// **zero**, and the orchestrator proptests pin it there.
+    pub lost_jobs: usize,
 }
 
 /// The record of one serving run: per-tick detail plus the summary.
@@ -296,8 +299,8 @@ impl ServingReport {
     }
 }
 
-/// The serving runtime: a fleet, the admission mempool, and the event
-/// loop.
+/// The trace replayer: a [`ServingEngine`] fed one [`ArrivalTrace`] per
+/// run at virtual time.
 ///
 /// ```no_run
 /// use omniboost_hw::{AnalyticModel, Board};

@@ -5,8 +5,8 @@ use omniboost_mcts::SearchBudget;
 use omniboost_models::{ArrivalProcess, ArrivalTrace, JobEvent, JobSpec, ModelId, TraceConfig};
 use omniboost_serve::{
     AdmissionPolicy, DecisionKind, Fleet, Mempool, OnlineConfig, OnlineScheduler, PlacementPolicy,
-    QueueOrder, RejectReason, ReschedulePolicy, ServingConfig, ServingSim, SubmitOutcome,
-    TenantAccumulator,
+    QueueOrder, RejectReason, ReschedulePolicy, ServingConfig, ServingEngine, ServingSim,
+    SubmitOutcome, TenantAccumulator,
 };
 use proptest::prelude::*;
 
@@ -702,6 +702,64 @@ fn recording_telemetry_is_digest_neutral() {
         .histograms()
         .iter()
         .any(|(name, h)| name.starts_with("core.decide.") && !h.is_empty()));
+}
+
+/// Status cost must not grow with uptime: a snapshot reads running
+/// counters, and they must equal what re-walking every closed tick's
+/// decisions would have computed — mid-run and at the end.
+#[test]
+fn snapshot_counters_equal_a_rewalk_of_the_tick_records() {
+    let trace = ArrivalTrace::generate(
+        ArrivalProcess::Poisson { rate_per_s: 0.8 },
+        &trace_config(),
+        7,
+    );
+    let config = ServingConfig {
+        online: quick_online(),
+        ..ServingConfig::warm()
+    };
+    let mut engine = ServingEngine::new(vec![Board::hikey970(); 2], config, AnalyticModel::new);
+    engine.begin_run();
+    let mut snapshots = Vec::new();
+    for event in trace.events() {
+        match event.event {
+            JobEvent::Arrive(job) => {
+                engine.submit(job, event.at_ms);
+            }
+            JobEvent::Depart { job_id } => {
+                engine.depart(job_id, event.at_ms);
+            }
+        }
+        // Covers the ticks closed so far: the one just opened is not
+        // among them.
+        snapshots.push(engine.snapshot(event.at_ms));
+    }
+    let report = engine.finish(HORIZON_MS);
+    let rewalk = |ticks: &[omniboost_serve::TickRecord]| {
+        let decisions = ticks.iter().flat_map(|t| &t.decisions);
+        (
+            decisions.clone().count(),
+            decisions.map(|d| d.migrated_layers).sum::<usize>(),
+        )
+    };
+    assert!(report.summary.decisions > 0, "the trace must schedule");
+    assert_eq!(
+        (report.summary.decisions, report.summary.migrated_layers),
+        rewalk(&report.ticks)
+    );
+    for (event, snapshot) in trace.events().iter().zip(&snapshots) {
+        let closed = report
+            .ticks
+            .iter()
+            .take_while(|t| t.at_ms < event.at_ms)
+            .count();
+        assert_eq!(
+            (snapshot.decisions, snapshot.migrated_layers),
+            rewalk(&report.ticks[..closed]),
+            "snapshot at {} ms",
+            event.at_ms
+        );
+    }
 }
 
 /// A queued guaranteed-class job claims freed capacity ahead of an

@@ -7,8 +7,7 @@
 //! weaker profile still admits stay put, re-priced in place), a
 //! `BoardRecover` that restores the healthy hardware, and a flap on
 //! board 1 whose rejoin preloads the archived evaluation-cache segment
-//! matching its fingerprint. Replayed twice — degrade-in-place vs
-//! evacuate-everything-on-degrade — to show what staying put is worth.
+//! matching its fingerprint.
 //!
 //! Run with:
 //! ```sh
@@ -54,7 +53,7 @@ fn chaos_script() -> FleetScript {
     ])
 }
 
-fn orchestrate(trace: &ArrivalTrace, degrade_evacuates_all: bool) -> OrchestratorReport {
+fn orchestrate(trace: &ArrivalTrace) -> OrchestratorReport {
     let config = OrchestratorConfig {
         online: OnlineConfig {
             cold_budget: SearchBudget::with_iterations(300),
@@ -62,7 +61,6 @@ fn orchestrate(trace: &ArrivalTrace, degrade_evacuates_all: bool) -> Orchestrato
             ..OnlineConfig::default()
         },
         rebalance: Some(RebalanceConfig::default()),
-        degrade_evacuates_all,
         ..OrchestratorConfig::warm()
     };
     let mut sim = OrchestratorSim::new(
@@ -115,9 +113,8 @@ fn print_story(report: &OrchestratorReport) {
     }
 }
 
-fn print_summary(name: &str, report: &OrchestratorReport) {
+fn print_summary(report: &OrchestratorReport) {
     let s = &report.summary;
-    println!("--- {name} ---");
     println!(
         "  {} degrades / {} recovers / {} failures / {} joins; {} evacuated \
          ({} by degrade), {} lost",
@@ -159,23 +156,16 @@ fn main() {
         HORIZON_MS / 1000,
     );
 
-    let in_place = orchestrate(&trace, false);
-    let evac_all = orchestrate(&trace, true);
+    let report = orchestrate(&trace);
 
-    println!("chaos event story (degrade-in-place):");
-    print_story(&in_place);
+    println!("chaos event story:");
+    print_story(&report);
     println!();
-    print_summary("degrade in place (default)", &in_place);
-    print_summary("evacuate everything on degrade", &evac_all);
+    print_summary(&report);
 
-    assert_eq!(in_place.summary.lost_jobs, 0, "chaos never loses jobs");
-    assert_eq!(evac_all.summary.lost_jobs, 0);
+    assert_eq!(report.summary.lost_jobs, 0, "chaos never loses jobs");
     assert!(
-        in_place.summary.warm_boots > 0,
+        report.summary.warm_boots > 0,
         "the flap rejoin warm-boots from the archive"
-    );
-    println!(
-        "\ndegrade-in-place served {:+.1}% aggregate throughput vs evacuate-always",
-        (in_place.summary.mean_aggregate_tps / evac_all.summary.mean_aggregate_tps - 1.0) * 100.0,
     );
 }
