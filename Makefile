@@ -6,6 +6,13 @@ verify:
 	cargo build --release
 	cargo test -q
 
+# The tensor and estimator suites again, optimized: their bitwise
+# contracts (plan == graph, pinned prediction bits, GEMM == naive) must
+# hold in the profile every benchmark runs, not only in debug.
+.PHONY: kernels-release
+kernels-release:
+	cargo test --release -q -p omniboost-tensor -p omniboost-estimator
+
 # The repo's benchmark (BENCHMARK.json, perfbench/) must not rot: its
 # own tests, then a ~17 s smoke of every workload. perfbench is a
 # separate package, so this is what catches an API change that breaks
@@ -17,7 +24,8 @@ bench-quick:
 
 # Perf smoke: the perf benches end to end in SMOKE mode — shrunken
 # budgets/epochs/traces, metrics pipelines fully exercised, no JSON
-# snapshot rewrites (numbers from noisy runners must not be published).
+# snapshot rewrites (numbers from noisy runners must not be published) —
+# then one per-stage profile of the estimator forward.
 .PHONY: perf-smoke
 perf-smoke:
 	SMOKE=1 cargo bench --bench decision_latency
@@ -29,6 +37,7 @@ perf-smoke:
 	SMOKE=1 cargo bench --bench chaos
 	SMOKE=1 cargo bench --bench rpc
 	SMOKE=1 cargo bench --bench telemetry_overhead
+	cargo run --release --example profile_forward -- 20
 
 # Full perf snapshots: rewrites BENCH_decision_latency.json,
 # BENCH_estimator_training.json, BENCH_serving.json, BENCH_fleet.json,

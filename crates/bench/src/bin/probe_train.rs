@@ -2,7 +2,7 @@
 //! does a §V-shaped training step actually spend its time? Used to aim
 //! the GEMM-backward optimization work (and to re-check on new hosts).
 
-use omniboost::estimator::{ActivationKind, DatasetConfig, EstimatorNet};
+use omniboost::estimator::{ActivationKind, DatasetConfig, EstimatorNet, InferencePlan};
 use omniboost::tensor::{Gelu, Loss, Module, MseLoss, Tensor};
 use omniboost_hw::Board;
 use std::time::Instant;
@@ -48,14 +48,15 @@ fn main() {
         },
         reps,
     );
-    net.set_training(false);
-    let fwd_eval = time_ms(
+    // The same batch through the compiled serving plan, for scale.
+    let mut plan = InferencePlan::compile(&mut net);
+    let fwd_plan = time_ms(
         || {
-            let _ = net.forward(&x);
+            plan.stage_nchw(&x);
+            let _ = plan.forward();
         },
         reps,
     );
-    net.set_training(true);
 
     let y = net.forward(&x);
     let (_, grad) = MseLoss.compute(&y, &target);
@@ -169,8 +170,8 @@ fn main() {
     println!("  maxpool (16ch, 11x37) fwd: {pool_fwd:.2} ms");
 
     println!("batch {batch} on {m}x{l} grid (median of {reps}):");
-    println!("  forward (train mode): {fwd_train:.2} ms");
-    println!("  forward (eval mode):  {fwd_eval:.2} ms");
+    println!("  forward (graph):      {fwd_train:.2} ms");
+    println!("  forward (plan):       {fwd_plan:.2} ms");
     println!("  backward (gemm):      {bwd_gemm:.2} ms");
     println!("  backward (direct):    {bwd_direct:.2} ms");
     println!("  gelu fwd over {gelu_elems} elems: {gelu_fwd:.2} ms");

@@ -18,10 +18,19 @@ use crate::embedding::EmbeddingTensor;
 use omniboost_hw::{Device, Mapping, Workload};
 
 /// Fair-sharing feasibility bound computed from the embedding tensor.
-#[derive(Debug, Clone, Copy)]
+///
+/// Holds its working memory, so one calculator serving a whole batch of
+/// mappings allocates for the first of them only.
+#[derive(Debug, Clone)]
 pub struct FeasibilityBound<'a> {
     embedding: &'a EmbeddingTensor,
     iterations: usize,
+    /// `(dnn, device, ms)` of every pipeline stage of the mapping in
+    /// hand, in DNN order.
+    stages: Vec<(usize, Device, f64)>,
+    /// Per-DNN rate iterate and congested bottleneck time.
+    rate: Vec<f64>,
+    bottleneck: Vec<f64>,
 }
 
 impl<'a> FeasibilityBound<'a> {
@@ -30,6 +39,9 @@ impl<'a> FeasibilityBound<'a> {
         Self {
             embedding,
             iterations: 60,
+            stages: Vec::new(),
+            rate: Vec::new(),
+            bottleneck: Vec::new(),
         }
     }
 
@@ -40,45 +52,50 @@ impl<'a> FeasibilityBound<'a> {
     /// The bound ignores transfer costs and saturation (both only slow
     /// things down), so it is a true upper bound on anything the board
     /// can deliver.
-    pub fn average_upper_bound(&self, workload: &Workload, mapping: &Mapping) -> Option<f64> {
+    pub fn average_upper_bound(&mut self, workload: &Workload, mapping: &Mapping) -> Option<f64> {
+        let rows = self.embedding.rows_of(workload).ok()?;
+        Some(self.upper_bound_of_rows(&rows, mapping))
+    }
+
+    /// [`FeasibilityBound::average_upper_bound`] for a workload whose
+    /// embedding rows are already resolved
+    /// ([`EmbeddingTensor::rows_of`]).
+    pub fn upper_bound_of_rows(&mut self, rows: &[usize], mapping: &Mapping) -> f64 {
         let scale = self.embedding.scale_ms();
         // Segment times per DNN, in ms.
-        let mut stages: Vec<Vec<(Device, f64)>> = Vec::with_capacity(workload.len());
-        for (di, dnn) in workload.dnns().iter().enumerate() {
-            let row = self.embedding.row_of(dnn.name())?;
-            let segs = mapping.segments(di);
-            let mut st = Vec::with_capacity(segs.len());
-            for seg in segs {
+        self.stages.clear();
+        for (di, &row) in rows.iter().enumerate() {
+            for seg in mapping.segments(di) {
                 let t: f64 = (seg.start..seg.end)
                     .map(|l| f64::from(self.embedding.value(seg.device, row, l)) * scale)
                     .sum();
-                st.push((seg.device, t.max(1e-9)));
+                self.stages.push((di, seg.device, t.max(1e-9)));
             }
-            stages.push(st);
         }
 
-        // Fixed point of the fair-sharing congestion recursion.
-        let mut x: Vec<f64> = stages
-            .iter()
-            .map(|st| 1.0 / st.iter().map(|(_, t)| *t).fold(0.0f64, f64::max))
-            .collect();
+        // Fixed point of the fair-sharing congestion recursion, started
+        // from every DNN running alone at its slowest stage's rate.
+        self.bottleneck.clear();
+        self.bottleneck.resize(rows.len(), 0.0);
+        for &(di, _, t) in &self.stages {
+            self.bottleneck[di] = self.bottleneck[di].max(t);
+        }
+        self.rate.clear();
+        self.rate.extend(self.bottleneck.iter().map(|t| 1.0 / t));
         for _ in 0..self.iterations {
             let mut util = [0.0f64; Device::COUNT];
-            for (di, st) in stages.iter().enumerate() {
-                for (dev, t) in st {
-                    util[dev.index()] += x[di] * t;
-                }
+            for &(di, dev, t) in &self.stages {
+                util[dev.index()] += self.rate[di] * t;
             }
-            for (di, st) in stages.iter().enumerate() {
-                let bottleneck = st
-                    .iter()
-                    .map(|(dev, t)| t * util[dev.index()].max(1.0))
-                    .fold(0.0f64, f64::max);
-                x[di] = 0.5 * x[di] + 0.5 / bottleneck;
+            self.bottleneck.fill(0.0);
+            for &(di, dev, t) in &self.stages {
+                self.bottleneck[di] = self.bottleneck[di].max(t * util[dev.index()].max(1.0));
+            }
+            for (x, worst) in self.rate.iter_mut().zip(&self.bottleneck) {
+                *x = 0.5 * *x + 0.5 / worst;
             }
         }
-        let m = workload.len() as f64;
-        Some(x.iter().sum::<f64>() / m * 1e3)
+        self.rate.iter().sum::<f64>() / rows.len() as f64 * 1e3
     }
 }
 
@@ -98,7 +115,7 @@ mod tests {
     fn bound_dominates_measurements_on_random_mappings() {
         let board = Board::hikey970();
         let emb = embedding(&board);
-        let bound = FeasibilityBound::new(&emb);
+        let mut bound = FeasibilityBound::new(&emb);
         let sim = board.simulator();
         let mut rng = StdRng::seed_from_u64(42);
         for mix in [
@@ -128,7 +145,7 @@ mod tests {
     fn bound_is_tight_for_uncontended_single_dnn() {
         let board = Board::hikey970();
         let emb = embedding(&board);
-        let bound = FeasibilityBound::new(&emb);
+        let mut bound = FeasibilityBound::new(&emb);
         let sim = board.simulator();
         let w = Workload::from_ids([ModelId::AlexNet]);
         let m = Mapping::all_on(&w, Device::Gpu);
@@ -144,7 +161,7 @@ mod tests {
     fn unknown_models_return_none() {
         let board = Board::hikey970();
         let emb = embedding(&board);
-        let bound = FeasibilityBound::new(&emb);
+        let mut bound = FeasibilityBound::new(&emb);
         let custom =
             omniboost_models::DnnModelBuilder::new(omniboost_models::TensorShape::new(3, 8, 8))
                 .conv("c", 4, 3, 1, 1)
@@ -159,7 +176,7 @@ mod tests {
     fn overloading_one_device_lowers_the_bound() {
         let board = Board::hikey970();
         let emb = embedding(&board);
-        let bound = FeasibilityBound::new(&emb);
+        let mut bound = FeasibilityBound::new(&emb);
         let w = Workload::from_ids(vec![ModelId::Vgg19; 3]);
         let stacked = bound
             .average_upper_bound(&w, &Mapping::all_on(&w, Device::Gpu))

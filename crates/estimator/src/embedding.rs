@@ -5,7 +5,8 @@
 //! the *normalized* execution time of that layer on that component, from
 //! kernel-level profiling (Eq. 1–3).
 
-use omniboost_hw::{Board, Device, LayerTimeTable, NoiseModel};
+use crate::mask::UnknownModelError;
+use omniboost_hw::{Board, Device, LayerTimeTable, NoiseModel, Workload};
 use omniboost_models::DnnModel;
 use omniboost_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -86,6 +87,25 @@ impl EmbeddingTensor {
     /// Row index of a model by name, if it is in the dataset.
     pub fn row_of(&self, model_name: &str) -> Option<usize> {
         self.model_names.iter().position(|n| n == model_name)
+    }
+
+    /// Row index of every DNN of `workload`, in workload order — resolved
+    /// once per query batch, since [`EmbeddingTensor::row_of`] is a
+    /// linear name scan.
+    ///
+    /// # Errors
+    ///
+    /// [`UnknownModelError`] naming the first DNN that is not a dataset
+    /// model.
+    pub fn rows_of(&self, workload: &Workload) -> Result<Vec<usize>, UnknownModelError> {
+        workload
+            .dnns()
+            .iter()
+            .map(|dnn| {
+                self.row_of(dnn.name())
+                    .ok_or_else(|| UnknownModelError(dnn.name().to_owned()))
+            })
+            .collect()
     }
 
     /// Name of the model in a row.

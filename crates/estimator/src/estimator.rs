@@ -1,26 +1,35 @@
 //! The trained CNN estimator wrapped as a [`ThroughputModel`] — the
 //! "ranking mechanism" half of OmniBoost (§IV).
+//!
+//! Training produces an [`EstimatorNet`] graph; serving never runs it.
+//! Every constructor lowers the graph into an [`InferencePlan`] once and
+//! drops it, and `predict`, `predict_batch`, `evaluate` and
+//! `evaluate_batch` are all the same path: resolve the workload's
+//! embedding rows, stage the masked inputs straight into the plan's
+//! input buffer, one fused forward, denormalize.
 
+use crate::bound::FeasibilityBound;
 use crate::dataset::Dataset;
 use crate::embedding::EmbeddingTensor;
-use crate::mask::MaskTensor;
+use crate::mask::stage_masked;
 use crate::model::EstimatorNet;
+use crate::plan::InferencePlan;
 use crate::preprocess::TargetTransform;
 use crate::train::{train, TrainConfig, TrainHistory};
 use omniboost_hw::{Board, HwError, Mapping, ThroughputModel, ThroughputReport, Workload};
-use omniboost_tensor::Module;
 use parking_lot::Mutex;
 
-/// A trained throughput estimator: embedding tensor + CNN + target
-/// transform.
+/// A trained throughput estimator: embedding tensor + compiled CNN +
+/// target transform.
 ///
-/// Interior mutability (a mutex around the network) lets the estimator be
+/// Interior mutability (a mutex around the plan) lets the estimator be
 /// queried through `&self`, matching the [`ThroughputModel`] trait that
-/// oracles also implement; the CNN caches activations during `forward`,
-/// hence the lock.
+/// oracles also implement; the lock guards the plan's scratch — its
+/// staged input, activation buffers and lowered tiles — not weights,
+/// which never change after construction.
 pub struct CnnEstimator {
     embedding: EmbeddingTensor,
-    net: Mutex<EstimatorNet>,
+    plan: Mutex<InferencePlan>,
     transform: TargetTransform,
     /// Clamp predictions by the first-principles fair-sharing bound
     /// derived from the embedding (see [`crate::bound`]). On by default:
@@ -35,25 +44,22 @@ impl CnnEstimator {
     pub fn train(_board: &Board, dataset: &Dataset, config: &TrainConfig) -> (Self, TrainHistory) {
         let (net, transform, history) = train(dataset, config);
         (
-            Self {
-                embedding: dataset.embedding.clone(),
-                net: Mutex::new(net),
-                transform,
-                clamp_to_feasible: true,
-            },
+            Self::from_parts(dataset.embedding.clone(), net, transform),
             history,
         )
     }
 
-    /// Wraps pre-trained pieces (used by tests and ablations).
+    /// Wraps pre-trained pieces (used by tests and ablations). The
+    /// network is compiled into the serving plan and dropped, training
+    /// scratch and all.
     pub fn from_parts(
         embedding: EmbeddingTensor,
-        net: EstimatorNet,
+        mut net: EstimatorNet,
         transform: TargetTransform,
     ) -> Self {
         Self {
             embedding,
-            net: Mutex::new(net),
+            plan: Mutex::new(InferencePlan::compile(&mut net)),
             transform,
             clamp_to_feasible: true,
         }
@@ -73,12 +79,12 @@ impl CnnEstimator {
 
     /// The CNN's activation family.
     pub fn activation(&self) -> crate::model::ActivationKind {
-        self.net.lock().activation()
+        self.plan.lock().activation()
     }
 
     /// Snapshot of the CNN's parameter tensors (persistence support).
     pub(crate) fn export_net_params(&self) -> Vec<omniboost_tensor::Tensor> {
-        omniboost_tensor::export_params(&mut *self.net.lock())
+        self.plan.lock().params().to_vec()
     }
 
     /// The fitted transform's flat representation (persistence support).
@@ -99,6 +105,7 @@ impl CnnEstimator {
         snapshot: Vec<omniboost_tensor::Tensor>,
     ) -> Result<Self, crate::io::LoadError> {
         use crate::io::LoadError;
+        use omniboost_tensor::Module;
         let num_models = model_names.len();
         if layer_counts.len() != num_models {
             return Err(LoadError::Corrupt("layer count table"));
@@ -129,30 +136,20 @@ impl CnnEstimator {
             }
         }
         omniboost_tensor::import_params(&mut net, &snapshot);
-        Ok(Self {
-            embedding,
-            net: Mutex::new(net),
-            transform,
-            clamp_to_feasible: true,
-        })
+        Ok(Self::from_parts(embedding, net, transform))
     }
 
-    /// Raw per-device throughput attribution prediction (denormalized).
+    /// Raw per-device throughput attribution prediction (denormalized) —
+    /// a batch of one through [`CnnEstimator::predict_batch`].
     ///
     /// # Errors
     ///
     /// [`HwError::UnknownModel`] if the workload contains a model that was
     /// not profiled into the embedding.
     pub fn predict(&self, workload: &Workload, mapping: &Mapping) -> Result<[f64; 3], HwError> {
-        mapping.validate(workload)?;
-        let mask = MaskTensor::build(&self.embedding, workload, mapping)
-            .map_err(|e| HwError::UnknownModel(e.0))?;
-        let input = mask.apply(&self.embedding);
-        // Inference-mode forward: no per-layer gradient caches on the
-        // serving path.
-        let norm = self.net.lock().predict(&input);
-        let bound = crate::bound::FeasibilityBound::new(&self.embedding);
-        Ok(self.postprocess(norm, workload, mapping, &bound))
+        self.predict_batch(workload, std::slice::from_ref(mapping))
+            .pop()
+            .expect("one result per mapping")
     }
 
     /// Predicted scalar objective `T` (the sum of the three outputs — see
@@ -166,14 +163,13 @@ impl CnnEstimator {
     }
 
     /// Denormalizes and (optionally) feasibility-blends one raw network
-    /// output triple — the shared tail of [`CnnEstimator::predict`] and
-    /// [`CnnEstimator::predict_batch`].
+    /// output triple.
     fn postprocess(
         &self,
         norm: [f32; 3],
-        workload: &Workload,
+        rows: &[usize],
         mapping: &Mapping,
-        bound: &crate::bound::FeasibilityBound<'_>,
+        bound: &mut FeasibilityBound<'_>,
     ) -> [f64; 3] {
         // The network is trained in normalized target space; clamp into
         // the unit interval before inverting, mirroring training.
@@ -183,64 +179,74 @@ impl CnnEstimator {
         if self.clamp_to_feasible {
             let t_hat: f64 = out.iter().sum();
             if t_hat > 0.0 {
-                if let Some(ub) = bound.average_upper_bound(workload, mapping) {
-                    // Shrink toward the feasibility bound: the final
-                    // score is the geometric mean of the (bounded) CNN
-                    // prediction and the first-principles bound. The
-                    // bound contributes a physically sound ranking the
-                    // network cannot hallucinate away; the network
-                    // contributes the measured contention behaviour the
-                    // bound cannot see. Pure-CNN remains available via
-                    // `with_feasibility_clamp(false)`.
-                    let clamped = t_hat.min(ub);
-                    let blended = (clamped * ub).sqrt();
-                    let scale = blended / t_hat;
-                    for v in &mut out {
-                        *v *= scale;
-                    }
+                // Shrink toward the feasibility bound: the final score
+                // is the geometric mean of the (bounded) CNN prediction
+                // and the first-principles bound. The bound contributes
+                // a physically sound ranking the network cannot
+                // hallucinate away; the network contributes the measured
+                // contention behaviour the bound cannot see. Pure-CNN
+                // remains available via `with_feasibility_clamp(false)`.
+                let ub = bound.upper_bound_of_rows(rows, mapping);
+                let clamped = t_hat.min(ub);
+                let blended = (clamped * ub).sqrt();
+                let scale = blended / t_hat;
+                for v in &mut out {
+                    *v *= scale;
                 }
             }
         }
         out
     }
 
-    /// Batched raw per-device prediction: one masked-input build per
-    /// mapping, then a **single minibatched CNN forward** for the whole
-    /// batch instead of `B` mutex-guarded passes.
+    /// Batched raw per-device prediction: the workload's embedding rows
+    /// are resolved once, every valid mapping's masked input is staged
+    /// into the plan, and a **single fused forward** scores them all
+    /// under one lock acquisition.
     ///
-    /// Element `i` equals `self.predict(workload, &mappings[i])` (the
-    /// network treats batch rows independently); invalid mappings error
-    /// individually without failing the rest of the batch.
+    /// The network treats batch rows independently, so element `i` does
+    /// not depend on its neighbours; invalid mappings error individually
+    /// without failing the rest of the batch.
     pub fn predict_batch(
         &self,
         workload: &Workload,
         mappings: &[Mapping],
     ) -> Vec<Result<[f64; 3], HwError>> {
-        let mut out: Vec<Option<Result<[f64; 3], HwError>>> = Vec::with_capacity(mappings.len());
-        let mut inputs = Vec::with_capacity(mappings.len());
-        let mut live: Vec<usize> = Vec::with_capacity(mappings.len());
-        for (i, mapping) in mappings.iter().enumerate() {
-            let prepared = mapping.validate(workload).and_then(|()| {
-                MaskTensor::build(&self.embedding, workload, mapping)
-                    .map_err(|e| HwError::UnknownModel(e.0))
-            });
-            match prepared {
-                Ok(mask) => {
-                    inputs.push(mask.apply(&self.embedding));
-                    live.push(i);
-                    out.push(None);
-                }
-                Err(e) => out.push(Some(Err(e))),
+        let rows = match self.embedding.rows_of(workload) {
+            Ok(rows) => rows,
+            // Nothing to run: every mapping fails, on its own shape
+            // first.
+            Err(unknown) => {
+                return mappings
+                    .iter()
+                    .map(|mapping| {
+                        mapping.validate(workload)?;
+                        Err(HwError::UnknownModel(unknown.0.clone()))
+                    })
+                    .collect();
             }
+        };
+        let checked: Vec<Result<(), HwError>> = mappings
+            .iter()
+            .map(|mapping| mapping.validate(workload))
+            .collect();
+        let live = checked.iter().filter(|c| c.is_ok()).count();
+        let mut plan = self.plan.lock();
+        let input = plan.input_mut(live);
+        let valid = mappings.iter().zip(&checked).filter(|(_, c)| c.is_ok());
+        for (slot, (mapping, _)) in valid.enumerate() {
+            stage_masked(&self.embedding, &rows, mapping, input, live, slot);
         }
-        // One lock acquisition and one forward pass for the whole batch.
-        let norms = self.net.lock().predict_batch(&inputs);
-        let bound = crate::bound::FeasibilityBound::new(&self.embedding);
-        for (i, norm) in live.into_iter().zip(norms) {
-            out[i] = Some(Ok(self.postprocess(norm, workload, &mappings[i], &bound)));
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every batch slot is filled"))
+        let mut norms = plan.forward().chunks_exact(3);
+        let mut bound = FeasibilityBound::new(&self.embedding);
+        checked
+            .into_iter()
+            .zip(mappings)
+            .map(|(check, mapping)| {
+                check.map(|()| {
+                    let norm = norms.next().expect("one output per staged mapping");
+                    self.postprocess([norm[0], norm[1], norm[2]], &rows, mapping, &mut bound)
+                })
+            })
             .collect()
     }
 }
@@ -327,9 +333,9 @@ mod tests {
 
     #[test]
     fn evaluate_batch_matches_scalar_evaluate() {
-        // Batched-vs-scalar equivalence: one minibatched forward must
-        // reproduce N scalar evaluations within 1e-9 (they are in fact
-        // bitwise equal — the CNN treats batch rows independently).
+        // Batched-vs-scalar equivalence: a scalar evaluation is a batch
+        // of one through the same plan, and the plan treats batch rows
+        // independently, so the reports are equal bit for bit.
         let (_, est) = trained();
         let w = Workload::from_ids([ModelId::Vgg19, ModelId::ResNet50, ModelId::AlexNet]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -340,14 +346,53 @@ mod tests {
         let batch = est.evaluate_batch(&w, &mappings);
         assert_eq!(batch.len(), mappings.len());
         for (m, b) in mappings.iter().zip(batch) {
-            let scalar = est.evaluate(&w, m).unwrap();
-            let batched = b.unwrap();
-            assert!((scalar.average - batched.average).abs() < 1e-9);
-            for (s, q) in scalar.per_device.iter().zip(batched.per_device) {
-                assert!((s - q).abs() < 1e-9, "{s} vs {q}");
-            }
-            assert_eq!(scalar.per_dnn.len(), batched.per_dnn.len());
+            assert_eq!(est.evaluate(&w, m).unwrap(), b.unwrap());
         }
+    }
+
+    /// The predictions the `Module`-graph serving path returned for this
+    /// fixture before the plan replaced it, bit for bit — raw CNN
+    /// outputs (exact in `f32`) and the feasibility-blended `f64`s. A
+    /// kernel change that moves a bit fails here, in debug and release.
+    #[test]
+    fn predictions_are_pinned_bit_for_bit() {
+        const RAW: [[u32; 3]; 6] = [
+            [1077176573, 1057369013, 1046991293],
+            [1061319388, 1048380853, 1035379559],
+            [1040865058, 1043666304, 1006869804],
+            [1045310890, 1045021037, 1015993937],
+            [1072649129, 1054007015, 1043674614],
+            [1056370495, 1045301325, 1030994729],
+        ];
+        const BLENDED: [[u64; 3]; 6] = [
+            [0x4011dd571357dba4, 0x3fea925f5c938ebe, 0x3fd6f48bfdba35c2],
+            [0x3ff06b59c281ef37, 0x3fd55d85d06420b9, 0x3fbed818d12539cd],
+            [0x3fc75135b6478392, 0x3fce858ade87faec, 0x3f862ef94c73fc2f],
+            [0x3fe160f78a701f83, 0x3fe10187d425ab24, 0x3fa81459ad62bd8b],
+            [0x3fe61f845f4b23f7, 0x3fc37e1f314d46c0, 0x3fb0c03d0b1af299],
+            [0x3ff2d6017f89cce7, 0x3fdf6e94f66e39ce, 0x3fc297734c817684],
+        ];
+        let (_, est) = trained();
+        let w = Workload::from_ids([ModelId::Vgg19, ModelId::ResNet50, ModelId::AlexNet]);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut mappings = vec![
+            Mapping::all_on(&w, Device::Gpu),
+            Mapping::all_on(&w, Device::BigCpu),
+            Mapping::all_on(&w, Device::LittleCpu),
+        ];
+        mappings.extend((0..3).map(|_| Mapping::random(&w, 3, &mut rng)));
+        let blended: Vec<[u64; 3]> = est
+            .predict_batch(&w, &mappings)
+            .into_iter()
+            .map(|p| p.unwrap().map(f64::to_bits))
+            .collect();
+        assert_eq!(blended, BLENDED);
+        let est = est.with_feasibility_clamp(false);
+        let raw: Vec<[u32; 3]> = mappings
+            .iter()
+            .map(|m| est.predict(&w, m).unwrap().map(|v| (v as f32).to_bits()))
+            .collect();
+        assert_eq!(raw, RAW);
     }
 
     #[test]
@@ -384,6 +429,13 @@ mod tests {
             est.predict(&w, &m),
             Err(HwError::UnknownModel(name)) if name == "mystery"
         ));
+        // In a batch every mapping fails on its own: the shape error of
+        // an invalid one is not masked by the unknown model.
+        let bad = Mapping::new(vec![vec![Device::Gpu; 2]]);
+        let out = est.predict_batch(&w, &[m.clone(), bad, m]);
+        assert!(matches!(&out[0], Err(HwError::UnknownModel(name)) if name == "mystery"));
+        assert!(matches!(&out[1], Err(HwError::MappingShape { .. })));
+        assert!(matches!(&out[2], Err(HwError::UnknownModel(name)) if name == "mystery"));
     }
 
     #[test]
@@ -416,7 +468,11 @@ mod tests {
         for (i, s) in train_set.iter().enumerate().take(12) {
             // The sample does not retain its mapping, so run the network
             // directly on the stored masked input.
-            let out = est.net.lock().predict(&s.input);
+            let out: [f32; 3] = {
+                let mut plan = est.plan.lock();
+                plan.stage_nchw(&s.input);
+                plan.forward().try_into().unwrap()
+            };
             let clamped = out.map(|v| v.clamp(0.0, 1.0));
             let raw = est.transform.invert(clamped);
             let t_hat: f64 = raw.iter().map(|v| f64::from(v.max(0.0))).sum();

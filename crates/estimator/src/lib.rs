@@ -17,6 +17,14 @@
 //!    the normalized per-component throughput attribution, whose sum is
 //!    the paper's average-throughput objective `T`.
 //!
+//! `EstimatorNet` is the training graph. A [`CnnEstimator`] lowers it
+//! once, at construction, into an [`InferencePlan`] — fused
+//! channel-major kernels, plan-owned buffers, no allocation once warm,
+//! outputs `==` the graph's — and that plan is the only code its
+//! `predict`/`evaluate` calls (scalar or batched) run: steps 2 and 3
+//! become "write the masked cells straight into the plan's input, one
+//! fused forward".
+//!
 //! For serving recurring traffic, [`EvalCache`]/[`CachedEstimator`]
 //! (module [`cache`]) add a bounded, sharded, cross-decision LRU over
 //! evaluator reports keyed on `(workload fingerprint, mapping)`, so
@@ -56,6 +64,7 @@ pub mod io;
 mod mask;
 mod metrics;
 mod model;
+mod plan;
 mod preprocess;
 mod train;
 
@@ -70,5 +79,6 @@ pub use mask::{MaskTensor, UnknownModelError};
 pub use metrics::{mean_absolute_error, mean_absolute_percentage_error, r_squared};
 pub use model::{ActivationKind, EstimatorNet};
 pub use omniboost_hw::EvalCacheStats;
+pub use plan::InferencePlan;
 pub use preprocess::TargetTransform;
 pub use train::{LossKind, TrainConfig, TrainHistory};

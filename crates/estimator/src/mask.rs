@@ -31,6 +31,53 @@ impl std::fmt::Display for UnknownModelError {
 
 impl std::error::Error for UnknownModelError {}
 
+/// Adds one to cell `(device, row, layer)` of sample `slot` in a
+/// channel-major `[3][n·M·L]` buffer for every layer `mapping` assigns;
+/// `rows[i]` is the embedding row of the workload's `i`-th DNN. With
+/// `n == 1` the buffer is a plain `[3, M, L]` mask.
+fn count_into(
+    rows: &[usize],
+    mapping: &Mapping,
+    [m, l]: [usize; 2],
+    cells: &mut [f32],
+    n: usize,
+    slot: usize,
+) {
+    for (&row, devices) in rows.iter().zip(mapping.assignments()) {
+        for (layer, dev) in devices.iter().enumerate() {
+            cells[((dev.index() * n + slot) * m + row) * l + layer] += 1.0;
+        }
+    }
+}
+
+/// Writes the masked embedding of `mapping` — mask ⊙ `U`, the CNN input
+/// of Fig. 3 — straight into sample `slot` of a zeroed channel-major
+/// `[3][n·M·L]` batch input, without materializing the mask.
+pub(crate) fn stage_masked(
+    embedding: &EmbeddingTensor,
+    rows: &[usize],
+    mapping: &Mapping,
+    input: &mut [f32],
+    n: usize,
+    slot: usize,
+) {
+    let [d, m, l] = embedding.input_shape();
+    count_into(rows, mapping, [m, l], input, n, slot);
+    for (i, &row) in rows.iter().enumerate() {
+        // A row two DNNs share holds their summed counts: scale it once.
+        if rows[..i].contains(&row) {
+            continue;
+        }
+        for dev in 0..d {
+            let cells = &mut input[((dev * n + slot) * m + row) * l..][..l];
+            let values = &embedding.raw_values()[(dev * m + row) * l..][..l];
+            for (cell, u) in cells.iter_mut().zip(values) {
+                *cell *= u;
+            }
+        }
+    }
+}
+
 impl MaskTensor {
     /// Builds the mask for `(workload, mapping)` against an embedding.
     ///
@@ -46,14 +93,14 @@ impl MaskTensor {
     ) -> Result<Self, UnknownModelError> {
         let [d, m, l] = embedding.input_shape();
         let mut counts = vec![0.0f32; d * m * l];
-        for (di, dnn) in workload.dnns().iter().enumerate() {
-            let row = embedding
-                .row_of(dnn.name())
-                .ok_or_else(|| UnknownModelError(dnn.name().to_owned()))?;
-            for (layer, dev) in mapping.assignments()[di].iter().enumerate() {
-                counts[(dev.index() * m + row) * l + layer] += 1.0;
-            }
-        }
+        count_into(
+            &embedding.rows_of(workload)?,
+            mapping,
+            [m, l],
+            &mut counts,
+            1,
+            0,
+        );
         Ok(Self {
             shape: [d, m, l],
             counts,
@@ -132,6 +179,34 @@ mod tests {
         let mapping = Mapping::all_on(&w, Device::Gpu);
         let err = MaskTensor::build(&e, &w, &mapping).unwrap_err();
         assert_eq!(err, UnknownModelError("mystery-net".into()));
+    }
+
+    /// Staging straight into a batch input writes exactly the cells
+    /// `apply` produces, in the slot asked for and nowhere else —
+    /// including a row two DNNs share.
+    #[test]
+    fn staged_input_equals_applied_mask() {
+        use rand::SeedableRng;
+        let e = embedding();
+        let w = Workload::from_ids([ModelId::SqueezeNet, ModelId::Vgg16, ModelId::SqueezeNet]);
+        let rows = e.rows_of(&w).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let [d, m, l] = e.input_shape();
+        let (n, plane) = (3usize, m * l);
+        let mut input = vec![0.0f32; d * n * plane];
+        let mappings: Vec<Mapping> = (0..n).map(|_| Mapping::random(&w, 3, &mut rng)).collect();
+        for (slot, mapping) in mappings.iter().enumerate() {
+            stage_masked(&e, &rows, mapping, &mut input, n, slot);
+        }
+        for (slot, mapping) in mappings.iter().enumerate() {
+            let applied = MaskTensor::build(&e, &w, mapping).unwrap().apply(&e);
+            for dev in 0..d {
+                assert_eq!(
+                    input[(dev * n + slot) * plane..][..plane],
+                    applied.data()[dev * plane..][..plane]
+                );
+            }
+        }
     }
 
     #[test]

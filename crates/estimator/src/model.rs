@@ -6,6 +6,11 @@
 //! regression problem). Our instantiation follows the same recipe at the
 //! same parameter budget (20,003 parameters; the 41-parameter difference
 //! comes from the paper not specifying exact channel widths).
+//!
+//! This `Module` graph is what trains. Serving runs its lowering,
+//! [`InferencePlan`](crate::InferencePlan) (`plan.rs`), which restates
+//! the layer sequence below — change one and the plan-vs-graph tests
+//! fail until the other follows.
 
 use omniboost_tensor::{
     Conv2d, Flatten, Gelu, GlobalAvgPool, Linear, MaxPool2d, Module, Param, Relu, ResidualBlock,
@@ -14,13 +19,7 @@ use omniboost_tensor::{
 
 /// Activation family used inside the network — GELU in the paper, ReLU
 /// kept for the convergence ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActivationKind {
-    /// Gaussian Error Linear Unit (the paper's choice).
-    Gelu,
-    /// Rectified Linear Unit (the original ResNet9 activation).
-    Relu,
-}
+pub use omniboost_tensor::infer::Activation as ActivationKind;
 
 /// The CNN that maps a masked embedding tensor `[N, 3, M, L]` to three
 /// per-component throughput outputs `[N, 3]`.
@@ -42,7 +41,6 @@ pub struct EstimatorNet {
     num_models: usize,
     max_layers: usize,
     activation: ActivationKind,
-    training: bool,
 }
 
 fn act(kind: ActivationKind) -> Box<dyn Module + Send> {
@@ -64,9 +62,6 @@ impl Module for Boxed {
     }
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.0.params_mut()
-    }
-    fn set_training(&mut self, training: bool) {
-        self.0.set_training(training);
     }
     fn set_gemm_backward(&mut self, enabled: bool) {
         self.0.set_gemm_backward(enabled);
@@ -109,7 +104,6 @@ impl EstimatorNet {
             num_models,
             max_layers,
             activation,
-            training: true,
         }
     }
 
@@ -126,63 +120,6 @@ impl EstimatorNet {
     /// The activation family in use.
     pub fn activation(&self) -> ActivationKind {
         self.activation
-    }
-
-    /// Convenience single-sample inference: `[3, M, L]` (or `[1, 3, M, L]`)
-    /// in, three outputs out. Runs in inference mode — no layer caches
-    /// activations, so the serving path pays zero gradient-cache clones.
-    pub fn predict(&mut self, input: &Tensor) -> [f32; 3] {
-        let was_training = self.training;
-        self.set_training(false);
-        let y = if input.shape().len() == 3 {
-            self.forward(&input.reshape(&[1, 3, self.num_models, self.max_layers]))
-        } else {
-            self.forward(input)
-        };
-        self.set_training(was_training);
-        [y.data()[0], y.data()[1], y.data()[2]]
-    }
-
-    /// True minibatch inference: stacks `B` per-mapping inputs (each
-    /// `[3, M, L]` or `[1, 3, M, L]`) into one `[B, 3, M, L]` tensor and
-    /// runs a single forward pass instead of `B` separate ones.
-    ///
-    /// Every layer in this network treats batch items independently, so
-    /// the outputs are bitwise identical to `B` calls of
-    /// [`EstimatorNet::predict`]; one pass simply amortizes the per-call
-    /// module dispatch and activation allocations — the overhead §V-B's
-    /// 500-query decision loop pays per iteration on the scalar path.
-    ///
-    /// Runs in inference mode: no layer caches activations for a
-    /// backward that never comes, so serving a batch no longer pays one
-    /// full input clone per conv/activation layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input does not match the network's `[3, M, L]` grid.
-    pub fn predict_batch(&mut self, inputs: &[Tensor]) -> Vec<[f32; 3]> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let (m, l) = (self.num_models, self.max_layers);
-        let per = 3 * m * l;
-        let mut data = Vec::with_capacity(inputs.len() * per);
-        for t in inputs {
-            assert!(
-                t.data().len() == per && (t.shape() == [3, m, l] || t.shape() == [1, 3, m, l]),
-                "batch input grid mismatch"
-            );
-            data.extend_from_slice(t.data());
-        }
-        let x = Tensor::from_vec(data, &[inputs.len(), 3, m, l]);
-        let was_training = self.training;
-        self.set_training(false);
-        let y = self.forward(&x);
-        self.set_training(was_training);
-        let out = y.data();
-        (0..inputs.len())
-            .map(|i| [out[3 * i], out[3 * i + 1], out[3 * i + 2]])
-            .collect()
     }
 }
 
@@ -204,11 +141,6 @@ impl Module for EstimatorNet {
         self.net.params_mut()
     }
 
-    fn set_training(&mut self, training: bool) {
-        self.training = training;
-        self.net.set_training(training);
-    }
-
     fn set_gemm_backward(&mut self, enabled: bool) {
         self.net.set_gemm_backward(enabled);
     }
@@ -217,6 +149,7 @@ impl Module for EstimatorNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::InferencePlan;
 
     #[test]
     fn parameter_budget_matches_paper() {
@@ -254,8 +187,30 @@ mod tests {
     #[test]
     fn predict_accepts_unbatched_input() {
         let mut net = EstimatorNet::new(11, 37, ActivationKind::Gelu, 6);
-        let out = net.predict(&Tensor::randn(&[3, 11, 37], 7));
+        let mut plan = InferencePlan::compile(&mut net);
+        plan.stage_nchw(&Tensor::randn(&[3, 11, 37], 7));
+        let out = plan.forward();
+        assert_eq!(out.len(), 3);
         assert!(out.iter().all(|v| v.is_finite()));
+    }
+
+    /// The compiled plan is the graph's forward, value for value, and
+    /// compiling leaves the graph trainable.
+    #[test]
+    fn predict_matches_training_forward_values() {
+        for kind in [ActivationKind::Gelu, ActivationKind::Relu] {
+            let mut net = EstimatorNet::new(11, 37, kind, 7);
+            let mut plan = InferencePlan::compile(&mut net);
+            for n in [1, 5] {
+                let x = Tensor::randn(&[n, 3, 11, 37], 8);
+                plan.stage_nchw(&x);
+                assert_eq!(plan.forward(), net.forward(&x).data());
+            }
+            let x = Tensor::randn(&[1, 3, 11, 37], 9);
+            let y = net.forward(&x);
+            let g = net.backward(&Tensor::full(y.shape(), 1.0));
+            assert!(g.max_abs() > 0.0);
+        }
     }
 
     #[test]
@@ -263,31 +218,5 @@ mod tests {
     fn wrong_grid_is_rejected() {
         let mut net = EstimatorNet::new(11, 37, ActivationKind::Gelu, 1);
         let _ = net.forward(&Tensor::zeros(&[1, 3, 5, 5]));
-    }
-
-    /// The serving path must not keep gradient caches: after an
-    /// inference-mode batch, there is nothing for backward to consume.
-    #[test]
-    #[should_panic(expected = "backward called before forward")]
-    fn predict_batch_leaves_no_gradient_caches() {
-        let mut net = EstimatorNet::new(11, 37, ActivationKind::Gelu, 6);
-        let inputs: Vec<Tensor> = (0..3).map(|i| Tensor::randn(&[3, 11, 37], i)).collect();
-        let _ = net.predict_batch(&inputs);
-        let _ = net.backward(&Tensor::zeros(&[3, 3]));
-    }
-
-    /// Inference mode changes bookkeeping, never values, and training
-    /// mode is restored afterwards.
-    #[test]
-    fn predict_matches_training_forward_values() {
-        let mut net = EstimatorNet::new(11, 37, ActivationKind::Gelu, 7);
-        let x = Tensor::randn(&[1, 3, 11, 37], 8);
-        let y = net.forward(&x);
-        let p = net.predict(&x);
-        assert_eq!([y.data()[0], y.data()[1], y.data()[2]], p);
-        // Training still works after a predict call (mode restored).
-        let y2 = net.forward(&x);
-        let g = net.backward(&Tensor::full(y2.shape(), 1.0));
-        assert!(g.max_abs() > 0.0);
     }
 }

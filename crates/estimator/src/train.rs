@@ -229,10 +229,7 @@ pub fn train(
         }
         history.train.push(epoch_loss / batches.max(1) as f32);
         if let Some((vx, vt)) = &val_x {
-            // Validation is inference: skip every layer's gradient cache.
-            net.set_training(false);
             let y = net.forward(vx);
-            net.set_training(true);
             let (vl, _) = criterion.compute(&y, vt);
             history.validation.push(vl);
         } else {

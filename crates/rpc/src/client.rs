@@ -2,10 +2,12 @@
 //! configuration and typed errors.
 //!
 //! One [`RpcClient`] owns one TCP connection, reused across calls
-//! (HTTP/1.1 keep-alive). A connection lost *before* a request is
-//! written is re-dialed and the request retried once; a connection lost
-//! *after* the write surfaces as an error instead — the daemon may have
-//! applied the submit, and silently retrying would double-apply it.
+//! (HTTP/1.1 keep-alive). A kept-alive connection the daemon closed
+//! while it sat idle — the write fails, or the stream ends before the
+//! first response byte — is re-dialed and the request resent once; a
+//! connection lost *inside* a response surfaces as an error instead —
+//! the daemon applied the submit, and silently retrying would
+//! double-apply it.
 
 use crate::api::{
     DepartReply, DepartRequest, DrainReply, ShutdownReply, ShutdownRequest, StatusReply,
@@ -14,7 +16,7 @@ use crate::api::{
 use crate::http::{decode_response, FrameError, FrameLimits, Response};
 use crate::json::{self, Json};
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -173,9 +175,13 @@ impl RpcClient {
         Ok(())
     }
 
-    /// One request/response exchange. Re-dials and retries once if the
-    /// *write* fails (connection aged out between calls); never retries
-    /// after the request reached the wire.
+    /// One request/response exchange. A kept-alive connection may have
+    /// been closed by the daemon while it sat idle; that shows either as
+    /// a failed write or — the request having landed in the buffer of a
+    /// socket the peer already closed — as the stream ending before any
+    /// response byte. Either way the daemon never read the request, so
+    /// the client dials again and resends it, once. A stream that ends
+    /// *inside* a response is an error: the daemon acted on the request.
     fn exchange(
         &mut self,
         method: &str,
@@ -191,33 +197,42 @@ impl RpcClient {
                 body.len(),
             )
         };
-        if self.conn.is_none() {
-            self.redial()?;
+        if self.conn.is_some() {
+            if let Some(response) = self.attempt(request.as_bytes())? {
+                return Ok(response);
+            }
         }
-        let wrote = self
-            .conn
-            .as_mut()
-            .expect("dialed above")
-            .write_all(request.as_bytes());
-        if wrote.is_err() {
-            self.conn = None;
-            self.redial()?;
-            self.conn
-                .as_mut()
-                .expect("dialed above")
-                .write_all(request.as_bytes())?;
+        self.redial()?;
+        self.attempt(request.as_bytes())?
+            .ok_or_else(|| RpcError::Protocol("connection closed before any response".to_string()))
+    }
+
+    /// Sends `request` on the current connection and reads one response.
+    /// `Ok(None)`, with the connection dropped, when the peer had closed
+    /// it before sending a single response byte.
+    fn attempt(&mut self, request: &[u8]) -> Result<Option<Response>, RpcError> {
+        let mut stream = self.conn.take().expect("dialed by exchange");
+        if stream.write_all(request).is_err() {
+            return Ok(None);
         }
-        let stream = self.conn.as_mut().expect("dialed above");
         let mut buf = Vec::with_capacity(4096);
         let mut chunk = [0u8; 4096];
         loop {
             if let Some((response, consumed)) = decode_response(&buf, self.config.limits)? {
                 debug_assert_eq!(consumed, buf.len(), "client never pipelines");
-                return Ok(response);
+                self.conn = Some(stream);
+                return Ok(Some(response));
             }
-            let n = stream.read(&mut chunk)?;
+            let n = match stream.read(&mut chunk) {
+                Ok(n) => n,
+                // A write into a closed socket is answered with a reset.
+                Err(e) if buf.is_empty() && e.kind() == ErrorKind::ConnectionReset => 0,
+                Err(e) => return Err(e.into()),
+            };
             if n == 0 {
-                self.conn = None;
+                if buf.is_empty() {
+                    return Ok(None);
+                }
                 return Err(RpcError::Protocol(
                     "connection closed mid-response".to_string(),
                 ));

@@ -42,6 +42,31 @@ fn boot(cache_path: Option<PathBuf>, boards: usize) -> (RpcServer<AnalyticModel>
     (server, client)
 }
 
+/// The daemon closes a keep-alive connection that idles past its read
+/// timeout; the client's next call dials again instead of failing.
+#[test]
+fn client_redials_a_connection_the_daemon_closed_while_idle() {
+    let server = RpcServer::start(
+        ServerConfig {
+            read_timeout_ms: 30,
+            ..ServerConfig::default()
+        },
+        vec![Board::hikey970()],
+        serving_config(None),
+        AnalyticModel::new,
+    )
+    .expect("bind loopback");
+    let mut client =
+        RpcClient::connect(ClientConfig::new(server.addr().to_string())).expect("dial daemon");
+    client.status().expect("first call");
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    client.status().expect("call after the idle close");
+    // And the redialed connection keeps working.
+    client.status().expect("call on the new connection");
+    server.stop();
+    server.join();
+}
+
 /// Drain mode refuses new submits with the distinct `draining` code
 /// while in-flight jobs keep completing; graceful shutdown archives the
 /// evaluation cache, and a rebooted daemon reports the warm preloads.

@@ -21,12 +21,12 @@
 //! steps — one piece of the PR's "no per-call allocations" budget.
 
 /// Micro-kernel row count (A-panel height).
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Micro-kernel column count (B-panel width) — 16 `f32`s = two AVX (or
 /// four SSE) vectors, putting the `MR×NR` accumulator block at 8 AVX
 /// registers: half the architectural register file, leaving room for
 /// the broadcast value and the B panel loads.
-const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 /// Lane count for the dot-product kernel ([`gemm_nt`]) — 16 `f32`s =
 /// two AVX vectors per accumulator, giving eight independent add chains
 /// across the four accumulators to hide floating-point latency.
@@ -79,25 +79,8 @@ pub fn gemm_nn(
     if k == 0 {
         return; // C += 0 contribution.
     }
-    // Pack A once per call: per MR-row block, k-major with the MR rows
-    // interleaved (`apack[(block*k + kk)*MR + r]`), zero-padded so the
-    // micro-kernel always reads full MR-wide slabs.
     let mblocks = m.div_ceil(MR);
-    scratch.apack.clear();
-    scratch.apack.resize(mblocks * k * MR, 0.0);
-    for ib in 0..mblocks {
-        let base = ib * k * MR;
-        for r in 0..MR {
-            let row = ib * MR + r;
-            if row >= m {
-                break;
-            }
-            let arow = &a[row * k..row * k + k];
-            for (kk, &av) in arow.iter().enumerate() {
-                scratch.apack[base + kk * MR + r] = av;
-            }
-        }
-    }
+    pack_a(m, k, a, &mut scratch.apack);
     // March over NR-wide column tiles; pack the B tile contiguously
     // (k-major, zero-padded to NR) and reuse it for every A block.
     scratch.bpack.clear();
@@ -126,6 +109,29 @@ pub fn gemm_nn(
             );
         }
         j0 += nr;
+    }
+}
+
+/// Packs row-major `A[m×k]` per `MR`-row block, k-major with the `MR`
+/// rows interleaved (`apack[(block*k + kk)*MR + r]`), zero-padded so a
+/// micro-kernel always reads full `MR`-wide slabs. [`gemm_nn`] packs per
+/// call; [`crate::infer`] packs a layer's weights once.
+pub(crate) fn pack_a(m: usize, k: usize, a: &[f32], apack: &mut Vec<f32>) {
+    let mblocks = m.div_ceil(MR);
+    apack.clear();
+    apack.resize(mblocks * k * MR, 0.0);
+    for ib in 0..mblocks {
+        let base = ib * k * MR;
+        for r in 0..MR {
+            let row = ib * MR + r;
+            if row >= m {
+                break;
+            }
+            let arow = &a[row * k..row * k + k];
+            for (kk, &av) in arow.iter().enumerate() {
+                apack[base + kk * MR + r] = av;
+            }
+        }
     }
 }
 

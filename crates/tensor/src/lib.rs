@@ -11,18 +11,22 @@
 //!   batched convolution/linear forward *and* backward passes;
 //! * forward/backward [`Module`]s: [`Conv2d`], [`Linear`], [`Gelu`],
 //!   [`Relu`], [`MaxPool2d`], [`GlobalAvgPool`], [`Flatten`],
-//!   [`ResidualBlock`] and [`Sequential`] composition — with a
-//!   train/eval mode switch ([`Module::set_training`]) so serving-path
-//!   forwards keep no gradient caches;
+//!   [`ResidualBlock`] and [`Sequential`] composition — the training
+//!   graph, and the reference every other path is tested against;
+//! * [`infer`]: the fused, allocation-free kernels a trained graph is
+//!   lowered to for serving (channel-major activations, bias-started
+//!   accumulators, residual add and activation applied as a tile is
+//!   stored) — the one inference path, `==` to the graph's `forward`;
 //! * [`L1Loss`]/[`MseLoss`] criteria (the paper trains with L1 and reports
 //!   L2 as "too aggressive");
 //! * [`Sgd`] and [`Adam`] optimizers.
 //!
 //! Backpropagation is implemented per-module (each module caches its
-//! forward activations in training mode), which keeps gradients easy to
-//! verify against finite differences — the test suite does exactly that
-//! for every module, and additionally property-tests the GEMM-structured
-//! batched backward against the direct reference kernels.
+//! forward activations — there is no eval mode; inference does not run
+//! the graph), which keeps gradients easy to verify against finite
+//! differences — the test suite does exactly that for every module, and
+//! additionally property-tests the GEMM-structured batched backward
+//! against the direct reference kernels.
 //!
 //! ```
 //! use omniboost_tensor::{Adam, L1Loss, Linear, Loss, Module, Optimizer, Tensor};
@@ -45,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod gemm;
+pub mod infer;
 mod init;
 mod loss;
 mod module;

@@ -53,15 +53,6 @@ pub trait Module {
         Vec::new()
     }
 
-    /// Switches between training mode (the default: `forward` caches
-    /// whatever `backward` needs) and inference mode (`forward` keeps
-    /// **no** gradient caches — no input clones, no argmax maps — and a
-    /// subsequent `backward` panics). Containers must propagate to their
-    /// children; leaf modules without caches can ignore it.
-    fn set_training(&mut self, training: bool) {
-        let _ = training;
-    }
-
     /// Selects between the GEMM-structured batched backward (the
     /// default) and the direct reference kernels — the A/B knob behind
     /// the `estimator_training` bench and the gradient-equivalence
@@ -133,8 +124,8 @@ impl Sequential {
 impl Module for Sequential {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         // Feed `input` to the first module by reference — cloning it here
-        // would charge every training step (and every batched serving
-        // query) one full minibatch copy before any work happens.
+        // would charge every training step one full minibatch copy
+        // before any work happens.
         let mut iter = self.modules.iter_mut();
         let Some(first) = iter.next() else {
             return input.clone();
@@ -163,12 +154,6 @@ impl Module for Sequential {
             .iter_mut()
             .flat_map(|m| m.params_mut())
             .collect()
-    }
-
-    fn set_training(&mut self, training: bool) {
-        for m in self.modules.iter_mut() {
-            m.set_training(training);
-        }
     }
 
     fn set_gemm_backward(&mut self, enabled: bool) {

@@ -52,8 +52,6 @@ fn fast_tanh(x: f32) -> f32 {
 #[derive(Debug, Default)]
 pub struct Gelu {
     cached_input: Option<Tensor>,
-    /// Inverted training flag so `Default` (false) means training mode.
-    inference: bool,
 }
 
 impl Gelu {
@@ -63,7 +61,7 @@ impl Gelu {
     }
 }
 
-fn gelu_scalar(x: f32) -> f32 {
+pub(crate) fn gelu_scalar(x: f32) -> f32 {
     0.5 * x * (1.0 + fast_tanh(SQRT_2_OVER_PI * (x + GELU_C * x * x * x)))
 }
 
@@ -76,11 +74,7 @@ fn gelu_grad_scalar(x: f32) -> f32 {
 
 impl Module for Gelu {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = if self.inference {
-            None
-        } else {
-            Some(input.clone())
-        };
+        self.cached_input = Some(input.clone());
         Tensor::from_vec(
             input.data().iter().map(|&x| gelu_scalar(x)).collect(),
             input.shape(),
@@ -103,18 +97,12 @@ impl Module for Gelu {
             input.shape(),
         )
     }
-
-    fn set_training(&mut self, training: bool) {
-        self.inference = !training;
-    }
 }
 
 /// Rectified linear unit, `relu(x) = max(0, x)`.
 #[derive(Debug, Default)]
 pub struct Relu {
     cached_input: Option<Tensor>,
-    /// Inverted training flag so `Default` (false) means training mode.
-    inference: bool,
 }
 
 impl Relu {
@@ -126,11 +114,7 @@ impl Relu {
 
 impl Module for Relu {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = if self.inference {
-            None
-        } else {
-            Some(input.clone())
-        };
+        self.cached_input = Some(input.clone());
         Tensor::from_vec(
             input.data().iter().map(|&x| x.max(0.0)).collect(),
             input.shape(),
@@ -152,10 +136,6 @@ impl Module for Relu {
                 .collect(),
             input.shape(),
         )
-    }
-
-    fn set_training(&mut self, training: bool) {
-        self.inference = !training;
     }
 }
 

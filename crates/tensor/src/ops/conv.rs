@@ -13,8 +13,8 @@ use crate::tensor::Tensor;
 /// beyond their output tensors.
 #[derive(Debug, Default)]
 struct ConvScratch {
-    /// im2col matrix `[C·k·k, N·OH·OW]` from the latest training-mode
-    /// batched forward; reused by the GEMM backward so it never
+    /// im2col matrix `[C·k·k, N·OH·OW]` from the latest batched
+    /// forward; reused by the GEMM backward so it never
     /// re-lowers the input. Valid only while `cols_valid`.
     cols: Vec<f32>,
     cols_valid: bool,
@@ -46,7 +46,6 @@ pub struct Conv2d {
     /// `[out_ch]`.
     bias: Param,
     cached_input: Option<Tensor>,
-    training: bool,
     gemm_backward: bool,
     scratch: ConvScratch,
 }
@@ -75,7 +74,6 @@ impl Conv2d {
             )),
             bias: Param::new(Tensor::zeros(&[out_ch])),
             cached_input: None,
-            training: true,
             gemm_backward: true,
             scratch: ConvScratch::default(),
         }
@@ -83,13 +81,6 @@ impl Conv2d {
 
     fn out_extent(&self, inp: usize) -> usize {
         (inp + 2 * self.pad - self.kernel) / self.stride + 1
-    }
-
-    /// Whether a gradient cache from the last training-mode forward is
-    /// held (eval-mode forwards leave this `false` — the serving path
-    /// pays no input clone).
-    pub fn has_grad_cache(&self) -> bool {
-        self.cached_input.is_some()
     }
 
     /// col2im for one sample: scatter-adds a `[C·k·k, OH·OW]` lowered
@@ -427,16 +418,10 @@ impl Module for Conv2d {
         assert_eq!(c, self.in_ch, "input channel mismatch");
         if n > 1 {
             let out = self.forward_batched_gemm(n, c, h, w, input.data());
-            if self.training {
-                // Cache the input *and* keep the lowered cols so the
-                // GEMM backward never re-lowers; eval mode keeps the
-                // serving path clone-free.
-                self.cached_input = Some(input.clone());
-                self.scratch.cols_valid = true;
-            } else {
-                self.cached_input = None;
-                self.scratch.cols_valid = false;
-            }
+            // Cache the input *and* keep the lowered cols so the GEMM
+            // backward never re-lowers.
+            self.cached_input = Some(input.clone());
+            self.scratch.cols_valid = true;
             return out;
         }
         let (oh, ow) = (self.out_extent(h), self.out_extent(w));
@@ -504,11 +489,7 @@ impl Module for Conv2d {
                 }
             }
         }
-        if self.training {
-            self.cached_input = Some(input.clone());
-        } else {
-            self.cached_input = None;
-        }
+        self.cached_input = Some(input.clone());
         self.scratch.cols_valid = false;
         out
     }
@@ -538,10 +519,6 @@ impl Module for Conv2d {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn set_training(&mut self, training: bool) {
-        self.training = training;
     }
 
     fn set_gemm_backward(&mut self, enabled: bool) {
@@ -687,27 +664,10 @@ mod tests {
     }
 
     #[test]
-    fn eval_mode_forward_keeps_no_grad_cache() {
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, 8);
-        // Batched and single-sample paths both skip the cache in eval.
-        conv.set_training(false);
-        let _ = conv.forward(&Tensor::randn(&[4, 2, 5, 5], 1));
-        assert!(!conv.has_grad_cache());
-        let _ = conv.forward(&Tensor::randn(&[1, 2, 5, 5], 2));
-        assert!(!conv.has_grad_cache());
-        // Back in training mode the cache returns.
-        conv.set_training(true);
-        let _ = conv.forward(&Tensor::randn(&[4, 2, 5, 5], 3));
-        assert!(conv.has_grad_cache());
-    }
-
-    #[test]
     #[should_panic(expected = "backward called before forward")]
-    fn backward_after_eval_forward_panics() {
+    fn backward_before_forward_panics() {
         let mut conv = Conv2d::new(1, 1, 3, 1, 1, 9);
-        conv.set_training(false);
-        let y = conv.forward(&Tensor::randn(&[2, 1, 4, 4], 1));
-        let _ = conv.backward(&Tensor::full(y.shape(), 1.0));
+        let _ = conv.backward(&Tensor::zeros(&[2, 1, 4, 4]));
     }
 
     #[test]

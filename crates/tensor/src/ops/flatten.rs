@@ -7,8 +7,6 @@ use crate::tensor::Tensor;
 #[derive(Debug, Default)]
 pub struct Flatten {
     cached_input_shape: Vec<usize>,
-    /// Inverted training flag so `Default` (false) means training mode.
-    inference: bool,
 }
 
 impl Flatten {
@@ -22,9 +20,7 @@ impl Module for Flatten {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         assert!(input.shape().len() >= 2, "Flatten expects rank >= 2");
         self.cached_input_shape.clear();
-        if !self.inference {
-            self.cached_input_shape.extend_from_slice(input.shape());
-        }
+        self.cached_input_shape.extend_from_slice(input.shape());
         let n = input.shape()[0];
         let f: usize = input.shape()[1..].iter().product();
         input.reshape(&[n, f])
@@ -36,10 +32,6 @@ impl Module for Flatten {
             "backward called before forward"
         );
         grad_output.reshape(&self.cached_input_shape)
-    }
-
-    fn set_training(&mut self, training: bool) {
-        self.inference = !training;
     }
 }
 

@@ -22,7 +22,6 @@ pub struct Linear {
     /// `[out]`.
     bias: Param,
     cached_input: Option<Tensor>,
-    training: bool,
     gemm_backward: bool,
     scratch: GemmScratch,
 }
@@ -40,7 +39,6 @@ impl Linear {
             )),
             bias: Param::new(Tensor::zeros(&[out_features])),
             cached_input: None,
-            training: true,
             gemm_backward: true,
             scratch: GemmScratch::default(),
         }
@@ -54,12 +52,6 @@ impl Linear {
     /// Output width.
     pub fn out_features(&self) -> usize {
         self.out_features
-    }
-
-    /// Whether a gradient cache from the last training-mode forward is
-    /// held.
-    pub fn has_grad_cache(&self) -> bool {
-        self.cached_input.is_some()
     }
 
     /// The seed's direct backward loops — the A/B reference for
@@ -164,11 +156,7 @@ impl Module for Linear {
             self.weight.value.data(),
             od,
         );
-        if self.training {
-            self.cached_input = Some(input.clone());
-        } else {
-            self.cached_input = None;
-        }
+        self.cached_input = Some(input.clone());
         out
     }
 
@@ -191,10 +179,6 @@ impl Module for Linear {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn set_training(&mut self, training: bool) {
-        self.training = training;
     }
 
     fn set_gemm_backward(&mut self, enabled: bool) {
@@ -267,17 +251,6 @@ mod tests {
             assert!((p - q).abs() < 1e-5 * (1.0 + q.abs()), "dW {p} vs {q}");
         }
         assert_eq!(a.bias.grad, b.bias.grad, "db is order-identical");
-    }
-
-    #[test]
-    fn eval_mode_forward_keeps_no_grad_cache() {
-        let mut l = Linear::new(3, 2, 4);
-        l.set_training(false);
-        let _ = l.forward(&Tensor::randn(&[4, 3], 1));
-        assert!(!l.has_grad_cache());
-        l.set_training(true);
-        let _ = l.forward(&Tensor::randn(&[4, 3], 2));
-        assert!(l.has_grad_cache());
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub struct MaxPool2d {
     cached_input_shape: Vec<usize>,
     /// Flat input index of each output's argmax.
     cached_argmax: Vec<usize>,
-    training: bool,
 }
 
 impl MaxPool2d {
@@ -35,7 +34,6 @@ impl MaxPool2d {
             window,
             cached_input_shape: Vec::new(),
             cached_argmax: Vec::new(),
-            training: true,
         }
     }
 }
@@ -52,17 +50,12 @@ impl Module for MaxPool2d {
         let x = input.data();
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
         let od = out.data_mut();
-        // One window-iteration loop for both modes: training records
-        // each output's argmax for backward (buffers reused across
-        // steps — clear+resize keeps the allocation); inference clears
-        // the caches and skips only the bookkeeping writes, so the
-        // indexing arithmetic can never drift between train and serve.
+        // Record each output's argmax for backward (buffers reused
+        // across steps — clear+resize keeps the allocation).
         self.cached_argmax.clear();
+        self.cached_argmax.resize(od.len(), 0);
         self.cached_input_shape.clear();
-        if self.training {
-            self.cached_argmax.resize(od.len(), 0);
-            self.cached_input_shape.extend_from_slice(input.shape());
-        }
+        self.cached_input_shape.extend_from_slice(input.shape());
         for ni in 0..n {
             for ci in 0..c {
                 for oy in 0..oh {
@@ -82,9 +75,7 @@ impl Module for MaxPool2d {
                         }
                         let oidx = ((ni * c + ci) * oh + oy) * ow + ox;
                         od[oidx] = best;
-                        if self.training {
-                            self.cached_argmax[oidx] = best_idx;
-                        }
+                        self.cached_argmax[oidx] = best_idx;
                     }
                 }
             }
@@ -104,18 +95,12 @@ impl Module for MaxPool2d {
         }
         grad_input
     }
-
-    fn set_training(&mut self, training: bool) {
-        self.training = training;
-    }
 }
 
 /// Global average pooling: `[N, C, H, W] -> [N, C, 1, 1]`.
 #[derive(Debug, Default)]
 pub struct GlobalAvgPool {
     cached_input_shape: Vec<usize>,
-    /// Inverted training flag so `Default` (false) means training mode.
-    inference: bool,
 }
 
 impl GlobalAvgPool {
@@ -132,9 +117,7 @@ impl Module for GlobalAvgPool {
             _ => panic!("GlobalAvgPool expects [N, C, H, W] input"),
         };
         self.cached_input_shape.clear();
-        if !self.inference {
-            self.cached_input_shape.extend_from_slice(input.shape());
-        }
+        self.cached_input_shape.extend_from_slice(input.shape());
         let x = input.data();
         let mut out = Tensor::zeros(&[n, c, 1, 1]);
         let od = out.data_mut();
@@ -171,10 +154,6 @@ impl Module for GlobalAvgPool {
             }
         }
         grad_input
-    }
-
-    fn set_training(&mut self, training: bool) {
-        self.inference = !training;
     }
 }
 

@@ -63,13 +63,6 @@ impl Module for ResidualBlock {
         p
     }
 
-    fn set_training(&mut self, training: bool) {
-        self.conv1.set_training(training);
-        self.act1.set_training(training);
-        self.conv2.set_training(training);
-        self.act_out.set_training(training);
-    }
-
     fn set_gemm_backward(&mut self, enabled: bool) {
         self.conv1.set_gemm_backward(enabled);
         self.conv2.set_gemm_backward(enabled);

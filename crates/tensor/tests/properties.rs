@@ -1,8 +1,9 @@
 //! Property-based tests over the tensor/NN substrate.
 
+use omniboost_tensor::infer::{dense, global_avg_pool, max_pool2x2, Activation, Conv3x3};
 use omniboost_tensor::{
-    Adam, Conv2d, Flatten, Gelu, GlobalAvgPool, L1Loss, Linear, Loss, MaxPool2d, Module, MseLoss,
-    Optimizer, Sequential, Tensor,
+    export_params, Adam, Conv2d, Flatten, Gelu, GlobalAvgPool, L1Loss, Linear, Loss, MaxPool2d,
+    Module, MseLoss, Optimizer, Sequential, Tensor,
 };
 use proptest::prelude::*;
 
@@ -208,25 +209,35 @@ proptest! {
         }
     }
 
-    /// Inference mode changes bookkeeping, never values: an eval-mode
-    /// forward through a full pipeline equals the training-mode forward.
+    /// The inference kernels change layout and bookkeeping, never
+    /// values: a conv → GELU → pool → GAP → linear pipeline built from
+    /// `infer` equals the graph's forward element for element.
     #[test]
     fn inference_mode_preserves_values(x in arb_small_tensor(&[2, 2, 4, 4])) {
+        let mut conv = Conv2d::new(2, 4, 3, 1, 1, 17);
+        let mut linear = Linear::new(4, 2, 18);
+        let (cp, lp) = (export_params(&mut conv), export_params(&mut linear));
         let mut net = Sequential::new()
-            .push(Conv2d::new(2, 4, 3, 1, 1, 17))
+            .push(conv)
             .push(Gelu::new())
             .push(MaxPool2d::new(2))
             .push(GlobalAvgPool::new())
             .push(Flatten::new())
-            .push(Linear::new(4, 2, 18));
-        let y_train = net.forward(&x);
-        net.set_training(false);
-        let y_eval = net.forward(&x);
-        prop_assert_eq!(y_train, y_eval);
-        // And training mode keeps working after flipping back.
-        net.set_training(true);
-        let y2 = net.forward(&x);
-        let g = net.backward(&Tensor::full(y2.shape(), 1.0));
-        prop_assert!(g.max_abs() > 0.0);
+            .push(linear);
+        let y_graph = net.forward(&x);
+
+        // NCHW [2, 2, 4, 4] → channel-major [2][2·16].
+        let mut staged = vec![0.0f32; x.len()];
+        for (i, plane) in x.data().chunks_exact(16).enumerate() {
+            let (sample, channel) = (i / 2, i % 2);
+            staged[(channel * 2 + sample) * 16..][..16].copy_from_slice(plane);
+        }
+        let (mut a, mut b) = (vec![0.0f32; 4 * 2 * 16], vec![0.0f32; 4 * 2 * 4]);
+        let (mut pooled, mut y) = (vec![0.0f32; 2 * 4], vec![0.0f32; 2 * 2]);
+        Conv3x3::new(&cp[0], &cp[1], 4, 4).forward(2, &staged, None, Activation::Gelu, &mut a, &mut ());
+        max_pool2x2(4 * 2, 4, 4, &a, &mut b);
+        global_avg_pool(4, 2, 4, &b, &mut pooled);
+        dense(2, &lp[0], &lp[1], &pooled, &mut y);
+        prop_assert_eq!(y_graph.data(), &y[..]);
     }
 }
