@@ -22,39 +22,31 @@ bench-quick:
 	cargo test --offline --manifest-path perfbench/Cargo.toml
 	cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --quick
 
-# Perf smoke: the perf benches end to end in SMOKE mode — shrunken
-# budgets/epochs/traces, metrics pipelines fully exercised, no JSON
-# snapshot rewrites (numbers from noisy runners must not be published) —
-# then one per-stage profile of the estimator forward.
+# Perf smoke: the six policy benches end to end in SMOKE mode — shrunken
+# budgets/traces, metrics pipelines fully exercised, no JSON snapshot
+# rewrites (numbers from noisy runners must not be published) — then
+# one per-stage profile of the estimator forward. Latency itself is
+# perfbench's job: see bench-quick.
 .PHONY: perf-smoke
 perf-smoke:
-	SMOKE=1 cargo bench --bench decision_latency
-	SMOKE=1 cargo bench --bench estimator_training
 	SMOKE=1 cargo bench --bench serving
 	SMOKE=1 cargo bench --bench fleet
 	SMOKE=1 cargo bench --bench fleet_scale
 	SMOKE=1 cargo bench --bench admission
 	SMOKE=1 cargo bench --bench chaos
-	SMOKE=1 cargo bench --bench rpc
 	SMOKE=1 cargo bench --bench telemetry_overhead
 	cargo run --release --example profile_forward -- 20
 
-# Full perf snapshots: rewrites BENCH_decision_latency.json,
-# BENCH_estimator_training.json, BENCH_serving.json, BENCH_fleet.json,
-# BENCH_fleet_scale.json, BENCH_admission.json, BENCH_chaos.json,
-# BENCH_rpc.json and BENCH_telemetry_overhead.json with this host's
-# numbers (the estimator_training direct-backward baseline takes a few
-# minutes).
+# Full perf snapshots: rewrites BENCH_serving.json, BENCH_fleet.json,
+# BENCH_fleet_scale.json, BENCH_admission.json, BENCH_chaos.json and
+# BENCH_telemetry_overhead.json with this host's numbers.
 .PHONY: perf-snapshots
 perf-snapshots:
-	cargo bench --bench decision_latency
-	cargo bench --bench estimator_training
 	cargo bench --bench serving
 	cargo bench --bench fleet
 	cargo bench --bench fleet_scale
 	cargo bench --bench admission
 	cargo bench --bench chaos
-	cargo bench --bench rpc
 	cargo bench --bench telemetry_overhead
 
 # Full fleet-scale run only: rewrites BENCH_fleet_scale.json ({16, 64,
@@ -74,13 +66,6 @@ perf-admission:
 .PHONY: perf-chaos
 perf-chaos:
 	cargo bench --bench chaos
-
-# Full RPC-daemon run only: rewrites BENCH_rpc.json (closed-loop
-# loadgen over loopback HTTP at 0.5x/1x/2x load: sustained req/s,
-# admission RTT p99, scheduler decision p99, drain latency).
-.PHONY: perf-rpc
-perf-rpc:
-	cargo bench --bench rpc
 
 # Full telemetry-overhead run only: rewrites
 # BENCH_telemetry_overhead.json (same seeded trace, Telemetry::noop()

@@ -103,7 +103,7 @@ fn run(overload: f64, admission: AdmissionPolicy, scale: &BenchScale, seed: u64)
 }
 
 fn main() {
-    let smoke = std::env::var_os("SMOKE").is_some_and(|v| v != "0" && !v.is_empty());
+    let smoke = omniboost_bench::smoke();
     let scale = if smoke {
         BenchScale::smoke()
     } else {
@@ -232,11 +232,5 @@ fn main() {
         all_pass,
         rows.join(",\n"),
     );
-    if smoke {
-        println!("smoke mode: skipping BENCH_admission.json rewrite\n{json}");
-        return;
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_admission.json");
-    std::fs::write(path, &json).expect("write snapshot");
-    println!("wrote BENCH_admission.json:\n{json}");
+    omniboost_bench::write_snapshot("admission", &json);
 }

@@ -182,7 +182,7 @@ fn cell(scale: &BenchScale, intensity: f64) -> Cell {
 }
 
 fn main() {
-    let smoke = std::env::var_os("SMOKE").is_some_and(|v| v != "0" && !v.is_empty());
+    let smoke = omniboost_bench::smoke();
     let scale = if smoke {
         BenchScale::smoke()
     } else {
@@ -300,17 +300,11 @@ fn main() {
         scale.trace_seeds,
         scale.horizon_ms,
         BOARDS,
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        omniboost_bench::host_threads(),
         BOARDS,
         all_pass,
         total_warm_boots,
         rows.join(",\n"),
     );
-    if smoke {
-        println!("smoke mode: skipping BENCH_chaos.json rewrite\n{json}");
-        return;
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
-    std::fs::write(path, &json).expect("write snapshot");
-    println!("wrote BENCH_chaos.json:\n{json}");
+    omniboost_bench::write_snapshot("chaos", &json);
 }

@@ -192,7 +192,7 @@ fn mean(xs: &[f64]) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::var_os("SMOKE").is_some_and(|v| v != "0" && !v.is_empty());
+    let smoke = omniboost_bench::smoke();
     let scale = if smoke {
         BenchScale::smoke()
     } else {
@@ -388,17 +388,11 @@ fn main() {
         scale.cold_iterations,
         scale.warm_iterations,
         scale.rebalance_period_ms,
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        omniboost_bench::host_threads(),
         all_pass,
         skew_json,
         failure_rows.join(",\n"),
         fairness_json,
     );
-    if smoke {
-        println!("smoke mode: skipping BENCH_fleet.json rewrite\n{json}");
-        return;
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    std::fs::write(path, &json).expect("write snapshot");
-    println!("wrote BENCH_fleet.json:\n{json}");
+    omniboost_bench::write_snapshot("fleet", &json);
 }

@@ -161,7 +161,7 @@ fn run_cell(scale: &BenchScale, boards: usize) -> (OrchestratorReport, f64) {
 }
 
 fn main() {
-    let smoke = std::env::var_os("SMOKE").is_some_and(|v| v != "0" && !v.is_empty());
+    let smoke = omniboost_bench::smoke();
     let scale = if smoke {
         BenchScale::smoke()
     } else {
@@ -269,11 +269,5 @@ fn main() {
         scaling_pass,
         rows.join(",\n"),
     );
-    if smoke {
-        println!("smoke mode: skipping BENCH_fleet_scale.json rewrite\n{json}");
-        return;
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet_scale.json");
-    std::fs::write(path, &json).expect("write snapshot");
-    println!("wrote BENCH_fleet_scale.json:\n{json}");
+    omniboost_bench::write_snapshot("fleet_scale", &json);
 }

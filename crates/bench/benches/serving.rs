@@ -117,7 +117,7 @@ fn latency_json(l: &LatencyStats) -> String {
 }
 
 fn main() {
-    let smoke = std::env::var_os("SMOKE").is_some_and(|v| v != "0" && !v.is_empty());
+    let smoke = omniboost_bench::smoke();
     let scale = if smoke {
         BenchScale::smoke()
     } else {
@@ -254,7 +254,7 @@ fn main() {
         }
     }
 
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let threads = omniboost_bench::host_threads();
     let json = format!(
         concat!(
             "{{\n",
@@ -290,11 +290,5 @@ fn main() {
         all_pass,
         rows.join(",\n"),
     );
-    if smoke {
-        println!("smoke mode: skipping BENCH_serving.json rewrite\n{json}");
-        return;
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    std::fs::write(path, &json).expect("write snapshot");
-    println!("wrote BENCH_serving.json:\n{json}");
+    omniboost_bench::write_snapshot("serving", &json);
 }

@@ -123,7 +123,7 @@ fn run_arm(
 }
 
 fn main() {
-    let smoke = std::env::var_os("SMOKE").is_some_and(|v| v != "0" && !v.is_empty());
+    let smoke = omniboost_bench::smoke();
     let scale = if smoke {
         BenchScale::smoke()
     } else {
@@ -206,7 +206,7 @@ fn main() {
         ));
     }
 
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let threads = omniboost_bench::host_threads();
     let json = format!(
         concat!(
             "{{\n",
@@ -234,19 +234,10 @@ fn main() {
         all_pass,
         rows.join(",\n"),
     );
-    if smoke {
-        println!("smoke mode: skipping BENCH_telemetry_overhead.json rewrite\n{json}");
-        return;
-    }
     assert!(
         all_pass,
         "recording telemetry exceeded the {:.0}% decision-latency overhead bar",
         MAX_OVERHEAD * 100.0
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_telemetry_overhead.json"
-    );
-    std::fs::write(path, &json).expect("write snapshot");
-    println!("wrote BENCH_telemetry_overhead.json:\n{json}");
+    omniboost_bench::write_snapshot("telemetry_overhead", &json);
 }

@@ -75,7 +75,7 @@ fn main() {
     for &b in budgets {
         let t0 = Instant::now();
         let env = SchedulingEnv::new(&workload, &estimator, 3).expect("env");
-        let result = Mcts::new(SearchBudget::with_iterations(b)).search(&env, 7);
+        let result = Mcts::new(SearchBudget::with_iterations(b)).run(&env, 7);
         let mapping = env.mapping_of(&result.best_state);
         let dt = t0.elapsed();
         let t = runtime

@@ -46,7 +46,7 @@ fn main() {
             .unwrap()
             .average;
         let env = SchedulingEnv::new(&w, &est, 3).unwrap();
-        let result = Mcts::new(SearchBudget::default()).search(&env, 7);
+        let result = Mcts::new(SearchBudget::default()).run(&env, 7);
         let mapping = env.mapping_of(&result.best_state);
         let pred = est.predict_average(&w, &mapping).unwrap();
         let truth = sim.evaluate(&w, &mapping).unwrap().average;

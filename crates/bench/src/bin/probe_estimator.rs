@@ -47,7 +47,7 @@ fn main() {
         cases.push((format!("random-{i}"), Mapping::random(&w, 3, &mut rng)));
     }
     let env = SchedulingEnv::new(&w, &est, 3).unwrap();
-    let result = Mcts::new(SearchBudget::with_iterations(500)).search(&env, 7);
+    let result = Mcts::new(SearchBudget::with_iterations(500)).run(&env, 7);
     cases.push(("mcts-choice".into(), env.mapping_of(&result.best_state)));
     let mut mosaic = Mosaic::new();
     cases.push(("mosaic-choice".into(), mosaic.decide(&board, &w).unwrap()));

@@ -1,6 +1,9 @@
 //! Phase-level timing probe for the estimator training hot path: where
 //! does a §V-shaped training step actually spend its time? Used to aim
 //! the GEMM-backward optimization work (and to re-check on new hosts).
+//! The "direct" rows time the reference kernels the `tensor` proptests
+//! use as their oracle (`Module::set_gemm_backward(false)`); training
+//! itself has no switch.
 
 use omniboost::estimator::{ActivationKind, DatasetConfig, EstimatorNet, InferencePlan};
 use omniboost::tensor::{Gelu, Loss, Module, MseLoss, Tensor};

@@ -12,8 +12,12 @@
 //! | `runtime_table` | §V-B decision-latency comparison |
 //! | `ablation` | budget / stage-cap / oracle / activation ablations |
 //!
-//! The Criterion benches in `benches/` measure the latency of each moving
-//! part (board evaluation, estimator query, scheduler decisions).
+//! The targets in `benches/` are the policy benches: each carries a pass
+//! bar on a behaviour (warm-vs-cold speedup, zero lost jobs, rebalance
+//! gain, scaling ratio, telemetry overhead) and writes one
+//! `BENCH_<name>.json` through [`write_snapshot`]. Latency — end to end
+//! and per layer — is measured by `perfbench/` (`BENCHMARK.json`), not
+//! here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,6 +28,35 @@ use omniboost_hw::{Device, Fnv1a, HwError, Mapping, Workload};
 use omniboost_models::{FleetScriptConfig, ModelId, TraceConfig};
 use omniboost_serve::AdmissionPolicy;
 use std::hash::Hasher;
+
+/// Whether `SMOKE` is set (to anything but empty or `0`): the CI mode,
+/// in which a bench shrinks its budgets and traces and
+/// [`write_snapshot`] leaves the committed snapshot alone.
+pub fn smoke() -> bool {
+    std::env::var_os("SMOKE").is_some_and(|v| v != "0" && !v.is_empty())
+}
+
+/// Hardware threads of this host, stamped into every snapshot.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Prints `json` and, outside [`smoke`] mode, writes it to
+/// `BENCH_<name>.json` at the repository root (numbers from a shrunken
+/// run on a noisy runner must not be published).
+///
+/// # Panics
+///
+/// Panics if the snapshot cannot be written.
+pub fn write_snapshot(name: &str, json: &str) {
+    if smoke() {
+        println!("smoke mode: skipping BENCH_{name}.json rewrite\n{json}");
+        return;
+    }
+    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(path, json).expect("write snapshot");
+    println!("wrote BENCH_{name}.json:\n{json}");
+}
 
 /// Drive-As-Code provenance: a stable FNV-1a digest over a canonical
 /// `key=value` rendering of the declarative configs that drove a bench

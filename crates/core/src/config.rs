@@ -68,21 +68,9 @@ impl OmniBoostConfig {
         self
     }
 
-    /// Number of root-parallel search trees sharing the iteration budget.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.budget = self.budget.with_parallelism(parallelism);
-        self
-    }
-
     /// Run-time evaluation batch size currently configured.
     pub fn batch_size(&self) -> usize {
         self.budget.batch_size
-    }
-
-    /// Root-parallel tree count currently configured.
-    pub fn parallelism(&self) -> usize {
-        self.budget.parallelism
     }
 
     /// Bounds (or, with 0, disables) the cross-decision evaluation cache.
@@ -109,13 +97,9 @@ mod tests {
 
     #[test]
     fn batching_knobs_flow_into_the_budget() {
-        let c = OmniBoostConfig::quick()
-            .with_batch_size(32)
-            .with_parallelism(4);
+        let c = OmniBoostConfig::quick().with_batch_size(32);
         assert_eq!(c.batch_size(), 32);
-        assert_eq!(c.parallelism(), 4);
         assert_eq!(c.budget.batch_size, 32);
-        assert_eq!(c.budget.parallelism, 4);
     }
 
     #[test]

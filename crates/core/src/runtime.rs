@@ -152,7 +152,8 @@ impl Runtime {
     }
 
     /// Attaches a telemetry handle: decision phases (memo lookup, warm
-    /// and cold search, estimator forward) emit scoped spans and memo
+    /// and cold search, the DES measurement of the deployed mapping)
+    /// emit scoped spans and memo
     /// hit/miss counters through it. The default is the no-op handle —
     /// telemetry observes decisions and never influences them, so
     /// replay digests are identical either way.
@@ -336,7 +337,7 @@ impl Runtime {
             .as_ref()
             .map(|p| mapping.migrated_layers(p.mapping, p.pairing));
         let report = {
-            let _span = self.telemetry.span("core.estimator.forward");
+            let _span = self.telemetry.span("core.deploy.measure");
             self.simulator.evaluate(workload, &mapping)?
         };
         Ok(RunOutcome {
@@ -392,6 +393,21 @@ mod tests {
         assert_eq!(outcome.mapping.devices_used(), vec![Device::Gpu]);
         let direct = rt.measure(&w, &outcome.mapping).unwrap();
         assert_eq!(direct.per_dnn, outcome.report.per_dnn);
+    }
+
+    /// The span around the DES measurement of the deployed mapping is
+    /// named for what runs there — no estimator does.
+    #[test]
+    fn one_run_records_one_search_and_one_deploy_measurement() {
+        let mut rt = Runtime::new(Board::hikey970());
+        let telemetry = Telemetry::recording();
+        rt.set_telemetry(telemetry.clone());
+        let w = Workload::from_ids([ModelId::AlexNet, ModelId::SqueezeNet]);
+        rt.run(&mut GpuOnly::new(), &w).unwrap();
+        let count = |name| telemetry.histogram(name).map_or(0, |h| h.count());
+        assert_eq!(count("core.deploy.measure"), 1);
+        assert_eq!(count("core.decide.search.cold"), 1);
+        assert!(telemetry.histogram("core.estimator.forward").is_none());
     }
 
     #[test]

@@ -97,8 +97,6 @@ impl Scheduler for OmniBoost {
         let scope = self.eval_cache.begin(board);
         let cached = scope.wrap(&self.estimator);
         let env = SchedulingEnv::new(workload, &cached, self.config.stage_cap)?;
-        // `run` honours the budget's batch_size (leaf rollouts per
-        // minibatched estimator round trip) and parallelism (root trees).
         let result = Mcts::new(self.config.budget).run(&env, self.config.seed);
         // `result.evaluations` counts queries that reached the *cached*
         // evaluator; with the cache enabled, only its misses actually ran

@@ -18,8 +18,9 @@
 //!   two equal workload values share entries and distinct architectures
 //!   under one name do not collide.
 //! * **Sharded** — the key hash picks one of [`NUM_SHARDS`] independent
-//!   mutex-guarded LRU shards, so root-parallel search trees do not
-//!   serialize on a single cache lock.
+//!   mutex-guarded LRU shards, so concurrent deciders (one scheduler per
+//!   board, the daemon's workers) do not serialize on a single cache
+//!   lock.
 //! * **Bounded** — each shard holds at most `ceil(capacity / NUM_SHARDS)`
 //!   entries with least-recently-*used* eviction (lookup hits refresh
 //!   recency), implemented as an index-linked list over a slab: O(1)

@@ -9,7 +9,6 @@ use crate::mask::UnknownModelError;
 use omniboost_hw::{Board, Device, LayerTimeTable, NoiseModel, Workload};
 use omniboost_models::DnnModel;
 use omniboost_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// The design-time embedding tensor over a model dataset.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(emb.num_models(), 11);
 /// assert_eq!(emb.max_layers(), 37);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingTensor {
     model_names: Vec<String>,
     layer_counts: Vec<usize>,

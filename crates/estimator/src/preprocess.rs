@@ -7,8 +7,6 @@
 //! low-throughput regime the scheduler must rank correctly, and the MCTS
 //! exploits the estimator into terrible mappings.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-dimension log-standardize-then-normalize transform for the
 /// estimator's three regression targets.
 ///
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 ///     assert!((a - b).abs() / b < 1e-3);
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetTransform {
     mean: [f32; 3],
     std: [f32; 3],

@@ -8,10 +8,9 @@ use omniboost_tensor::{Adam, L1Loss, Loss, Module, MseLoss, Optimizer, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Training criterion choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossKind {
     /// Mean absolute error (the paper's criterion).
     L1,
@@ -38,10 +37,6 @@ pub struct TrainConfig {
     pub activation: ActivationKind,
     /// Seed for weight init and batch shuffling.
     pub seed: u64,
-    /// Use the GEMM-structured batched backward (default). `false`
-    /// selects the direct reference kernels — the A/B baseline behind
-    /// the `estimator_training` bench.
-    pub gemm_backward: bool,
 }
 
 impl Default for TrainConfig {
@@ -54,13 +49,12 @@ impl Default for TrainConfig {
             loss: LossKind::L1,
             activation: ActivationKind::Gelu,
             seed: 0xE57,
-            gemm_backward: true,
         }
     }
 }
 
 /// Per-epoch loss curves — the data behind Fig. 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainHistory {
     /// Mean training loss per epoch.
     pub train: Vec<f32>,
@@ -187,7 +181,6 @@ pub fn train(
         config.activation,
         config.seed,
     );
-    net.set_gemm_backward(config.gemm_backward);
     let criterion: Box<dyn Loss> = match config.loss {
         LossKind::L1 => Box::new(L1Loss),
         LossKind::L2 => Box::new(MseLoss),
@@ -286,27 +279,46 @@ mod tests {
     }
 
     /// The GEMM-structured backward and the direct reference kernels
-    /// follow numerically equivalent training trajectories.
+    /// (`Module::set_gemm_backward(false)`, the oracle of the `tensor`
+    /// proptests) follow numerically equivalent training trajectories.
     #[test]
     fn gemm_and_direct_backward_train_equivalently() {
         let dataset = tiny_dataset();
-        let base = TrainConfig {
-            epochs: 6,
-            batch_size: 8,
-            ..TrainConfig::default()
+        let targets: Vec<[f32; 3]> = dataset.samples.iter().map(|s| s.target).collect();
+        let transform = TargetTransform::fit(&targets);
+        let refs: Vec<&Sample> = dataset.samples.iter().collect();
+        let batches: Vec<(Tensor, Tensor)> = refs
+            .chunks(8)
+            .map(|c| (stack_inputs(c), stack_targets(c, &transform)))
+            .collect();
+        let config = TrainConfig::default();
+        let new_net = || {
+            EstimatorNet::new(
+                dataset.embedding.num_models(),
+                dataset.embedding.max_layers(),
+                config.activation,
+                config.seed,
+            )
         };
-        let (_, _, gemm_h) = train(&dataset, &base);
-        let (_, _, direct_h) = train(
-            &dataset,
-            &TrainConfig {
-                gemm_backward: false,
-                ..base
-            },
-        );
-        let dv = (gemm_h.final_validation_loss() - direct_h.final_validation_loss()).abs();
-        let dt = (gemm_h.final_train_loss() - direct_h.final_train_loss()).abs();
-        assert!(dv < 1e-3, "val loss diverged: {dv}");
-        assert!(dt < 1e-3, "train loss diverged: {dt}");
+        let mut direct = new_net();
+        direct.set_gemm_backward(false);
+        let [gemm_loss, direct_loss] = [new_net(), direct].map(|mut net| {
+            let mut opt = Adam::new(config.learning_rate);
+            let mut last = f32::NAN;
+            for _epoch in 0..6 {
+                for (x, t) in &batches {
+                    let y = net.forward(x);
+                    let (loss, grad) = L1Loss.compute(&y, t);
+                    net.zero_grad();
+                    net.backward(&grad);
+                    opt.step(&mut net.params_mut());
+                    last = loss;
+                }
+            }
+            last
+        });
+        let d = (gemm_loss - direct_loss).abs();
+        assert!(d < 1e-3, "loss diverged: {gemm_loss} vs {direct_loss}");
     }
 
     #[test]

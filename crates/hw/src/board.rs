@@ -4,11 +4,10 @@ use crate::des::DesSimulator;
 use crate::device::{Device, DeviceKind, DeviceSpec};
 use crate::error::HwError;
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Shared memory bus / interconnect carrying inter-stage activation
 /// transfers (CPU↔GPU traffic crosses the SoC's coherent interconnect).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BusSpec {
     /// Sustained transfer bandwidth in GB/s.
     pub bandwidth_gbs: f64,
@@ -31,7 +30,7 @@ impl BusSpec {
 /// the mechanism behind the paper's observation that mapping everything
 /// on the GPU "saturates" it (§I) and that 4-DNN all-GPU baselines
 /// collapse (Fig. 5b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SaturationModel {
     /// Penalty slope per excess concurrent stage on a device (quadratic,
     /// mild): command-queue / scheduler interference.
@@ -86,7 +85,7 @@ impl SaturationModel {
 /// let board = Board::hikey970();
 /// assert!(board.device(Device::Gpu).peak_gflops > board.device(Device::BigCpu).peak_gflops);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Board {
     devices: [DeviceSpec; Device::COUNT],
     /// Per-device availability mask: `true` marks a component lost to a

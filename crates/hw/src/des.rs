@@ -26,12 +26,11 @@ use crate::noise::NoiseModel;
 use crate::profile::LayerTimeTable;
 use crate::scheduler::{ThroughputModel, ThroughputReport};
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 const EPS: f64 = 1e-9;
 
 /// Simulation fidelity knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesConfig {
     /// Completions per DNN discarded as pipeline warm-up.
     pub warmup_completions: usize,
@@ -59,7 +58,7 @@ impl Default for DesConfig {
 /// Utilization here is *occupancy* — the fraction of wall-clock time the
 /// device had at least one stage in service — which is what a `top`-style
 /// monitor on the real board would report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationReport {
     /// Busy-time fraction per device ([`Device::ALL`] order), in `[0, 1]`.
     pub device_busy: [f64; Device::COUNT],

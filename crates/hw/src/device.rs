@@ -1,7 +1,6 @@
 //! Computing components of the board.
 
 use omniboost_models::KernelClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three computing components of the HiKey970 (§V): Mali-G72 GPU,
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert_eq!(Device::COUNT, 3);
 /// assert_eq!(Device::from_index(1), Some(Device::BigCpu));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Device {
     /// Mali-G72 MP12 embedded GPU.
     Gpu,
@@ -68,7 +67,7 @@ impl fmt::Display for Device {
 
 /// Broad device family, which determines the per-kernel-class efficiency
 /// profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Massively parallel embedded GPU.
     EmbeddedGpu,
@@ -84,7 +83,7 @@ pub enum DeviceKind {
 /// `flops / (peak_gflops · efficiency(class))` versus memory time
 /// `bytes / mem_bandwidth`, plus a fixed per-kernel dispatch overhead
 /// (large for the GPU — OpenCL kernel launches — tiny for the CPUs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Human-readable name, e.g. `"Mali-G72 MP12"`.
     pub name: String,

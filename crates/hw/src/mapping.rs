@@ -5,12 +5,11 @@ use crate::error::HwError;
 use crate::workload::Workload;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A contiguous run of layers of one DNN assigned to a single device —
 /// one pipeline stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segment {
     /// Device executing the stage.
     pub device: Device,
@@ -50,7 +49,7 @@ impl Segment {
 /// }
 /// assert_eq!(m.segments(0).len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Mapping {
     assignments: Vec<Vec<Device>>,
 }

@@ -5,8 +5,6 @@
 //! from a hash of (seed, model, layer, device), so profiling is
 //! reproducible run-to-run while still being "noisy" across layers.
 
-use serde::{Deserialize, Serialize};
-
 /// Multiplicative log-uniform jitter applied to profiled layer times.
 ///
 /// ```
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((0.95..=1.05).contains(&f));
 /// assert_eq!(f, n.factor("vgg19", 3, 1)); // deterministic
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Maximum relative deviation (e.g. 0.05 for ±5%).
     pub amplitude: f64,

@@ -7,7 +7,6 @@ use crate::cost;
 use crate::device::Device;
 use crate::noise::NoiseModel;
 use omniboost_models::DnnModel;
-use serde::{Deserialize, Serialize};
 
 /// Per-layer execution times of one DNN on every device — the
 /// performance vectors `p_α^m` of Eq. 2, stacked for all three devices.
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.num_layers(), 11);
 /// assert!(t.time_ms(Device::LittleCpu, 0) > t.time_ms(Device::Gpu, 0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerTimeTable {
     model_name: String,
     /// `times_ms[device][layer]`.

@@ -6,14 +6,13 @@ use crate::device::Device;
 use crate::error::HwError;
 use crate::mapping::Mapping;
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Result of evaluating a (workload, mapping) pair.
 ///
 /// `average` is the paper's objective `T = (Σ_m INF_m/sec) / M` (§V-A);
 /// `per_device` matches the estimator's three outputs (per-component
 /// throughput, §IV-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputReport {
     /// Inferences per second achieved by each DNN in the workload.
     pub per_dnn: Vec<f64>,
@@ -109,7 +108,7 @@ impl<T: ThroughputModel + ?Sized> ThroughputModel for &T {
 /// `omniboost_estimator`'s `EvalCache`): how many evaluator queries were
 /// answered from the cache, how many reached the model, and how many
 /// entries the bounded cache evicted to stay within capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCacheStats {
     /// Queries answered from the cache without touching the evaluator.
     pub hits: u64,

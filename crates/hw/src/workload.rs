@@ -1,7 +1,6 @@
 //! Multi-DNN workloads: the unit of scheduling.
 
 use omniboost_models::{zoo, DnnModel, ModelId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A set of DNNs to execute concurrently.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(w.len(), 2);
 /// assert_eq!(w.total_layers(), 11 + 24);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     dnns: Vec<DnnModel>,
 }

@@ -1,11 +1,11 @@
 //! Search budget: the knob the paper highlights for run-time flexibility
 //! ("budgetary constraints can be adjusted for any use-case scenario",
-//! §V-B).
-
-use serde::{Deserialize, Serialize};
+//! §V-B). A budget describes the paper's **one** tree (§IV-C): how many
+//! iterations, how deep, how exploratory, and how many leaf rollouts
+//! share an estimator round trip.
 
 /// Computational budget and exploration constants for the tree search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchBudget {
     /// Number of MCTS iterations — each ends in one estimator query
     /// (the paper sets 500).
@@ -21,23 +21,17 @@ pub struct SearchBudget {
     /// score them through one `evaluate_batch` call, amortizing per-query
     /// overhead (§V-B's dominant cost).
     pub batch_size: usize,
-    /// Independent root-parallel trees sharing the iteration budget.
-    /// Each tree gets `iterations / parallelism` iterations and a
-    /// deterministically derived seed; results merge into one
-    /// [`crate::SearchResult`].
-    pub parallelism: usize,
 }
 
 impl Default for SearchBudget {
     /// The paper's search size (500 iterations, depth 100) on the batched
-    /// pipeline (16 rollouts per estimator round trip, single tree).
+    /// pipeline (16 rollouts per estimator round trip).
     fn default() -> Self {
         Self {
             iterations: 500,
             max_depth: 100,
             exploration: std::f64::consts::SQRT_2,
             batch_size: 16,
-            parallelism: 1,
         }
     }
 }
@@ -58,20 +52,6 @@ impl SearchBudget {
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
         self
-    }
-
-    /// The same budget split across `parallelism` root-parallel trees.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// The scalar (pre-batching) pipeline: one estimator query per
-    /// iteration, one tree. Kept as the baseline the batched pipeline is
-    /// benchmarked against.
-    pub fn scalar(iterations: usize) -> Self {
-        Self::with_iterations(iterations).with_batch_size(1)
     }
 }
 
@@ -94,19 +74,8 @@ mod tests {
     }
 
     #[test]
-    fn scalar_budget_disables_batching() {
-        let b = SearchBudget::scalar(120);
-        assert_eq!(b.batch_size, 1);
-        assert_eq!(b.parallelism, 1);
-        assert_eq!(b.iterations, 120);
-    }
-
-    #[test]
     fn builders_clamp_to_one() {
-        let b = SearchBudget::default()
-            .with_batch_size(0)
-            .with_parallelism(0);
+        let b = SearchBudget::default().with_batch_size(0);
         assert_eq!(b.batch_size, 1);
-        assert_eq!(b.parallelism, 1);
     }
 }

@@ -26,11 +26,13 @@
 //!   so the batched pipeline's evaluation batches actually fill. (The
 //!   historical 90%-sticky A/B baseline was removed once nothing
 //!   benchmarked against it.)
-//! * **Warm starts** — [`Mcts::search_from`] roots the tree at an
-//!   explicit state; [`SchedState::from_partial_mapping`] builds that
-//!   root from a previous decision's surviving device paths, so online
-//!   rescheduling after a single-job workload delta explores only the
-//!   new DNN's decisions instead of searching cold.
+//! * **One tree, two entries** — [`Mcts::run`] searches cold from
+//!   [`Environment::initial`]; [`Mcts::search_from`] roots the same tree
+//!   at an explicit state (the warm start):
+//!   [`SchedState::from_partial_mapping`] builds that root from a
+//!   previous decision's surviving device paths, so online rescheduling
+//!   after a single-job workload delta explores only the new DNN's
+//!   decisions instead of searching cold.
 //!
 //! The search ([`Mcts`]) is generic over an [`Environment`], and the
 //! scheduling environment ([`SchedulingEnv`]) is generic over any
@@ -47,7 +49,7 @@
 //! let workload = Workload::from_ids([ModelId::AlexNet, ModelId::SqueezeNet]);
 //! let evaluator = AnalyticModel::new(board);
 //! let env = SchedulingEnv::new(&workload, &evaluator, 3)?;
-//! let result = Mcts::new(SearchBudget::default()).search(&env, 77);
+//! let result = Mcts::new(SearchBudget::default()).run(&env, 77);
 //! let mapping = env.mapping_of(&result.best_state);
 //! assert!(mapping.validate(&workload).is_ok());
 //! # Ok::<(), omniboost_hw::HwError>(())

@@ -469,8 +469,8 @@ impl<M: ThroughputModel> Environment for SchedulingEnv<'_, M> {
         let mut dedup_hits = 0usize;
         {
             // Memo lookups under the lock; the guard is dropped before
-            // the evaluator runs so concurrent root-parallel trees don't
-            // serialize on (or deadlock around) the expensive batch call.
+            // the evaluator runs so the expensive batch call is never
+            // made while holding it.
             let memo = self.reward_memo.lock().unwrap_or_else(|e| e.into_inner());
             for (i, state) in states.iter().enumerate() {
                 debug_assert!(self.is_terminal(state), "reward on non-terminal state");
@@ -634,7 +634,7 @@ mod tests {
     fn search_returns_valid_cap_respecting_mapping() {
         let (w, ev) = setup();
         let env = SchedulingEnv::new(&w, &ev, 3).unwrap();
-        let result = Mcts::new(SearchBudget::with_iterations(150)).search(&env, 5);
+        let result = Mcts::new(SearchBudget::with_iterations(150)).run(&env, 5);
         let mapping = env.mapping_of(&result.best_state);
         mapping.validate(&w).unwrap();
         assert!(mapping.max_stages() <= 3);
@@ -654,7 +654,7 @@ mod tests {
         ]);
         let ev = AnalyticModel::new(board);
         let env = SchedulingEnv::new(&w, &ev, 3).unwrap();
-        let result = Mcts::new(SearchBudget::with_iterations(300)).search(&env, 11);
+        let result = Mcts::new(SearchBudget::with_iterations(300)).run(&env, 11);
         // Reward = bonus + T/T_baseline, so > bonus + 1 means "beat it".
         assert!(
             result.best_reward > 1.1,
@@ -796,7 +796,7 @@ mod tests {
         let ev = AnalyticModel::new(board);
         let budget = SearchBudget::with_iterations(500).with_batch_size(16);
         let env = SchedulingEnv::new(&w, &ev, 3).unwrap();
-        let aware = Mcts::new(budget).search(&env, 42);
+        let aware = Mcts::new(budget).run(&env, 42);
         assert!(
             aware.live_terminal_rollouts >= 450,
             "budget-aware yield {}/500 below the 450 bar",
@@ -970,8 +970,8 @@ mod tests {
         for batch in [1usize, 16] {
             let env = SchedulingEnv::new(&w, &counting, 3).unwrap();
             let before = counting.queries.load(Ordering::Relaxed);
-            let result = Mcts::new(SearchBudget::with_iterations(200).with_batch_size(batch))
-                .search(&env, 9);
+            let result =
+                Mcts::new(SearchBudget::with_iterations(200).with_batch_size(batch)).run(&env, 9);
             let actual = counting.queries.load(Ordering::Relaxed) - before;
             assert_eq!(
                 result.evaluations, actual,

@@ -27,9 +27,8 @@ pub struct SearchResult<S> {
     /// Rollouts that reached a **live** terminal (positive reward) — the
     /// yield that determines how full each evaluation batch actually is.
     pub live_terminal_rollouts: usize,
-    /// Batched scoring rounds performed (per root tree, accumulated by
-    /// the root-parallel merge) — `live_terminal_rollouts / rounds` is
-    /// the effective evaluation batch fill.
+    /// Batched scoring rounds performed — `live_terminal_rollouts /
+    /// rounds` is the effective evaluation batch fill.
     pub rounds: usize,
 }
 
@@ -77,7 +76,8 @@ impl Mcts {
         self.budget
     }
 
-    /// Runs the search from the environment's initial state.
+    /// Runs the search from the environment's initial state — the one
+    /// cold entry.
     ///
     /// Iterations proceed in rounds of up to `budget.batch_size` leaf
     /// rollouts. Within a round, each selected path receives a *virtual
@@ -93,7 +93,7 @@ impl Mcts {
     ///
     /// Panics if the initial state is terminal and the environment
     /// rewards it as unreachable, or if `num_actions() == 0`.
-    pub fn search<E: Environment>(&self, env: &E, seed: u64) -> SearchResult<E::State> {
+    pub fn run<E: Environment>(&self, env: &E, seed: u64) -> SearchResult<E::State> {
         self.search_from(env, env.initial(), seed)
     }
 
@@ -104,7 +104,7 @@ impl Mcts {
     /// the effective search space to the still-open decisions, so far
     /// fewer iterations reach the same solution quality.
     ///
-    /// Semantics are identical to [`Mcts::search`] with the tree rooted
+    /// Semantics are identical to [`Mcts::run`] with the tree rooted
     /// at `root_state`; a terminal root returns immediately (its reward
     /// is the best and only result, costing one evaluator query).
     pub fn search_from<E: Environment>(
@@ -319,101 +319,6 @@ impl Mcts {
             rounds,
         }
     }
-
-    /// Dispatches on the budget: `parallelism == 1` runs [`Mcts::search`]
-    /// directly; otherwise the iteration budget is split across
-    /// `parallelism` root-parallel trees with deterministically derived
-    /// per-root seeds, and their results merge into one
-    /// [`SearchResult`] (total iterations preserved). Merging scans trees
-    /// in seed order, so the outcome is independent of thread timing.
-    pub fn run<E>(&self, env: &E, seed: u64) -> SearchResult<E::State>
-    where
-        E: Environment + Sync,
-        E::State: Send,
-    {
-        let parallelism = self.budget.parallelism.max(1);
-        // Single-tree configs and degenerate budgets (0 iterations would
-        // leave no root with a share) take the direct path.
-        if parallelism == 1 || self.budget.iterations < parallelism {
-            return self.search(env, seed);
-        }
-        use rayon::prelude::*;
-        let total = self.budget.iterations;
-        let shares: Vec<(u64, usize)> = (0..parallelism)
-            .map(|p| {
-                let share = total / parallelism + usize::from(p < total % parallelism);
-                (derive_root_seed(seed, p), share)
-            })
-            .filter(|(_, share)| *share > 0)
-            .collect();
-        let per_root: Vec<SearchResult<E::State>> = shares
-            .par_iter()
-            .map(|(root_seed, share)| {
-                let budget = SearchBudget {
-                    iterations: *share,
-                    parallelism: 1,
-                    ..self.budget
-                };
-                Mcts::new(budget).search(env, *root_seed)
-            })
-            .collect();
-        merge_results(per_root)
-    }
-
-    /// Root-parallel search: runs one independent tree per seed on the
-    /// rayon worker pool and returns the best result across trees.
-    ///
-    /// Root parallelism is the classic low-communication MCTS
-    /// parallelization — each tree explores with different randomness, so
-    /// wall-clock time stays one search while solution quality approaches
-    /// a `seeds.len()`-times larger budget. The environment only needs to
-    /// be `Sync` (the CNN estimator is: it locks internally). Unlike
-    /// [`Mcts::run`], every tree runs the *full* iteration budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn search_parallel<E>(&self, env: &E, seeds: &[u64]) -> SearchResult<E::State>
-    where
-        E: Environment + Sync,
-        E::State: Send,
-    {
-        assert!(!seeds.is_empty(), "need at least one seed");
-        use rayon::prelude::*;
-        let results: Vec<SearchResult<E::State>> = seeds
-            .par_iter()
-            .map(|seed| self.search(env, *seed))
-            .collect();
-        merge_results(results)
-    }
-}
-
-/// Per-root seed derivation for [`Mcts::run`]: SplitMix64-style mixing so
-/// each root tree gets a well-separated deterministic stream.
-fn derive_root_seed(seed: u64, root: usize) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(root as u64 + 1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Merges per-tree results in order: iterations/evaluations/rollout
-/// counters accumulate, the strictly best reward wins (first tree on
-/// ties, so the merge is deterministic regardless of thread scheduling).
-fn merge_results<S>(mut results: Vec<SearchResult<S>>) -> SearchResult<S> {
-    let mut best = results.remove(0);
-    for r in results {
-        best.iterations += r.iterations;
-        best.evaluations += r.evaluations;
-        best.terminal_rollouts += r.terminal_rollouts;
-        best.live_terminal_rollouts += r.live_terminal_rollouts;
-        best.rounds += r.rounds;
-        if r.best_reward > best.best_reward {
-            best.best_reward = r.best_reward;
-            best.best_state = r.best_state;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -429,7 +334,7 @@ mod tests {
             max_depth: 16,
             ..SearchBudget::default()
         });
-        let result = mcts.search(&env, 1);
+        let result = mcts.run(&env, 1);
         assert_eq!(result.best_reward, 1.0, "should find all-ones");
         assert!(result.best_state.iter().all(|b| *b == 1));
     }
@@ -439,7 +344,7 @@ mod tests {
         let env = CountOnes { depth: 8 };
         for batch in [1usize, 4, 16, 64] {
             let mcts = Mcts::new(SearchBudget::with_iterations(400).with_batch_size(batch));
-            let result = mcts.search(&env, 1);
+            let result = mcts.run(&env, 1);
             assert_eq!(result.best_reward, 1.0, "batch {batch} missed the optimum");
         }
     }
@@ -447,7 +352,7 @@ mod tests {
     #[test]
     fn respects_iteration_budget() {
         let env = CountOnes { depth: 4 };
-        let result = Mcts::new(SearchBudget::with_iterations(37)).search(&env, 2);
+        let result = Mcts::new(SearchBudget::with_iterations(37)).run(&env, 2);
         assert_eq!(result.iterations, 37);
         assert!(result.evaluations <= 37);
     }
@@ -456,8 +361,8 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let env = CountOnes { depth: 6 };
         let mcts = Mcts::new(SearchBudget::with_iterations(100));
-        let a = mcts.search(&env, 9);
-        let b = mcts.search(&env, 9);
+        let a = mcts.run(&env, 9);
+        let b = mcts.run(&env, 9);
         assert_eq!(a.best_state, b.best_state);
         assert_eq!(a.best_reward, b.best_reward);
     }
@@ -468,36 +373,18 @@ mod tests {
         let small: f64 = (0..5)
             .map(|s| {
                 Mcts::new(SearchBudget::with_iterations(10))
-                    .search(&env, s)
+                    .run(&env, s)
                     .best_reward
             })
             .sum();
         let large: f64 = (0..5)
             .map(|s| {
                 Mcts::new(SearchBudget::with_iterations(300))
-                    .search(&env, s)
+                    .run(&env, s)
                     .best_reward
             })
             .sum();
         assert!(large >= small);
-    }
-
-    #[test]
-    fn parallel_search_aggregates_trees() {
-        let env = CountOnes { depth: 8 };
-        let mcts = Mcts::new(SearchBudget::with_iterations(50));
-        let result = mcts.search_parallel(&env, &[1, 2, 3, 4]);
-        assert_eq!(result.iterations, 200);
-        // Best across 4 trees is at least as good as any single tree.
-        let single = mcts.search(&env, 1);
-        assert!(result.best_reward >= single.best_reward);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one seed")]
-    fn parallel_search_requires_seeds() {
-        let env = CountOnes { depth: 4 };
-        let _ = Mcts::new(SearchBudget::with_iterations(5)).search_parallel(&env, &[]);
     }
 
     #[test]
@@ -512,7 +399,7 @@ mod tests {
             exploration: 1.0,
             ..SearchBudget::default()
         })
-        .search(&env, 3);
+        .run(&env, 3);
         assert_eq!(result.best_reward, 0.0);
         assert_eq!(result.evaluations, 0);
     }
@@ -521,11 +408,11 @@ mod tests {
     fn batch_size_one_matches_legacy_scalar_loop() {
         // The batched implementation with batch_size == 1 must reproduce
         // the classic select→rollout→evaluate→backprop loop draw-for-draw
-        // (identical RNG consumption, identical statistics), so the
-        // scalar baseline in benchmarks is exactly the historical search.
+        // (identical RNG consumption, identical statistics).
         let env = CountOnes { depth: 10 };
-        let scalar = Mcts::new(SearchBudget::scalar(200)).search(&env, 17);
-        let again = Mcts::new(SearchBudget::scalar(200)).search(&env, 17);
+        let mcts = Mcts::new(SearchBudget::with_iterations(200).with_batch_size(1));
+        let scalar = mcts.run(&env, 17);
+        let again = mcts.run(&env, 17);
         assert_eq!(scalar.best_state, again.best_state);
         assert_eq!(scalar.best_reward, again.best_reward);
         assert_eq!(scalar.evaluations, again.evaluations);
@@ -535,25 +422,8 @@ mod tests {
     fn batched_search_is_deterministic_per_seed() {
         let env = CountOnes { depth: 9 };
         let mcts = Mcts::new(SearchBudget::with_iterations(150).with_batch_size(8));
-        let a = mcts.search(&env, 21);
-        let b = mcts.search(&env, 21);
-        assert_eq!(a.best_state, b.best_state);
-        assert_eq!(a.best_reward, b.best_reward);
-        assert_eq!(a.evaluations, b.evaluations);
-    }
-
-    #[test]
-    fn run_with_parallelism_splits_budget_and_is_deterministic() {
-        let env = CountOnes { depth: 8 };
-        let mcts = Mcts::new(
-            SearchBudget::with_iterations(200)
-                .with_batch_size(4)
-                .with_parallelism(4),
-        );
-        let a = mcts.run(&env, 5);
-        let b = mcts.run(&env, 5);
-        // Total budget preserved across root trees.
-        assert_eq!(a.iterations, 200);
+        let a = mcts.run(&env, 21);
+        let b = mcts.run(&env, 21);
         assert_eq!(a.best_state, b.best_state);
         assert_eq!(a.best_reward, b.best_reward);
         assert_eq!(a.evaluations, b.evaluations);
@@ -562,15 +432,11 @@ mod tests {
     #[test]
     fn run_survives_degenerate_budgets() {
         let env = CountOnes { depth: 4 };
-        // Zero iterations with parallelism: no root gets a share; must
-        // fall back gracefully instead of merging an empty result set.
-        let r = Mcts::new(SearchBudget::with_iterations(0).with_parallelism(4)).run(&env, 1);
+        // Zero iterations: no round runs, the root comes back unscored.
+        let r = Mcts::new(SearchBudget::with_iterations(0)).run(&env, 1);
         assert_eq!(r.iterations, 0);
         assert_eq!(r.evaluations, 0);
         assert_eq!(r.best_reward, 0.0);
-        // Fewer iterations than trees: still runs and respects the total.
-        let r = Mcts::new(SearchBudget::with_iterations(3).with_parallelism(8)).run(&env, 1);
-        assert_eq!(r.iterations, 3);
     }
 
     #[test]
@@ -607,20 +473,10 @@ mod tests {
     fn search_from_initial_matches_plain_search() {
         let env = CountOnes { depth: 7 };
         let mcts = Mcts::new(SearchBudget::with_iterations(120).with_batch_size(8));
-        let a = mcts.search(&env, 9);
+        let a = mcts.run(&env, 9);
         let b = mcts.search_from(&env, env.initial(), 9);
         assert_eq!(a.best_state, b.best_state);
         assert_eq!(a.best_reward, b.best_reward);
         assert_eq!(a.evaluations, b.evaluations);
-    }
-
-    #[test]
-    fn run_without_parallelism_is_plain_search() {
-        let env = CountOnes { depth: 7 };
-        let mcts = Mcts::new(SearchBudget::with_iterations(120).with_batch_size(8));
-        let via_run = mcts.run(&env, 9);
-        let via_search = mcts.search(&env, 9);
-        assert_eq!(via_run.best_state, via_search.best_state);
-        assert_eq!(via_run.best_reward, via_search.best_reward);
     }
 }

@@ -53,7 +53,7 @@ proptest! {
         let evaluator = AnalyticModel::new(board);
         let workload = Workload::from_ids([ModelId::AlexNet, ModelId::MobileNet]);
         let env = SchedulingEnv::new(&workload, &evaluator, 3).unwrap();
-        let result = Mcts::new(SearchBudget::with_iterations(60)).search(&env, seed);
+        let result = Mcts::new(SearchBudget::with_iterations(60)).run(&env, seed);
         prop_assert!(!result.best_state.is_dead());
         let mapping = env.mapping_of(&result.best_state);
         prop_assert!(mapping.max_stages() <= 3);
@@ -85,8 +85,8 @@ proptest! {
         let evaluator = AnalyticModel::new(board);
         let workload = Workload::from_ids([ModelId::SqueezeNet, ModelId::AlexNet]);
         let env = SchedulingEnv::new(&workload, &evaluator, 3).unwrap();
-        let small = Mcts::new(SearchBudget::with_iterations(25)).search(&env, seed);
-        let large = Mcts::new(SearchBudget::with_iterations(150)).search(&env, seed);
+        let small = Mcts::new(SearchBudget::with_iterations(25)).run(&env, seed);
+        let large = Mcts::new(SearchBudget::with_iterations(150)).run(&env, seed);
         prop_assert!(large.best_reward >= small.best_reward - 1e-9);
     }
 
@@ -138,9 +138,9 @@ proptest! {
         let workload = Workload::from_ids(mix);
         let mcts = Mcts::new(SearchBudget::with_iterations(60).with_batch_size(8));
         let env_a = SchedulingEnv::new(&workload, &evaluator, 3).unwrap();
-        let a = mcts.search(&env_a, seed);
+        let a = mcts.run(&env_a, seed);
         let env_b = SchedulingEnv::new(&workload, &evaluator, 3).unwrap();
-        let b = mcts.search(&env_b, seed);
+        let b = mcts.run(&env_b, seed);
         prop_assert_eq!(&a.best_state, &b.best_state);
         prop_assert_eq!(a.best_reward, b.best_reward);
         prop_assert_eq!(a.evaluations, b.evaluations);
@@ -216,20 +216,22 @@ proptest! {
         }
     }
 
-    /// `batch_size == 1` under the budget-aware policy reproduces the
-    /// scalar one-query-per-iteration loop draw-for-draw.
+    /// `batch_size == 1` under the budget-aware policy is the scalar
+    /// one-query-per-iteration loop (one scoring round per iteration)
+    /// and replays draw-for-draw on a fresh environment.
     #[test]
     fn batch_size_one_still_matches_scalar_loop(seed in 0u64..200) {
         let board = Board::hikey970();
         let evaluator = AnalyticModel::new(board);
         let workload = Workload::from_ids([ModelId::AlexNet, ModelId::MobileNet]);
-        let env_s = SchedulingEnv::new(&workload, &evaluator, 3).unwrap();
-        let scalar = Mcts::new(SearchBudget::scalar(50)).search(&env_s, seed);
+        let scalar = Mcts::new(SearchBudget::with_iterations(50).with_batch_size(1));
+        let env_a = SchedulingEnv::new(&workload, &evaluator, 3).unwrap();
+        let a = scalar.run(&env_a, seed);
         let env_b = SchedulingEnv::new(&workload, &evaluator, 3).unwrap();
-        let batched = Mcts::new(SearchBudget::with_iterations(50).with_batch_size(1))
-            .search(&env_b, seed);
-        prop_assert_eq!(&scalar.best_state, &batched.best_state);
-        prop_assert_eq!(scalar.best_reward, batched.best_reward);
-        prop_assert_eq!(scalar.evaluations, batched.evaluations);
+        let b = scalar.run(&env_b, seed);
+        prop_assert_eq!(a.rounds, 50);
+        prop_assert_eq!(&a.best_state, &b.best_state);
+        prop_assert_eq!(a.best_reward, b.best_reward);
+        prop_assert_eq!(a.evaluations, b.evaluations);
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::layer::Layer;
 use crate::shapes::TensorShape;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -43,7 +42,7 @@ impl Error for ModelError {}
 /// assert_eq!(m.name(), "alexnet");
 /// assert_eq!(m.num_layers(), 11);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DnnModel {
     name: String,
     input_shape: TensorShape,

@@ -6,7 +6,6 @@
 //! carries the compute/memory quantities a roofline-style device model
 //! needs to price it.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The computational class of a kernel.
@@ -15,7 +14,7 @@ use std::fmt;
 /// GPUs excel at wide direct convolutions but are comparatively poor at
 /// depthwise convolutions and tiny element-wise kernels), which is what
 /// makes heterogeneous layer partitioning profitable in the first place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum KernelClass {
     /// Dense 2-D convolution (im2col/GEMM or direct).
@@ -93,7 +92,7 @@ impl fmt::Display for KernelClass {
 ///     .with_bytes(400_000, 400_000, 36_000);
 /// assert_eq!(k.arithmetic_intensity(), 1_000_000.0 / 836_000.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     name: String,
     class: KernelClass,

@@ -8,13 +8,12 @@
 
 use crate::kernel::{Kernel, KernelClass};
 use crate::shapes::TensorShape;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Coarse structural kind of a layer, used for reporting and by baseline
 /// schedulers that special-case convolutional layers (e.g. CNNDroid-style
 /// "convs to the GPU" policies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum LayerKind {
     /// Dense convolution (+ folded activation).
@@ -81,7 +80,7 @@ impl LayerKind {
 /// assert_eq!(layer.flops(), 1_000_000);
 /// assert_eq!(layer.output_bytes(), 64 * 112 * 112 * 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     name: String,
     kind: LayerKind,

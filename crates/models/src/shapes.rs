@@ -1,6 +1,5 @@
 //! Activation tensor shapes flowing between layers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Shape of an activation tensor in `(channels, height, width)` layout.
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(s.elements(), 64 * 56 * 56);
 /// assert_eq!(s.bytes(), s.elements() * 4); // f32 activations
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorShape {
     /// Number of channels.
     pub channels: usize,

@@ -4,11 +4,10 @@
 
 use crate::graph::DnnModel;
 use crate::kernel::KernelClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Aggregate statistics of one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelStats {
     /// Model name.
     pub name: String,

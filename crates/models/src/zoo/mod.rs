@@ -17,7 +17,6 @@ mod squeezenet;
 mod vgg;
 
 use crate::graph::DnnModel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -31,7 +30,7 @@ use std::str::FromStr;
 ///     assert_eq!(m.name(), id.to_string());
 /// }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ModelId {
     /// AlexNet (Krizhevsky et al.), 11 layers.
     AlexNet,

@@ -4,10 +4,8 @@
 //! Follows the kakarot-rpc shape — `api` holds the typed
 //! request/response contract, `servers` the connection/worker loop,
 //! `client` the caller side with layered config and typed errors. The
-//! types derive `Serialize`/`Deserialize` against the workspace serde
-//! shim for API parity with the real crate; the actual wire bytes are
-//! produced/consumed by the hand-rolled [`crate::json`] module (the
-//! shim's derives are no-ops).
+//! wire bytes are produced/consumed by the hand-rolled [`crate::json`]
+//! module.
 //!
 //! | method | path | body | reply |
 //! |---|---|---|---|
@@ -22,12 +20,11 @@
 
 use crate::json::{self, Json};
 use omniboost_models::{JobSpec, ModelId, SloClass};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable machine-readable error codes carried by every non-2xx reply
 /// body (`{"error": {"code": ..., "message": ...}}`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The body is not valid JSON.
     MalformedJson,
@@ -89,7 +86,7 @@ impl fmt::Display for ErrorCode {
 }
 
 /// A typed API error (the decoded form of an error reply body).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApiError {
     /// Machine-readable code.
     pub code: ErrorCode,
@@ -125,7 +122,7 @@ impl fmt::Display for ApiError {
 impl std::error::Error for ApiError {}
 
 /// `POST /v1/submit` — submit one job for serving.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubmitRequest {
     /// Model to serve (zoo name, e.g. `"resnet50"`).
     pub model: ModelId,
@@ -235,7 +232,7 @@ impl SubmitRequest {
 }
 
 /// `POST /v1/depart` — a served job leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepartRequest {
     /// The job id from its submit.
     pub id: u64,
@@ -271,7 +268,7 @@ impl DepartRequest {
 }
 
 /// What happened to a submitted job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubmitReply {
     /// The job's id (caller-chosen or daemon-assigned).
     pub id: u64,
@@ -323,7 +320,7 @@ impl SubmitReply {
 }
 
 /// Whether a departed id was known.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepartReply {
     /// The departed job id.
     pub id: u64,
@@ -355,7 +352,7 @@ impl DepartReply {
 }
 
 /// `GET /v1/status` — cheap daemon liveness/state probe.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatusReply {
     /// Daemon clock in ms (wall ms since boot, or the newest virtual
     /// stamp if that is ahead).
@@ -419,7 +416,7 @@ impl StatusReply {
 }
 
 /// `POST /v1/drain` — the daemon entered drain mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainReply {
     /// Always true after the call (idempotent).
     pub draining: bool,
@@ -458,7 +455,7 @@ impl DrainReply {
 }
 
 /// `POST /v1/shutdown` — finish the run and stop the daemon.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShutdownRequest {
     /// Horizon the run's time integrals extend to (ms). Absent = the
     /// daemon's clock at shutdown.
@@ -491,7 +488,7 @@ impl ShutdownRequest {
 }
 
 /// The daemon's parting words: the finished run, digested.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShutdownReply {
     /// [`omniboost_serve::ServingReport::digest`] of the finished run —
     /// the latency-free determinism fingerprint the parity test pins

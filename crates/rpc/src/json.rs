@@ -1,8 +1,8 @@
 //! A minimal, allocation-conscious JSON reader/writer for the RPC API.
 //!
-//! The workspace's `serde` is an offline no-op shim (see
-//! `crates/shims/serde`), so the wire format is hand-rolled here: a
-//! strict recursive-descent parser over the subset the API speaks
+//! The build is offline (no `serde_json`), so the wire format is
+//! hand-rolled here: a strict recursive-descent parser over the subset
+//! the API speaks
 //! (objects, arrays, strings with `\uXXXX` escapes, finite numbers,
 //! booleans, null) and a writer with correct string escaping. The
 //! parser is **total**: any byte sequence produces either a [`Json`]

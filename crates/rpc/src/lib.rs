@@ -23,8 +23,10 @@
 //!   virtual stamps the daemon-side digest equals the in-process
 //!   [`omniboost_serve::ServingSim`] digest for the same trace.
 //!
-//! See `examples/rpc_daemon.rs` for a boot-drive-drain walkthrough and
-//! `crates/bench/benches/rpc.rs` for the loadgen measurement.
+//! See `examples/rpc_daemon.rs` for a boot-drive-drain walkthrough; the
+//! daemon's latency is measured by the `daemon_open_loop` and
+//! `daemon_recurring_reads` workloads of `perfbench/` (`op_ms_*`,
+//! `ops_per_s`, `rpc.wire.*`, `rpc.drain.ms`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

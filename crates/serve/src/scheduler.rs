@@ -83,8 +83,7 @@ pub struct WarmHint {
 /// Search budgets and knobs of the online scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineConfig {
-    /// Budget of a cold (from-scratch) decision; `parallelism` is
-    /// honoured via root-parallel trees.
+    /// Budget of a cold (from-scratch) decision.
     pub cold_budget: SearchBudget,
     /// Budget of a warm decision (partial-root search on arrivals,
     /// refinement search on departures). Smaller by design: the warm
@@ -314,7 +313,7 @@ fn try_warm<E: ThroughputModel>(
             // refinement search try to consolidate the freed capacity;
             // the better of the two deploys.
             let carried = mcts.search_from(env, root, config.seed);
-            let refine = mcts.search(env, config.seed);
+            let refine = mcts.run(env, config.seed);
             let evaluations = carried.evaluations + refine.evaluations;
             let best = if refine.best_reward > carried.best_reward {
                 refine
@@ -356,7 +355,7 @@ fn try_warm<E: ThroughputModel>(
                 Mcts::new(config.warm_budget)
             };
             let warm = mcts.search_from(env, root, config.seed);
-            let challenger = side_budget.search(env, config.seed);
+            let challenger = side_budget.run(env, config.seed);
             let mut evaluations = warm.evaluations + challenger.evaluations;
             let mut best = if challenger.best_reward > warm.best_reward {
                 challenger
@@ -438,7 +437,6 @@ impl<M: ThroughputModel + Sync> Scheduler for OnlineScheduler<M> {
             None => {
                 let result = Mcts::new(config.cold_budget).run(&env, config.seed);
                 let mut mapping = env.mapping_of(&result.best_state);
-                let mut reward = result.best_reward;
                 let mut evaluations = result.evaluations;
                 // Under the warm policy even cold decisions (refresh or
                 // fallback) never deploy below the carried floor: a full
@@ -447,14 +445,12 @@ impl<M: ThroughputModel + Sync> Scheduler for OnlineScheduler<M> {
                     if let Some(hint) = &hint {
                         if let Some((m, r, q)) = carried_floor(&env, workload, hint) {
                             evaluations += q;
-                            if r > reward {
+                            if r > result.best_reward {
                                 mapping = m;
-                                reward = r;
                             }
                         }
                     }
                 }
-                let _ = reward;
                 (mapping, DecisionKind::Cold, evaluations)
             }
         };

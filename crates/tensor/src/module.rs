@@ -1,10 +1,9 @@
 //! The module abstraction: forward, backward, trainable parameters.
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: value plus accumulated gradient.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Current value.
     pub value: Tensor,
@@ -54,9 +53,8 @@ pub trait Module {
     }
 
     /// Selects between the GEMM-structured batched backward (the
-    /// default) and the direct reference kernels — the A/B knob behind
-    /// the `estimator_training` bench and the gradient-equivalence
-    /// tests. Containers must propagate; modules with a single backward
+    /// default) and the direct reference kernels — the oracle selector
+    /// of the gradient-equivalence tests. Containers must propagate; modules with a single backward
     /// can ignore it.
     fn set_gemm_backward(&mut self, enabled: bool) {
         let _ = enabled;
@@ -90,8 +88,8 @@ pub trait Module {
 /// ```
 #[derive(Default)]
 pub struct Sequential {
-    // `Send` so networks can cross thread boundaries (the estimator is
-    // shared behind a mutex by the root-parallel search).
+    // `Send` so a network can be built on one thread and used on
+    // another.
     modules: Vec<Box<dyn Module + Send>>,
 }
 

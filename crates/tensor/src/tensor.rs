@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major `f32` tensor.
@@ -14,7 +13,7 @@ use std::fmt;
 /// assert_eq!(t.get(&[1, 0]), 3.0);
 /// assert_eq!(t.sum(), 10.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

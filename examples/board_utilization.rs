@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Let the oracle-guided search distribute the workload.
     let env = SchedulingEnv::new(&workload, &sim, 3)?;
-    let result = Mcts::new(SearchBudget::with_iterations(200)).search_parallel(&env, &[1, 2, 3, 4]);
+    let result = Mcts::new(SearchBudget::with_iterations(200)).run(&env, 1);
     let mapping = env.mapping_of(&result.best_state);
     show("omniboost-style spread", &mapping)?;
     println!("spread mapping:\n{mapping}");

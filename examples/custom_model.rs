@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     let oracle = board.simulator();
     let env = SchedulingEnv::new(&workload, &oracle, 3)?;
-    let result = Mcts::new(SearchBudget::with_iterations(300)).search(&env, 42);
+    let result = Mcts::new(SearchBudget::with_iterations(300)).run(&env, 42);
     let mapping = env.mapping_of(&result.best_state);
 
     println!("\nbest mapping found:\n{mapping}");

@@ -1,6 +1,6 @@
-//! Integration tests for the batched, parallel throughput-evaluation
-//! pipeline: batched-vs-scalar equivalence across the stack, determinism
-//! of the root-parallel search, and the runtime decision memo.
+//! Integration tests for the batched throughput-evaluation pipeline:
+//! batched-vs-scalar equivalence across the stack, the reward memo and
+//! the runtime decision memo.
 
 use omniboost::mcts::{Mcts, SchedulingEnv, SearchBudget};
 use omniboost::{OracleOmniBoost, Runtime};
@@ -18,27 +18,29 @@ fn heavy_mix() -> Workload {
     ])
 }
 
-/// The batched pipeline with `batch_size == 1` IS the scalar pipeline:
-/// same RNG stream, same tree, same mapping, same reward — exactly.
+/// The batched pipeline with `batch_size == 1` IS the scalar pipeline —
+/// one query per iteration — and replays exactly on a fresh environment:
+/// same RNG stream, same tree, same mapping, same reward.
 #[test]
 fn batch_size_one_equals_scalar_search_exactly() {
     let board = Board::hikey970();
     let w = heavy_mix();
     let ev = AnalyticModel::new(board);
+    let scalar = Mcts::new(SearchBudget::with_iterations(200).with_batch_size(1));
     for seed in [0u64, 42, 0x0B00575] {
         // Fresh environments so the runs are independent: `evaluations`
         // counts actual evaluator queries, and a shared reward memo
         // would answer the second run for free.
-        let env_s = SchedulingEnv::new(&w, &ev, 3).unwrap();
-        let scalar = Mcts::new(SearchBudget::scalar(200)).search(&env_s, seed);
+        let env_a = SchedulingEnv::new(&w, &ev, 3).unwrap();
+        let a = scalar.run(&env_a, seed);
         let env_b = SchedulingEnv::new(&w, &ev, 3).unwrap();
-        let batched =
-            Mcts::new(SearchBudget::with_iterations(200).with_batch_size(1)).search(&env_b, seed);
-        assert_eq!(scalar.best_reward, batched.best_reward, "seed {seed}");
-        assert_eq!(scalar.evaluations, batched.evaluations);
+        let b = scalar.run(&env_b, seed);
+        assert_eq!(a.best_reward, b.best_reward, "seed {seed}");
+        assert_eq!(a.evaluations, b.evaluations);
+        assert_eq!(a.rounds, 200, "one scoring round per iteration");
         assert_eq!(
-            env_s.mapping_of(&scalar.best_state),
-            env_b.mapping_of(&batched.best_state)
+            env_a.mapping_of(&a.best_state),
+            env_b.mapping_of(&b.best_state)
         );
     }
 }
@@ -55,49 +57,17 @@ fn batched_search_quality_tracks_scalar() {
     let mut batched_sum = 0.0f64;
     for seed in [7u64, 11, 42, 99, 123] {
         let env = SchedulingEnv::new(&w, &ev, 3).unwrap();
-        scalar_sum += Mcts::new(SearchBudget::scalar(300))
-            .search(&env, seed)
+        scalar_sum += Mcts::new(SearchBudget::with_iterations(300).with_batch_size(1))
+            .run(&env, seed)
             .best_reward;
         batched_sum += Mcts::new(SearchBudget::with_iterations(300).with_batch_size(16))
-            .search(&env, seed)
+            .run(&env, seed)
             .best_reward;
     }
     assert!(
         batched_sum >= scalar_sum * 0.9,
         "batched quality collapsed: {batched_sum} vs scalar {scalar_sum}"
     );
-}
-
-/// Root-parallel search is deterministic for a fixed seed: thread timing
-/// must not leak into the result (per-root seeds are derived, the merge
-/// scans in seed order).
-#[test]
-fn parallel_search_is_deterministic_under_fixed_seed() {
-    let board = Board::hikey970();
-    let w = heavy_mix();
-    let ev = AnalyticModel::new(board);
-    let mcts = Mcts::new(
-        SearchBudget::with_iterations(240)
-            .with_batch_size(8)
-            .with_parallelism(4),
-    );
-    // Fresh env per run: the reward memo would otherwise answer the
-    // second run from cache and legitimately report fewer evaluations.
-    let env_a = SchedulingEnv::new(&w, &ev, 3).unwrap();
-    let a = mcts.run(&env_a, 1234);
-    let env_b = SchedulingEnv::new(&w, &ev, 3).unwrap();
-    let b = mcts.run(&env_b, 1234);
-    assert_eq!(a.best_reward, b.best_reward);
-    assert_eq!(a.evaluations, b.evaluations);
-    assert_eq!(a.live_terminal_rollouts, b.live_terminal_rollouts);
-    assert_eq!(a.iterations, 240, "split budget must sum back to the total");
-    assert_eq!(
-        env_a.mapping_of(&a.best_state),
-        env_b.mapping_of(&b.best_state)
-    );
-    // A different seed explores differently (sanity that the seed matters).
-    let c = mcts.run(&env_a, 4321);
-    assert!(c.best_reward > 0.0);
 }
 
 /// The environment-level reward memo answers repeated evaluations of the
@@ -200,7 +170,7 @@ fn budget_aware_policy_fills_the_batch_on_heavy_mix() {
     ]);
     let ev = AnalyticModel::new(board);
     let env = SchedulingEnv::new(&w, &ev, 3).unwrap();
-    let result = Mcts::new(SearchBudget::with_iterations(500).with_batch_size(16)).search(&env, 42);
+    let result = Mcts::new(SearchBudget::with_iterations(500).with_batch_size(16)).run(&env, 42);
     assert!(
         result.live_terminal_rollouts >= 450,
         "live-terminal yield {}/500",
