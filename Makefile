@@ -1,10 +1,12 @@
 # Convenience entry points for the OmniBoost reproduction.
 
-# Tier-1 verification: everything CI's test job runs.
+# Tier-1 verification: everything CI's test job runs. --no-fail-fast:
+# cargo stops at the first red test binary otherwise, and a failure
+# would hide every suite ordered after it.
 .PHONY: verify
 verify:
 	cargo build --release
-	cargo test -q
+	cargo test -q --no-fail-fast
 
 # The tensor and estimator suites again, optimized: their bitwise
 # contracts (plan == graph, pinned prediction bits, GEMM == naive) must

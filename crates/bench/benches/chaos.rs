@@ -8,8 +8,8 @@
 //!
 //! * **no losses** — `lost_jobs == 0` in every cell, chaos or not;
 //! * **warm reboots engage** — flapped/recovered boards preload a
-//!   nonzero number of archived evaluation-cache entries over the
-//!   sweep (the cache-archive warm-boot path actually fires).
+//!   nonzero number of evaluation-cache entries over the sweep (the
+//!   warm-pool boot path actually fires).
 //!
 //! Every row stamps a Drive-As-Code `config_digest` over the trace +
 //! chaos-script + orchestrator knobs that drove it.
@@ -198,7 +198,7 @@ fn main() {
         total_warm_boots += c.warm_boots;
         let lost_pct = (1.0 - c.tps / c.oracle_tps.max(1e-12)) * 100.0;
         // Every join, recovery and in-place degrade is a chance to
-        // preload an archived segment (degrades preload too: a repeat
+        // preload a retired cache (degrades preload too: a repeat
         // brown-out to a profile the run has seen boots warm).
         let rejoins = c.joins + c.recovers + c.degrades;
         let warm_rate = if rejoins == 0 {
@@ -287,8 +287,8 @@ fn main() {
             "lost_throughput_pct prices the chaos itself. Degraded boards keep every ",
             "resident the weaker profile still admits (re-priced in place; migrations ",
             "must clear the rebalancer's priced gain bar); flapped and recovered boards ",
-            "warm-boot by preloading the cache-archive segment matching their hardware ",
-            "fingerprint. ",
+            "warm-boot by copying, in memory, the cache their hardware fingerprint last ",
+            "retired (or a live peer's). ",
             "config_digest is the FNV-1a hash of the declarative trace + chaos-script + ",
             "orchestrator knobs that drove the row. pass = zero lost jobs everywhere and ",
             "nonzero warm boots across the sweep\",\n",

@@ -127,6 +127,25 @@ impl BoardScopedCache {
         }
     }
 
+    /// Copies `other`'s reports into this cache and binds it to
+    /// `other`'s board — the in-memory warm boot: a scheduler coming up
+    /// takes over what a cache of its hardware profile already learned,
+    /// with no bytes in between ([`EvalCache::absorb`]). Reports this
+    /// cache held for a different board are dropped first, as
+    /// [`BoardScopedCache::begin`] would; a source that never saw a
+    /// decision has no board and nothing to give. Returns the entries
+    /// held afterwards.
+    pub fn absorb(&mut self, other: &BoardScopedCache) -> usize {
+        if let Some(fp) = other.board_fingerprint {
+            if self.board_fingerprint != Some(fp) {
+                self.cache.clear();
+                self.board_fingerprint = Some(fp);
+            }
+            self.cache.absorb(&other.cache);
+        }
+        self.cache.len()
+    }
+
     /// Serializes the board fingerprint plus every cached entry
     /// (least-recently-used first, so loading replays recency).
     pub fn to_bytes(&self) -> Bytes {
@@ -594,6 +613,36 @@ mod tests {
             .evaluate(&w, &m)
             .unwrap();
         cache
+    }
+
+    #[test]
+    fn absorb_binds_the_target_to_the_source_board() {
+        let full = Board::hikey970();
+        let lite = Board::hikey970_lite();
+        let w = Workload::from_ids([ModelId::AlexNet]);
+        let m = Mapping::all_on(&w, Device::Gpu);
+        // A fresh cache takes over the source's board and reports, and
+        // `begin` on that board must not flush them.
+        let mut fresh = BoardScopedCache::new(64);
+        assert_eq!(fresh.absorb(&warmed(&full)), 1);
+        assert_eq!(fresh.board_fingerprint(), Some(full.fingerprint()));
+        let scope = fresh.begin(&full);
+        assert_eq!(
+            scope.cache().get(w.fingerprint(), &m).unwrap(),
+            AnalyticModel::new(full.clone()).evaluate(&w, &m).unwrap()
+        );
+        // Reports held for other hardware are dropped, never mixed in.
+        assert_eq!(fresh.absorb(&warmed(&lite)), 1);
+        assert_eq!(fresh.board_fingerprint(), Some(lite.fingerprint()));
+        assert_eq!(
+            fresh.cache().get(w.fingerprint(), &m).unwrap(),
+            AnalyticModel::new(lite).evaluate(&w, &m).unwrap()
+        );
+        // A source that never saw a decision gives nothing and rebinds
+        // nothing.
+        let mut bound = warmed(&full);
+        assert_eq!(bound.absorb(&BoardScopedCache::new(64)), 1);
+        assert_eq!(bound.board_fingerprint(), Some(full.fingerprint()));
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   mutex-guarded LRU shards, so concurrent deciders (one scheduler per
 //!   board, the daemon's workers) do not serialize on a single cache
 //!   lock.
+//! * **One hash, one stored key** — the same 64-bit FNV-1a digest picks
+//!   the shard and keys its index; the key itself lives once, in the
+//!   slab, and a hit is verified against it by reference. A lookup
+//!   allocates nothing.
 //! * **Bounded** — each shard holds at most `ceil(capacity / NUM_SHARDS)`
 //!   entries with least-recently-*used* eviction (lookup hits refresh
 //!   recency), implemented as an index-linked list over a slab: O(1)
@@ -44,11 +48,14 @@ const NUM_SHARDS: usize = 8;
 /// Sentinel index for "no entry" in the intrusive LRU list.
 const NIL: usize = usize::MAX;
 
-type Key = (u64, Mapping);
-
-/// One slab slot of a shard's LRU list.
+/// One slab slot of a shard's LRU list. The slab is the only place a
+/// key is stored: the shard map holds the key's digest.
 struct Entry {
-    key: Key,
+    fingerprint: u64,
+    mapping: Mapping,
+    /// [`key_digest`] of `(fingerprint, mapping)` — the entry's map key,
+    /// kept so eviction can drop the map row without re-hashing.
+    digest: u64,
     value: ThroughputReport,
     /// Towards more-recently-used.
     prev: usize,
@@ -56,9 +63,21 @@ struct Entry {
     next: usize,
 }
 
-/// One mutex-guarded LRU shard: slab + index map + recency list.
+impl Entry {
+    fn holds(&self, fingerprint: u64, mapping: &Mapping) -> bool {
+        self.fingerprint == fingerprint && self.mapping == *mapping
+    }
+}
+
+/// One mutex-guarded LRU shard: slab + digest index + recency list.
+///
+/// The index is keyed by the 64-bit [`key_digest`], and every hit is
+/// verified against the slab entry's key by reference. Two keys
+/// sharing a digest share one slot: the lookup of the other key is a
+/// miss and its insert replaces the occupant — a collision costs a
+/// re-evaluation, never a wrong report.
 struct Shard {
-    map: HashMap<Key, usize>,
+    map: HashMap<u64, usize>,
     slab: Vec<Entry>,
     /// Most-recently-used entry, or [`NIL`] when empty.
     head: usize,
@@ -106,45 +125,78 @@ impl Shard {
         }
     }
 
-    fn get(&mut self, key: &Key) -> Option<ThroughputReport> {
-        let i = *self.map.get(key)?;
+    fn get(
+        &mut self,
+        digest: u64,
+        fingerprint: u64,
+        mapping: &Mapping,
+    ) -> Option<ThroughputReport> {
+        let i = *self.map.get(&digest)?;
+        if !self.slab[i].holds(fingerprint, mapping) {
+            return None;
+        }
         self.unlink(i);
         self.link_front(i);
         Some(self.slab[i].value.clone())
     }
 
-    /// Inserts (or refreshes) an entry; returns whether an eviction
-    /// happened to make room.
-    fn insert(&mut self, key: Key, value: ThroughputReport) -> bool {
-        if let Some(&i) = self.map.get(&key) {
+    /// Inserts (or refreshes) an entry, cloning the mapping only when a
+    /// slot actually takes it; returns whether another entry was
+    /// displaced to make room.
+    fn insert(
+        &mut self,
+        digest: u64,
+        fingerprint: u64,
+        mapping: &Mapping,
+        value: ThroughputReport,
+    ) -> bool {
+        if let Some(&i) = self.map.get(&digest) {
+            let collision = !self.slab[i].holds(fingerprint, mapping);
+            if collision {
+                self.slab[i].fingerprint = fingerprint;
+                self.slab[i].mapping = mapping.clone();
+            }
             self.slab[i].value = value;
             self.unlink(i);
             self.link_front(i);
-            return false;
+            return collision;
         }
-        let mut evicted = false;
-        let slot = if self.slab.len() < self.capacity {
-            self.slab.push(Entry {
-                key: key.clone(),
-                value,
-                prev: NIL,
-                next: NIL,
-            });
-            self.slab.len() - 1
-        } else {
+        let entry = Entry {
+            fingerprint,
+            mapping: mapping.clone(),
+            digest,
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        let evicted = self.slab.len() >= self.capacity;
+        let slot = if evicted {
             // Recycle the least-recently-used slot in place.
             let lru = self.tail;
             self.unlink(lru);
-            let old_key = std::mem::replace(&mut self.slab[lru].key, key.clone());
-            self.map.remove(&old_key);
-            self.slab[lru].value = value;
-            evicted = true;
+            self.map.remove(&self.slab[lru].digest);
+            self.slab[lru] = entry;
             lru
+        } else {
+            self.slab.push(entry);
+            self.slab.len() - 1
         };
-        self.map.insert(key, slot);
+        self.map.insert(digest, slot);
         self.link_front(slot);
         evicted
     }
+}
+
+/// FNV-1a over `(fingerprint, mapping)`: its low bits pick the shard
+/// and the whole digest keys the shard's index. Stable across
+/// processes, and computed from borrowed halves so a lookup never
+/// builds an owned key.
+fn key_digest(fingerprint: u64, mapping: &Mapping) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = omniboost_hw::Fnv1a::default();
+    fingerprint.hash(&mut h);
+    mapping.hash(&mut h);
+    h.finish()
 }
 
 /// Bounded, sharded, cross-decision LRU cache of evaluator reports.
@@ -229,13 +281,9 @@ impl EvalCache {
         }
     }
 
-    /// FNV-1a over the key picks the shard — independent from the
-    /// `HashMap` hasher inside the shard, and stable across processes.
-    fn shard_of(key: &Key) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = omniboost_hw::Fnv1a::default();
-        key.hash(&mut h);
-        (h.finish() as usize) & (NUM_SHARDS - 1)
+    /// The shard a digest lives on.
+    fn shard(&self, digest: u64) -> &Mutex<Shard> {
+        &self.shards[(digest as usize) & (NUM_SHARDS - 1)]
     }
 
     /// Cached report for a (fingerprint, mapping) pair, refreshing its
@@ -244,11 +292,8 @@ impl EvalCache {
         if self.is_disabled() {
             return None;
         }
-        // Cloned key for lookup: Mapping is the key's owned half and
-        // shard maps are keyed by value. One clone per query is far
-        // cheaper than the evaluator call a hit saves.
-        let key = (fingerprint, mapping.clone());
-        let found = self.shards[Self::shard_of(&key)].lock().get(&key);
+        let digest = key_digest(fingerprint, mapping);
+        let found = self.shard(digest).lock().get(digest, fingerprint, mapping);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -262,8 +307,11 @@ impl EvalCache {
         if self.is_disabled() {
             return;
         }
-        let key = (fingerprint, mapping.clone());
-        let evicted = self.shards[Self::shard_of(&key)].lock().insert(key, report);
+        let digest = key_digest(fingerprint, mapping);
+        let evicted = self
+            .shard(digest)
+            .lock()
+            .insert(digest, fingerprint, mapping, report);
         if evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -272,8 +320,7 @@ impl EvalCache {
     /// Snapshot of every cached entry, **least-recently-used first** (per
     /// shard, shards concatenated) — replaying the snapshot through
     /// [`EvalCache::insert`] reproduces the recency order, which is what
-    /// persistence ([`crate::BoardScopedCache::save`]) and cache merging
-    /// rely on.
+    /// persistence ([`crate::BoardScopedCache::save`]) relies on.
     pub fn entries_lru_first(&self) -> Vec<(u64, Mapping, ThroughputReport)> {
         let mut out = Vec::with_capacity(self.len());
         for shard in &self.shards {
@@ -281,20 +328,36 @@ impl EvalCache {
             let mut i = s.tail;
             while i != NIL {
                 let e = &s.slab[i];
-                out.push((e.key.0, e.key.1.clone(), e.value.clone()));
+                out.push((e.fingerprint, e.mapping.clone(), e.value.clone()));
                 i = e.prev;
             }
         }
         out
     }
 
-    /// Copies every entry of `other` into this cache (recency order
-    /// preserved, capacity bound enforced by normal eviction). Used by
-    /// the serving daemon to merge per-board caches before persisting.
+    /// Copies every entry of `other` into this cache, in
+    /// [`EvalCache::entries_lru_first`] order (recency preserved,
+    /// capacity bound enforced by normal eviction) — the in-memory warm
+    /// boot of a scheduler coming up next to a cache of its profile, and
+    /// the per-profile merge before persisting. A key's digest picks the
+    /// same shard in both caches, so each shard pair is locked once and
+    /// every entry is cloned once, straight from slab to slab.
     pub fn absorb(&self, other: &EvalCache) {
-        for (fp, mapping, report) in other.entries_lru_first() {
-            self.insert(fp, &mapping, report);
+        if self.is_disabled() || std::ptr::eq(self, other) {
+            return;
         }
+        let mut evicted = 0u64;
+        for (mine, theirs) in self.shards.iter().zip(&other.shards) {
+            let (mut mine, theirs) = (mine.lock(), theirs.lock());
+            let mut i = theirs.tail;
+            while i != NIL {
+                let e = &theirs.slab[i];
+                evicted +=
+                    u64::from(mine.insert(e.digest, e.fingerprint, &e.mapping, e.value.clone()));
+                i = e.prev;
+            }
+        }
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 }
 
@@ -522,8 +585,8 @@ mod tests {
         while same_shard.len() < 3 {
             let m = Mapping::random(&w, 3, &mut rng);
             if (same_shard.is_empty()
-                || EvalCache::shard_of(&(fp, m.clone()))
-                    == EvalCache::shard_of(&(fp, same_shard[0].clone())))
+                || key_digest(fp, &m) % NUM_SHARDS as u64
+                    == key_digest(fp, &same_shard[0]) % NUM_SHARDS as u64)
                 && !same_shard.contains(&m)
             {
                 same_shard.push(m);
@@ -551,14 +614,74 @@ mod tests {
             .inner
             .evaluate(&w, &Mapping::all_on(&w, Device::Gpu))
             .unwrap();
-        let key = |i: u64| (i, Mapping::all_on(&w, Device::Gpu));
-        shard.insert(key(1), report.clone());
-        shard.insert(key(2), report.clone());
-        assert!(shard.get(&key(1)).is_some(), "refresh 1");
-        assert!(shard.insert(key(3), report.clone()), "must evict");
-        assert!(shard.get(&key(1)).is_some(), "1 was refreshed, kept");
-        assert!(shard.get(&key(2)).is_none(), "2 was LRU, evicted");
-        assert!(shard.get(&key(3)).is_some());
+        let m = Mapping::all_on(&w, Device::Gpu);
+        let insert =
+            |shard: &mut Shard, fp: u64| shard.insert(key_digest(fp, &m), fp, &m, report.clone());
+        let get = |shard: &mut Shard, fp: u64| shard.get(key_digest(fp, &m), fp, &m);
+        insert(&mut shard, 1);
+        insert(&mut shard, 2);
+        assert!(get(&mut shard, 1).is_some(), "refresh 1");
+        assert!(insert(&mut shard, 3), "must evict");
+        assert!(get(&mut shard, 1).is_some(), "1 was refreshed, kept");
+        assert!(get(&mut shard, 2).is_none(), "2 was LRU, evicted");
+        assert!(get(&mut shard, 3).is_some());
+    }
+
+    #[test]
+    fn digest_collision_is_a_miss_and_the_newcomer_replaces_the_occupant() {
+        // Two distinct keys forced onto one digest: the shard must never
+        // answer one key with the other's report.
+        let (w, model) = setup();
+        let (a, b) = (
+            Mapping::all_on(&w, Device::Gpu),
+            Mapping::all_on(&w, Device::BigCpu),
+        );
+        let report_a = model.inner.evaluate(&w, &a).unwrap();
+        let report_b = model.inner.evaluate(&w, &b).unwrap();
+        assert_ne!(report_a, report_b);
+        let mut shard = Shard::new(4);
+        let digest = 42;
+        assert!(!shard.insert(digest, 1, &a, report_a.clone()));
+        assert_eq!(shard.get(digest, 1, &b), None, "collision must miss");
+        assert_eq!(shard.get(digest, 2, &a), None, "fingerprint is key too");
+        assert!(
+            shard.insert(digest, 1, &b, report_b.clone()),
+            "the occupant is displaced"
+        );
+        assert_eq!(shard.get(digest, 1, &b), Some(report_b));
+        assert_eq!(shard.get(digest, 1, &a), None);
+        assert_eq!((shard.map.len(), shard.slab.len()), (1, 1));
+    }
+
+    #[test]
+    fn absorb_equals_replaying_the_snapshot_through_insert() {
+        let (w, model) = setup();
+        let fp = w.fingerprint();
+        let mut rng = StdRng::seed_from_u64(13);
+        let source = EvalCache::new(64);
+        for _ in 0..48 {
+            let m = Mapping::random(&w, 3, &mut rng);
+            source.insert(fp, &m, model.inner.evaluate(&w, &m).unwrap());
+        }
+        // Refresh a few entries so recency differs from insertion order.
+        for (fp, m, _) in source.entries_lru_first().into_iter().step_by(5) {
+            assert!(source.get(fp, &m).is_some());
+        }
+        // Roomy target, then one small enough to evict while absorbing.
+        for capacity in [64, 16] {
+            let absorbed = EvalCache::new(capacity);
+            absorbed.absorb(&source);
+            let replayed = EvalCache::new(capacity);
+            for (fp, m, report) in source.entries_lru_first() {
+                replayed.insert(fp, &m, report);
+            }
+            assert_eq!(absorbed.entries_lru_first(), replayed.entries_lru_first());
+            assert_eq!(absorbed.stats(), replayed.stats());
+        }
+        // A disabled target stays empty.
+        let disabled = EvalCache::new(0);
+        disabled.absorb(&source);
+        assert!(disabled.is_empty());
     }
 
     #[test]

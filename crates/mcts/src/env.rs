@@ -38,6 +38,19 @@ pub trait Environment {
     /// state is terminal.
     fn apply(&self, state: &Self::State, action: usize) -> Self::State;
 
+    /// Applies an action **in place**: afterwards `state` equals
+    /// `self.apply(&before, action)`. Simulation rollouts walk one state
+    /// forward and never look back, so environments whose states own
+    /// heap data override this to skip the per-step clone; the default
+    /// goes through [`Environment::apply`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Environment::apply`].
+    fn advance(&self, state: &mut Self::State, action: usize) {
+        *state = self.apply(state, action);
+    }
+
     /// Whether the state is terminal (win or loss).
     fn is_terminal(&self, state: &Self::State) -> bool;
 

@@ -385,18 +385,25 @@ impl<M: ThroughputModel> Environment for SchedulingEnv<'_, M> {
     }
 
     fn apply(&self, state: &SchedState, action: usize) -> SchedState {
+        let mut next = state.clone();
+        self.advance(&mut next, action);
+        next
+    }
+
+    /// The transition itself; [`SchedulingEnv::apply`] is a clone plus
+    /// this, so a rollout stepping one state forward allocates nothing.
+    fn advance(&self, state: &mut SchedState, action: usize) {
         assert!(!self.is_terminal(state), "apply on terminal state");
         let device = Device::from_index(action).expect("action is a device index");
-        let mut next = state.clone();
         match self.decisions[state.decision] {
             Decision::WholeDnn(di) => {
                 let off = self.offsets[di];
                 let n = self.workload.dnn(di).num_layers();
-                for d in &mut next.devices[off..off + n] {
+                for d in &mut state.devices[off..off + n] {
                     *d = device;
                 }
                 // A whole-DNN placement is always 1 stage: no prune check.
-                next.stages = 1;
+                state.stages = 1;
             }
             Decision::Layer(di, l) => {
                 let off = self.offsets[di];
@@ -404,23 +411,22 @@ impl<M: ThroughputModel> Environment for SchedulingEnv<'_, M> {
                 // it differs from the (final) layer `l-1`; layers after
                 // `l` are not yet decided, so the incremental count stays
                 // exact.
-                if device != next.devices[off + l - 1] {
-                    next.stages += 1;
-                    if next.stages > self.stage_cap {
-                        next.dead = true;
+                if device != state.devices[off + l - 1] {
+                    state.stages += 1;
+                    if state.stages > self.stage_cap {
+                        state.dead = true;
                     }
                 }
-                next.devices[off + l] = device;
+                state.devices[off + l] = device;
                 debug_assert_eq!(
-                    next.stages,
-                    self.prefix_stages(&next, di, l),
+                    state.stages,
+                    self.prefix_stages(state, di, l),
                     "incremental stage count drifted from the prefix scan"
                 );
             }
         }
-        next.decision += 1;
-        self.skip_frozen(&mut next);
-        next
+        state.decision += 1;
+        self.skip_frozen(state);
     }
 
     fn is_terminal(&self, state: &SchedState) -> bool {
@@ -855,6 +861,39 @@ mod tests {
         assert!(mapping.max_stages() <= 3);
         assert_eq!(mapping.assignments()[0], prev.assignments()[0]);
         assert_eq!(mapping.assignments()[2], prev.assignments()[2]);
+    }
+
+    #[test]
+    fn advance_agrees_with_apply_on_random_walks() {
+        // Uniformly random actions (not the budget-aware policy) so the
+        // walks also die on the stage cap; every frozen subset of the
+        // 3-DNN mix, so the pointer skips leading, middle and trailing
+        // runs. After each step the in-place state must equal the
+        // cloned successor, field for field.
+        let w = Workload::from_ids([ModelId::AlexNet, ModelId::SqueezeNet, ModelId::MobileNet]);
+        let ev = AnalyticModel::new(Board::hikey970());
+        let env = SchedulingEnv::new(&w, &ev, 3).unwrap();
+        let mut carried = Mapping::all_on(&w, Device::Gpu);
+        for l in 6..11 {
+            carried.assign(0, l, Device::BigCpu);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let (mut died, mut completed) = (0usize, 0usize);
+        for mask in 0u8..8 {
+            let frozen: Vec<bool> = (0..3).map(|di| mask & (1 << di) != 0).collect();
+            for _ in 0..12 {
+                let mut walked = SchedState::from_frozen_subset(&env, &carried, &frozen).unwrap();
+                while !env.is_terminal(&walked) {
+                    let action = rng.gen_range(0..env.num_actions());
+                    let applied = env.apply(&walked, action);
+                    env.advance(&mut walked, action);
+                    assert_eq!(walked, applied, "frozen {frozen:?}");
+                }
+                died += usize::from(walked.is_dead());
+                completed += usize::from(!walked.is_dead());
+            }
+        }
+        assert!(died > 0 && completed > 0, "{died} dead, {completed} live");
     }
 
     #[test]

@@ -147,6 +147,9 @@ impl Mcts {
         let mut live_terminal_rollouts = 0usize;
         let mut rounds = 0usize;
         let mut done = 0usize;
+        // Scratch for the actions a descent step may still expand,
+        // refilled per step.
+        let mut unexplored: Vec<usize> = Vec::with_capacity(env.num_actions());
 
         while done < self.budget.iterations {
             let quota = batch_size.min(self.budget.iterations - done);
@@ -161,13 +164,15 @@ impl Mcts {
                     if nodes[idx].terminal {
                         break;
                     }
-                    let mut unexplored: Vec<usize> = nodes[idx]
-                        .children
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| **c == Child::Unexplored)
-                        .map(|(a, _)| a)
-                        .collect();
+                    unexplored.clear();
+                    unexplored.extend(
+                        nodes[idx]
+                            .children
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, c)| **c == Child::Unexplored)
+                            .map(|(a, _)| a),
+                    );
                     // 2. Expansion: try random unexplored actions,
                     //    pruning known losses (their value is exactly 0;
                     //    materializing them would burn an iteration per
@@ -246,7 +251,7 @@ impl Mcts {
                         break;
                     }
                     let action = env.rollout_action(&rollout, &mut rng);
-                    rollout = env.apply(&rollout, action);
+                    env.advance(&mut rollout, action);
                     depth += 1;
                 }
 

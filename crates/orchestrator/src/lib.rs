@@ -31,9 +31,10 @@
 //!   residents the weaker profile still admits stay put and re-price on
 //!   the new hardware (migrating only when the priced gain clears the
 //!   rebalancer's bar), only the overflow evicts. `BoardRecover`
-//!   restores the original hardware, and flapped/recovered/degraded
-//!   boards **warm-boot** by preloading the run's `CacheArchive`
-//!   segment matching their fingerprint.
+//!   restores the original hardware, and flapped/recovered/degraded/
+//!   joined boards **warm-boot**: one in-memory copy from the run's
+//!   warm pool — the profile's most recently retired cache, else a
+//!   live peer's.
 //! * **Migration-costed rebalancing** ([`RebalanceConfig`]) — a
 //!   periodic step proposes moving the newest job from the most-loaded
 //!   board to the least-loaded one, prices both sides with warm-started

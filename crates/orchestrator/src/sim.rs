@@ -8,8 +8,8 @@
 //!
 //! * what each [`FleetEvent`] does to the fleet — evacuation on
 //!   fail/drain (heaviest model first), the in-place hardware swap of
-//!   degrade/recover, joins, and the in-run [`CacheArchive`] that lets
-//!   flapped, degraded and recovered boards boot warm;
+//!   degrade/recover, joins, and the in-memory [`WarmPool`] that lets
+//!   flapped, degraded, recovered and joining boards boot warm;
 //! * the post-flush stage of every tick — targeted relief for boards
 //!   degraded this tick, then the periodic [`Rebalancer`] /
 //!   [`ShardedRebalancer`] pass;
@@ -19,7 +19,7 @@
 use crate::cells::{CellConfig, ShardedRebalancer};
 use crate::rebalance::{balance_slice, RebalanceConfig, RebalanceMove, RebalanceTick, Rebalancer};
 use crate::spec::FleetSpec;
-use omniboost_estimator::CacheArchive;
+use omniboost_estimator::BoardScopedCache;
 use omniboost_hw::{Board, EvalCacheStats, Fnv1a, ThroughputModel};
 use omniboost_models::{zoo, ArrivalTrace, FleetEvent, FleetScript, JobEvent, JobSpec};
 use omniboost_serve::{
@@ -187,10 +187,10 @@ pub struct OrchestratorSummary {
     /// Degraded boards restored to their original profile.
     pub board_recovers: usize,
     /// Boards that booted **warm**: joins, degrades and recoveries whose
-    /// fresh scheduler preloaded a non-empty evaluation-cache segment
-    /// from the in-run archive (the flap warm-reboot path — a board
-    /// that fails and rejoins finds the caches its profile archived
-    /// before going down).
+    /// fresh scheduler came up non-empty, preloaded in memory from a
+    /// cache of its hardware profile (the flap warm-reboot path — a
+    /// board that fails and rejoins finds the cache its profile left
+    /// behind on the way down).
     pub warm_boots: usize,
     /// Evaluation-cache entries those warm boots preloaded, total.
     pub warm_boot_entries: usize,
@@ -396,6 +396,68 @@ pub struct OrchestratorSim<M, F> {
     _marker: std::marker::PhantomData<M>,
 }
 
+/// Where a hardware profile's most recently torn-down cache lives.
+enum Retired {
+    /// Moved out of the scheduler a degrade or recovery replaced.
+    Pooled(BoardScopedCache),
+    /// Still in the slot of the failed or drained board that filled it
+    /// (dead slots keep their scheduler, and their counters stay in the
+    /// run's cache statistics).
+    InSlot(usize),
+}
+
+/// The run's warm-boot sources, keyed by [`Board::fingerprint`]: per
+/// profile, the last cache a chaos event took out of service. A cache
+/// is retired by move or by slot index, so an event costs O(1); the
+/// copy happens once per boot, into the board coming up.
+#[derive(Default)]
+struct WarmPool {
+    retired: HashMap<u64, Retired>,
+}
+
+impl WarmPool {
+    /// Retires the cache a swap tore down, replacing the profile's
+    /// previous entry. A cache that never saw a decision has no board
+    /// and nothing worth keeping.
+    fn retire(&mut self, cache: BoardScopedCache) {
+        if let Some(fingerprint) = cache.board_fingerprint() {
+            self.retired.insert(fingerprint, Retired::Pooled(cache));
+        }
+    }
+
+    /// Records that slot `index` — about to be deactivated, its cache
+    /// staying where it is — is now its profile's most recent source.
+    fn retire_in_place<M: ThroughputModel + Sync>(&mut self, fleet: &Fleet<M>, index: usize) {
+        let cache = fleet.slots()[index].scheduler.board_cache();
+        if let Some(fingerprint) = cache.board_fingerprint() {
+            self.retired.insert(fingerprint, Retired::InSlot(index));
+        }
+    }
+
+    /// The **one** cache a board of profile `fingerprint` boots from:
+    /// the profile's most recently retired cache, else the cache of the
+    /// lowest-index live board that has decided on that profile — so a
+    /// flap rejoin, a recovery, a repeated brown-out and a join next to
+    /// live peers all boot warm. `None` for a profile the run has not
+    /// seen.
+    fn source<'a, M: ThroughputModel + Sync>(
+        &'a self,
+        fleet: &'a Fleet<M>,
+        fingerprint: u64,
+    ) -> Option<&'a BoardScopedCache> {
+        match self.retired.get(&fingerprint) {
+            Some(Retired::Pooled(cache)) => Some(cache),
+            Some(Retired::InSlot(index)) => Some(fleet.slots()[*index].scheduler.board_cache()),
+            None => fleet
+                .slots()
+                .iter()
+                .filter(|slot| slot.active)
+                .map(|slot| slot.scheduler.board_cache())
+                .find(|cache| cache.board_fingerprint() == Some(fingerprint)),
+        }
+    }
+}
+
 /// Fleet-event state of one run.
 #[derive(Default)]
 struct ChaosState {
@@ -403,12 +465,7 @@ struct ChaosState {
     /// degrade of a slot captures the healthy board; stacked degrades
     /// keep it; fail/drain forgets it (that board is gone for good).
     original_boards: HashMap<usize, Board>,
-    /// In-run cache archive feeding warm reboots: every lifecycle event
-    /// that tears a scheduler down (fail, drain, degrade, recover)
-    /// first archives the fleet's caches per profile, and every board
-    /// that comes up (join, degrade, recover) preloads its profile's
-    /// segment — so a flapped board reboots warm.
-    archive: CacheArchive,
+    pool: WarmPool,
     warm_boots: usize,
     warm_boot_entries: usize,
     /// Slots degraded in the tick being assembled — the donors of its
@@ -577,23 +634,26 @@ where
         &self.telemetry
     }
 
-    /// Builds the scheduler of a board coming up, preloaded from the
-    /// in-run archive's segment for its profile when there is one — a
-    /// flap rejoining, a brown-out repeating or a recovery then boots
-    /// warm instead of re-deriving every mapping cold. Returns the
-    /// scheduler and the entries preloaded.
-    fn boot(&mut self, chaos: &mut ChaosState, board: &Board) -> (OnlineScheduler<M>, usize) {
+    /// Builds the scheduler of a board coming up, warmed by one
+    /// in-memory copy from the pool's source for its profile
+    /// ([`WarmPool::source`]) when there is one, instead of re-deriving
+    /// every mapping cold. Returns the scheduler and the entries
+    /// preloaded.
+    fn boot(
+        &mut self,
+        chaos: &mut ChaosState,
+        fleet: &Fleet<M>,
+        board: &Board,
+    ) -> (OnlineScheduler<M>, usize) {
         let mut scheduler = OnlineScheduler::new(
             (self.make_evaluator)(board.clone()),
             self.config.policy,
             self.config.online,
         );
-        let capacity = self.config.online.eval_cache_capacity;
-        let Some(cache) = chaos.archive.segment(capacity, board) else {
-            return (scheduler, 0);
-        };
-        let entries = cache.cache().len();
-        scheduler.preload_cache(cache);
+        let entries = chaos
+            .pool
+            .source(fleet, board.fingerprint())
+            .map_or(0, |source| scheduler.warm_from(source));
         if entries > 0 {
             chaos.warm_boots += 1;
             chaos.warm_boot_entries += entries;
@@ -662,7 +722,6 @@ where
         event: FleetEvent,
         t: u64,
     ) -> FleetEventRecord {
-        let capacity = self.config.online.eval_cache_capacity;
         match event {
             FleetEvent::BoardFail { board } | FleetEvent::BoardDrain { board } => {
                 if !alive(engine, board) {
@@ -670,10 +729,10 @@ where
                 }
                 let _span = self.telemetry.span("orchestrator.evacuate");
                 // The board is gone for good: forget any pre-degrade
-                // original, but archive its caches first — a flap's
-                // rejoin (same profile) warm-boots from this segment.
+                // original. Its cache stays in the dead slot, and a
+                // flap's rejoin (same profile) warm-boots from it.
                 chaos.original_boards.remove(&board);
-                engine.fleet().archive_caches(&mut chaos.archive, capacity);
+                chaos.pool.retire_in_place(engine.fleet(), board);
                 let evacuees = engine.deactivate(board, t);
                 self.settle(engine, event, board, evacuees, 0, t)
             }
@@ -691,12 +750,12 @@ where
                     .original_boards
                     .entry(board)
                     .or_insert_with(|| engine.fleet().slots()[board].board.clone());
-                // Archive the healthy profile's caches (a recovery
-                // warm-boots from them), then swap the weakened board
-                // in place: only what it no longer admits evicts.
-                engine.fleet().archive_caches(&mut chaos.archive, capacity);
-                let (scheduler, warm) = self.boot(chaos, &hardware);
-                let evicted = engine.swap_board(board, hardware, scheduler, t);
+                // Swap the weakened board in place — only what it no
+                // longer admits evicts — and retire the healthy
+                // profile's cache: a recovery warm-boots from it.
+                let (scheduler, warm) = self.boot(chaos, engine.fleet(), &hardware);
+                let (evicted, replaced) = engine.swap_board(board, hardware, scheduler, t);
+                chaos.pool.retire(replaced.into_cache());
                 self.telemetry
                     .incr("orchestrator.degrade_evictions", evicted.len() as u64);
                 chaos.degraded.push(board);
@@ -711,12 +770,12 @@ where
                 };
                 let _span = self.telemetry.span("orchestrator.chaos.recover");
                 self.telemetry.incr("orchestrator.recovers", 1);
-                // Archive the degraded profile's caches (the next
-                // brown-out to the same profile warm-boots), restore
-                // the healthy hardware, preload its segment.
-                engine.fleet().archive_caches(&mut chaos.archive, capacity);
-                let (scheduler, warm) = self.boot(chaos, &hardware);
-                let evicted = engine.swap_board(board, hardware, scheduler, t);
+                // Restore the healthy hardware, warmed from its
+                // profile's source, and retire the degraded profile's
+                // cache: the next brown-out to that profile warm-boots.
+                let (scheduler, warm) = self.boot(chaos, engine.fleet(), &hardware);
+                let (evicted, replaced) = engine.swap_board(board, hardware, scheduler, t);
+                chaos.pool.retire(replaced.into_cache());
                 // Restored capacity: waiting jobs may fit again.
                 // (Eviction on recovery only happens when a
                 // misconfigured degrade pool is *stronger* than the
@@ -736,7 +795,7 @@ where
                     return FleetEventRecord::noop(event);
                 }
                 let hardware = pool[profile % pool.len()].board.clone();
-                let (scheduler, warm) = self.boot(chaos, &hardware);
+                let (scheduler, warm) = self.boot(chaos, engine.fleet(), &hardware);
                 let slot = engine.add_board(hardware, scheduler, t);
                 self.settle(engine, event, slot, Vec::new(), warm, t)
             }

@@ -809,6 +809,32 @@ proptest! {
         let c = chaos_run(process, seed + 1000, config_mode(mode));
         prop_assert_ne!(a.digest(), c.digest());
     }
+
+    /// (ix) **The evaluation cache is transparent**: what a cache holds
+    /// — nothing (capacity 0), or whatever the warm pool preloaded into
+    /// it — changes how many evaluator queries a decision costs, never
+    /// its outcome. Warm boots rest on this; so does the freedom to
+    /// change which cache a boot copies from.
+    #[test]
+    fn chaos_digest_does_not_depend_on_the_eval_cache(
+        process in arb_process(),
+        seed in 0u64..400,
+        mode in 0u8..3,
+    ) {
+        let with_capacity = |eval_cache_capacity| {
+            let mut config = config_mode(mode);
+            config.online.eval_cache_capacity = eval_cache_capacity;
+            chaos_run(process, seed, config)
+        };
+        let (uncached, cached, again) =
+            (with_capacity(0), with_capacity(8192), with_capacity(8192));
+        prop_assert_eq!(uncached.digest(), cached.digest());
+        prop_assert_eq!(uncached.summary.lost_jobs, 0);
+        prop_assert_eq!(cached.summary.lost_jobs, 0);
+        prop_assert_eq!(uncached.summary.warm_boots, 0, "a disabled cache has nothing to preload");
+        prop_assert_eq!(cached.summary.warm_boots, again.summary.warm_boots);
+        prop_assert_eq!(cached.summary.warm_boot_entries, again.summary.warm_boot_entries);
+    }
 }
 
 /// A scripted brown-out and recovery: the degrade must shed exactly the
@@ -878,10 +904,10 @@ fn board_degrade_sheds_only_the_overflow_and_recovery_restores() {
 }
 
 /// A fail→rejoin flap warm-boots: the rejoining board's profile matches
-/// an archived cache segment, so the preload installs a nonzero number
-/// of evaluation-cache entries.
+/// the cache the failed board left in the warm pool, so the preload
+/// installs a nonzero number of evaluation-cache entries.
 #[test]
-fn flapped_board_warm_boots_from_the_cache_archive() {
+fn flapped_board_warm_boots_from_the_warm_pool() {
     let trace = ArrivalTrace::generate(
         ArrivalProcess::Poisson { rate_per_s: 1.0 },
         &TraceConfig {
@@ -891,8 +917,8 @@ fn flapped_board_warm_boots_from_the_cache_archive() {
         7,
     );
     // Board 0 fails at 12 s; the same profile rejoins at 18 s. The
-    // failing board's caches were archived on the way down, so the
-    // rejoin preloads them by fingerprint.
+    // failing board's cache was retired in place on the way down, so
+    // the rejoin preloads it by fingerprint.
     let script = FleetScript::new(vec![
         FleetTraceEvent {
             at_ms: 12_000,
@@ -913,13 +939,134 @@ fn flapped_board_warm_boots_from_the_cache_archive() {
     assert_eq!(report.summary.board_joins, 1);
     assert!(
         report.summary.warm_boots >= 1,
-        "the rejoin must hit an archived segment"
+        "the rejoin must hit a retired cache"
     );
     assert!(
         report.summary.warm_boot_entries > 0,
         "warm boot preloads real evaluation-cache entries"
     );
     assert_eq!(report.summary.lost_jobs, 0);
+}
+
+/// A steady trace whose jobs outlive the horizon, so every board that
+/// takes one keeps it (and keeps deciding) through the scripted events.
+fn long_lived_trace(seed: u64) -> ArrivalTrace {
+    ArrivalTrace::generate(
+        ArrivalProcess::Poisson { rate_per_s: 1.0 },
+        &TraceConfig {
+            mean_lifetime_ms: 40_000.0,
+            ..trace_config()
+        },
+        seed,
+    )
+}
+
+fn scripted(events: &[(u64, FleetEvent)]) -> FleetScript {
+    FleetScript::new(
+        events
+            .iter()
+            .map(|&(at_ms, event)| FleetTraceEvent { at_ms, event })
+            .collect(),
+    )
+}
+
+/// The pool's fallback source: nothing was ever retired, but a live
+/// board of the joining profile has decided, so the join boots warm from
+/// that peer. A profile the run has never seen has no source at all: its
+/// join boots cold and the warm-boot tallies do not move.
+#[test]
+fn join_boots_warm_next_to_a_live_peer_and_cold_on_an_unseen_profile() {
+    let trace = long_lived_trace(7);
+    let mut spec = FleetSpec::homogeneous(2, BoardProfile::hikey970());
+    spec.join_profiles.push(BoardProfile::hikey970_lite());
+    let peer_join = (18_000, FleetEvent::BoardJoin { profile: 0 });
+    let unseen_join = (22_000, FleetEvent::BoardJoin { profile: 1 });
+    let run = |script: FleetScript| {
+        OrchestratorSim::new(spec.clone(), config(false), AnalyticModel::new)
+            .run(&trace, &script, HORIZON_MS)
+            .summary
+    };
+    let peer_only = run(scripted(&[peer_join]));
+    assert_eq!(peer_only.board_joins, 1);
+    assert_eq!(peer_only.warm_boots, 1, "a live peer is a boot source");
+    assert!(peer_only.warm_boot_entries > 0);
+
+    let both = run(scripted(&[peer_join, unseen_join]));
+    assert_eq!(both.board_joins, 2);
+    assert_eq!(both.warm_boots, 1, "a never-seen profile boots cold");
+    assert_eq!(both.warm_boot_entries, peer_only.warm_boot_entries);
+    assert_eq!(both.lost_jobs, 0);
+}
+
+/// Degrade → recover → degrade to the same profile: the recovery
+/// warm-boots from the healthy cache the first brown-out retired, and
+/// the second brown-out preloads what the first one learned on the
+/// weakened profile (its cache was retired by the recovery).
+#[test]
+fn repeated_brown_out_preloads_what_the_first_one_learned() {
+    let trace = long_lived_trace(7);
+    let degrade = FleetEvent::BoardDegrade {
+        board: 0,
+        profile: 1,
+    };
+    let first = [
+        (10_000, degrade),
+        (15_000, FleetEvent::BoardRecover { board: 0 }),
+    ];
+    let run = |script: FleetScript| {
+        OrchestratorSim::new(
+            FleetSpec::homogeneous(1, BoardProfile::hikey970()),
+            config(false),
+            AnalyticModel::new,
+        )
+        .run(&trace, &script, HORIZON_MS)
+        .summary
+    };
+    // One brown-out: nothing knows the weakened profile yet, so only
+    // the recovery boots warm.
+    let once = run(scripted(&first));
+    assert_eq!((once.board_degrades, once.board_recovers), (1, 1));
+    assert_eq!(once.warm_boots, 1);
+    assert!(once.warm_boot_entries > 0);
+
+    let twice = run(scripted(&[first[0], first[1], (20_000, degrade)]));
+    assert_eq!((twice.board_degrades, twice.board_recovers), (2, 1));
+    assert_eq!(twice.warm_boots, 2, "the second brown-out boots warm");
+    assert!(
+        twice.warm_boot_entries > once.warm_boot_entries,
+        "the second brown-out preloads the first one's reports"
+    );
+    assert_eq!(twice.lost_jobs, 0);
+}
+
+/// A failed board's cache stays in its dead slot, so the work it did
+/// stays in the run's cache statistics: with no rebalancer pricing
+/// proposals on the side, every miss is an evaluator query some flush
+/// decision reported — the failed board's included.
+#[test]
+fn failed_boards_cache_counters_stay_in_the_summary() {
+    let trace = long_lived_trace(7);
+    let script = scripted(&[
+        (12_000, FleetEvent::BoardFail { board: 0 }),
+        (18_000, FleetEvent::BoardJoin { profile: 0 }),
+    ]);
+    let mut sim = OrchestratorSim::new(
+        FleetSpec::homogeneous(2, BoardProfile::hikey970()),
+        config(false),
+        AnalyticModel::new,
+    );
+    let report = sim.run(&trace, &script, HORIZON_MS);
+    assert_eq!(report.summary.board_failures, 1);
+    let decisions = || report.ticks.iter().flat_map(|t| &t.decisions);
+    let by_failed_board: usize = decisions()
+        .filter(|d| d.board == 0)
+        .map(|d| d.evaluations)
+        .sum();
+    assert!(by_failed_board > 0, "board 0 decided before it failed");
+    assert_eq!(
+        report.summary.eval_cache.misses as usize,
+        decisions().map(|d| d.evaluations).sum::<usize>(),
+    );
 }
 
 /// Evacuation ordering looks at the model, not the tenant: on a board

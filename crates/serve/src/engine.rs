@@ -521,14 +521,15 @@ impl<M: ThroughputModel + Send + Sync> ServingEngine<M> {
 
     /// Swaps board `board`'s hardware in place at `at_ms`
     /// ([`Fleet::swap_board`]) and returns the residents the new
-    /// profile no longer admits, for [`ServingEngine::requeue`].
+    /// profile no longer admits, for [`ServingEngine::requeue`], next
+    /// to the scheduler the swap tore down.
     pub fn swap_board(
         &mut self,
         board: usize,
         hardware: Board,
         scheduler: OnlineScheduler<M>,
         at_ms: u64,
-    ) -> Vec<JobSpec> {
+    ) -> (Vec<JobSpec>, OnlineScheduler<M>) {
         self.in_tick(at_ms, |engine, _| {
             engine.fleet.swap_board(board, hardware, scheduler)
         })

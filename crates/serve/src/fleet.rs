@@ -7,6 +7,18 @@
 //! moved between boards, and the per-slot reschedule step
 //! ([`BoardSlot::flush`]) is a public method shared by the serving sim
 //! and the orchestrator.
+//!
+//! **Evaluation caches and the fleet.** Each slot's scheduler owns its
+//! cache for as long as the scheduler lives. A failed or drained slot
+//! keeps both (so the run's cache statistics keep its counters);
+//! [`Fleet::swap_board`] is the only operation that tears a scheduler
+//! down, and it hands the replaced one back so the caller can retire
+//! its cache by move — the orchestrator's in-memory warm pool is built
+//! from exactly these two cases and never asks the fleet to merge
+//! anything. [`Fleet::archive_caches`] / [`Fleet::preload_caches`]
+//! (merge per profile into a [`CacheArchive`], reload from one) serve
+//! the one caller that needs bytes: persistence across processes under
+//! `ServingConfig::cache_path`.
 
 use crate::scheduler::{DecisionKind, OnlineScheduler, WarmHint};
 use crate::sim::BoardDecision;
@@ -742,9 +754,13 @@ impl<M: ThroughputModel + Sync> Fleet<M> {
     /// The runtime and scheduler are rebuilt (both are calibrated
     /// against a specific board: the runtime owns the board's oracle
     /// simulator, the scheduler its evaluator), so the decision memo
-    /// and evaluation cache restart cold — warm reboots preload the
-    /// fresh scheduler from a [`CacheArchive`] segment keyed by the new
-    /// profile's fingerprint before the next flush. The previous
+    /// restarts cold and the evaluation cache is whatever the caller
+    /// warmed the incoming scheduler with
+    /// ([`OnlineScheduler::warm_from`]). The replaced scheduler comes
+    /// back next to the evicted jobs: this is the one place a live
+    /// scheduler is torn down, and its cache — the old profile's
+    /// reports — is the caller's to retire by move
+    /// ([`OnlineScheduler::into_cache`]) or drop. The previous
     /// deployment is dropped rather than carried: it was priced on the
     /// old profile, and surviving jobs must re-price on the new one
     /// (the next [`BoardSlot::flush`] runs a cold decision).
@@ -753,7 +769,7 @@ impl<M: ThroughputModel + Sync> Fleet<M> {
         index: usize,
         board: Board,
         scheduler: OnlineScheduler<M>,
-    ) -> Vec<JobSpec> {
+    ) -> (Vec<JobSpec>, OnlineScheduler<M>) {
         self.index.remove(index);
         let use_memo = self.use_memo;
         let slot = &mut self.slots[index];
@@ -764,7 +780,7 @@ impl<M: ThroughputModel + Sync> Fleet<M> {
         };
         slot.runtime.set_telemetry(self.telemetry.clone());
         slot.board = board;
-        slot.scheduler = scheduler;
+        let replaced = std::mem::replace(&mut slot.scheduler, scheduler);
         slot.deployed_jobs.clear();
         slot.mapping = None;
         slot.report = None;
@@ -786,7 +802,7 @@ impl<M: ThroughputModel + Sync> Fleet<M> {
         if self.slots[index].active {
             self.index.insert(&self.slots[index]);
         }
-        evicted
+        (evicted, replaced)
     }
 
     /// Attained inferences/s per tenant under the current deployments,
@@ -1077,17 +1093,28 @@ impl<M: ThroughputModel + Sync> Fleet<M> {
         board
     }
 
-    /// Reschedules every dirty board — concurrently across boards (each
-    /// board's search is independent; on a multi-core host rayon fans
-    /// them out, on one core this degrades to a sequential loop) — and
-    /// returns the decisions in slot order.
+    /// Reschedules every dirty board and returns the decisions in slot
+    /// order. A typical tick dirties one board, and that one flushes
+    /// inline; only when several boards are dirty do their (independent)
+    /// searches fan out across the host's threads — over the dirty
+    /// slots alone, so no thread is ever spawned for a clean board.
     pub fn flush_dirty(&mut self) -> Vec<BoardDecision>
     where
         M: Send,
     {
-        self.slots
+        let mut dirty: Vec<&mut BoardSlot<M>> =
+            self.slots.iter_mut().filter(|slot| slot.dirty).collect();
+        if dirty.len() <= 1 {
+            // Exactly sized: every tick record keeps this vector for
+            // the rest of the run.
+            return match dirty.pop().and_then(BoardSlot::flush) {
+                Some(decision) => vec![decision],
+                None => Vec::new(),
+            };
+        }
+        dirty
             .par_iter_mut()
-            .map(BoardSlot::flush)
+            .map(|slot| slot.flush())
             .collect::<Vec<Option<BoardDecision>>>()
             .into_iter()
             .flatten()

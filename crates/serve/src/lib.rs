@@ -28,9 +28,9 @@
 //!   frontier.
 //! * **A fleet** ([`PlacementPolicy`]) — N boards behind a placement
 //!   policy (least-loaded by estimated throughput headroom, or
-//!   round-robin), per-board schedulers rescheduling concurrently
-//!   (rayon across boards; on a 1-core host this degrades gracefully to
-//!   a sequential loop).
+//!   round-robin), per-board schedulers: a tick's one dirty board
+//!   reschedules inline, several fan out (rayon across the dirty
+//!   boards only).
 //! * **An admission mempool** ([`Mempool`], [`AdmissionPolicy`]) — the
 //!   one intake path shared with the orchestrator: validates on submit,
 //!   enforces per-tenant in-queue quotas, queue-jumps

@@ -1,13 +1,13 @@
 //! Chaos walkthrough: a fleet surviving partial failures — an in-place
 //! board degrade (GPU brown-out), a recovery, and a fail→rejoin flap
-//! with a cache-archive warm reboot.
+//! with a warm reboot from the orchestrator's warm pool.
 //!
 //! Builds a homogeneous 3-board fleet, scripts a `BoardDegrade` that
 //! swaps board 0 to the GPU-masked profile mid-trace (residents the
 //! weaker profile still admits stay put, re-priced in place), a
 //! `BoardRecover` that restores the healthy hardware, and a flap on
-//! board 1 whose rejoin preloads the archived evaluation-cache segment
-//! matching its fingerprint.
+//! board 1 whose rejoin preloads the evaluation cache the failed board
+//! left behind (same hardware fingerprint).
 //!
 //! Run with:
 //! ```sh
@@ -36,7 +36,7 @@ fn chaos_script() -> FleetScript {
             },
         },
         // Board 1 flaps: hard failure, same profile rejoins 4 s later
-        // and warm-boots from the archived cache segment.
+        // and warm-boots from the cache the failure retired.
         FleetTraceEvent {
             at_ms: 20_000,
             event: FleetEvent::BoardFail { board: 1 },
@@ -127,7 +127,7 @@ fn print_summary(report: &OrchestratorReport) {
         s.lost_jobs,
     );
     println!(
-        "  warm reboots: {} boards preloaded {} archived cache entries",
+        "  warm reboots: {} boards preloaded {} cache entries",
         s.warm_boots, s.warm_boot_entries,
     );
     println!(
@@ -166,6 +166,6 @@ fn main() {
     assert_eq!(report.summary.lost_jobs, 0, "chaos never loses jobs");
     assert!(
         report.summary.warm_boots > 0,
-        "the flap rejoin warm-boots from the archive"
+        "the flap rejoin warm-boots from the warm pool"
     );
 }
