@@ -27,8 +27,10 @@ bench-quick:
 # Perf smoke: the six policy benches end to end in SMOKE mode — shrunken
 # budgets/traces, metrics pipelines fully exercised, no JSON snapshot
 # rewrites (numbers from noisy runners must not be published) — then
-# one per-stage profile of the estimator forward. Latency itself is
-# perfbench's job: see bench-quick.
+# one per-stage profile of the estimator forward and the ablation bin
+# (its plateau sweep is the evidence for SearchBudget's default
+# patience, so it must keep running). Latency itself is perfbench's
+# job: see bench-quick.
 .PHONY: perf-smoke
 perf-smoke:
 	SMOKE=1 cargo bench --bench serving
@@ -38,6 +40,7 @@ perf-smoke:
 	SMOKE=1 cargo bench --bench chaos
 	SMOKE=1 cargo bench --bench telemetry_overhead
 	cargo run --release --example profile_forward -- 20
+	cargo run --release -p omniboost-bench --bin ablation -- --quick
 
 # Full perf snapshots: rewrites BENCH_serving.json, BENCH_fleet.json,
 # BENCH_fleet_scale.json, BENCH_admission.json, BENCH_chaos.json and

@@ -26,11 +26,14 @@ fn main() {
     let runtime = Runtime::new(board.clone());
 
     // Design time, once for every mix — OmniBoost never retrains.
-    let config = if quick {
+    let mut config = if quick {
         OmniBoostConfig::quick()
     } else {
         OmniBoostConfig::default()
     };
+    // Fig. 5 is the paper's fixed 500-query search: spend the whole
+    // budget instead of stopping on a plateau as serving does.
+    config.budget.patience = usize::MAX;
     println!("# Fig. 5 — throughput comparison (§V-A)");
     let t0 = Instant::now();
     let (mut omniboost, history) = OmniBoost::design_time(&board, config);

@@ -83,11 +83,14 @@ fn main() {
 
     // OmniBoost: one-off design time, 500-query decision, no retraining.
     {
-        let cfg = if quick {
+        let mut cfg = if quick {
             OmniBoostConfig::quick()
         } else {
             OmniBoostConfig::default()
         };
+        // §V-B's row is the cost of the paper's fixed 500 queries, so
+        // the search spends its whole budget (serving stops on a plateau).
+        cfg.budget.patience = usize::MAX;
         let t0 = Instant::now();
         let (mut ob, _) = OmniBoost::design_time(&board, cfg);
         let design = t0.elapsed();

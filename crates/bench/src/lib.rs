@@ -10,7 +10,7 @@
 //! | `fig4` | estimator training/validation loss curves |
 //! | `fig5` | normalized throughput, 5 mixes × {3,4,5} DNNs × 4 methods |
 //! | `runtime_table` | §V-B decision-latency comparison |
-//! | `ablation` | budget / stage-cap / oracle / activation ablations |
+//! | `ablation` | budget / plateau / stage-cap / oracle / activation ablations |
 //!
 //! The targets in `benches/` are the policy benches: each carries a pass
 //! bar on a behaviour (warm-vs-cold speedup, zero lost jobs, rebalance
@@ -23,10 +23,13 @@
 #![warn(missing_docs)]
 
 use omniboost::baselines::{Genetic, GeneticConfig, GpuOnly, Mosaic};
-use omniboost::{ComparisonRow, OmniBoost, Runtime};
-use omniboost_hw::{Device, Fnv1a, HwError, Mapping, Workload};
+use omniboost::mcts::{Mcts, SchedulingEnv, SearchBudget};
+use omniboost::{ComparisonRow, OmniBoost, OmniBoostConfig, Runtime};
+use omniboost_hw::{Device, Fnv1a, HwError, Mapping, ThroughputModel, Workload};
 use omniboost_models::{FleetScriptConfig, ModelId, TraceConfig};
 use omniboost_serve::AdmissionPolicy;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hash::Hasher;
 
 /// Whether `SMOKE` is set (to anything but empty or `0`): the CI mode,
@@ -197,6 +200,106 @@ pub fn paper_mixes(k: usize) -> Vec<Vec<ModelId>> {
     }
 }
 
+/// All fifteen [`paper_mixes`] (3-, 4- then 5-DNN) as workloads — the
+/// set perfbench's `paper_mixes_decide` decides.
+pub fn all_paper_mixes() -> Vec<Workload> {
+    [3, 4, 5]
+        .into_iter()
+        .flat_map(paper_mixes)
+        .map(Workload::from_ids)
+        .collect()
+}
+
+/// `count` mixes of `k` DNNs each, drawn with replacement from all
+/// eleven models — held-out inputs for the plateau sweep and its guard:
+/// unlike [`paper_mixes`], which lean on the lighter half of the dataset
+/// as they grow, a random 5-mix averages 110 layers, past the search's
+/// depth cap.
+pub fn random_mixes(k: usize, count: usize, seed: u64) -> Vec<Workload> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count)
+        .map(|_| {
+            Workload::from_ids((0..k).map(|_| ModelId::ALL[rng.gen_range(0..ModelId::ALL.len())]))
+        })
+        .collect()
+}
+
+/// One cell of the plateau sweep: what one search budget, guided by one
+/// evaluator, decides over a set of mixes and search seeds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlateauCell {
+    /// Decisions pooled into the cell (mixes × search seeds).
+    pub decisions: usize,
+    /// Mean search iterations performed per decision.
+    pub mean_iterations: f64,
+    /// Mean of the **evaluator's** reward for the chosen mappings.
+    pub mean_reward: f64,
+    /// Geometric mean over the decisions of the chosen mappings'
+    /// **measured** (DES) average throughput, inf/s — perfbench's
+    /// `mapped_tps`.
+    pub tps_geomean: f64,
+    /// The same, each mix normalized to its GPU-only mapping —
+    /// perfbench's `core.quality.norm_tps_geomean`.
+    pub norm_tps_geomean: f64,
+}
+
+impl PlateauCell {
+    /// Pools cells of disjoint decisions into one.
+    pub fn pooled(cells: &[PlateauCell]) -> PlateauCell {
+        let n: usize = cells.iter().map(|c| c.decisions).sum();
+        let weighted = |f: fn(&PlateauCell) -> f64| {
+            cells.iter().map(|c| c.decisions as f64 * f(c)).sum::<f64>() / n as f64
+        };
+        PlateauCell {
+            decisions: n,
+            mean_iterations: weighted(|c| c.mean_iterations),
+            mean_reward: weighted(|c| c.mean_reward),
+            tps_geomean: weighted(|c| c.tps_geomean.ln()).exp(),
+            norm_tps_geomean: weighted(|c| c.norm_tps_geomean.ln()).exp(),
+        }
+    }
+}
+
+/// Decides every mix cold (fresh environment, no cross-decision cache,
+/// the default config's stage cap) once per search seed under `budget`
+/// and measures each chosen mapping on the board. A search that scored
+/// nothing deploys its root, the GPU-only mapping.
+///
+/// # Panics
+///
+/// Panics if a mix is inadmissible or holds an unknown model.
+pub fn plateau_cell<M: ThroughputModel>(
+    runtime: &Runtime,
+    evaluator: &M,
+    budget: SearchBudget,
+    seeds: &[u64],
+    mixes: &[Workload],
+) -> PlateauCell {
+    let stage_cap = OmniBoostConfig::default().stage_cap;
+    let n = (mixes.len() * seeds.len()) as f64;
+    let (mut iterations, mut reward, mut ln_tps, mut ln_norm) = (0usize, 0.0, 0.0, 0.0);
+    for workload in mixes {
+        let baseline = baseline_throughput(runtime, workload).expect("known models");
+        for &seed in seeds {
+            let env = SchedulingEnv::new(workload, evaluator, stage_cap).expect("admissible");
+            let result = Mcts::new(budget).run(&env, seed);
+            let mapping = env.mapping_of(&result.best_state);
+            let measured = runtime.measure(workload, &mapping).expect("known models");
+            iterations += result.iterations;
+            reward += result.best_reward;
+            ln_tps += measured.average.ln();
+            ln_norm += (measured.average / baseline).ln();
+        }
+    }
+    PlateauCell {
+        decisions: mixes.len() * seeds.len(),
+        mean_iterations: iterations as f64 / n,
+        mean_reward: reward / n,
+        tps_geomean: (ln_tps / n).exp(),
+        norm_tps_geomean: (ln_norm / n).exp(),
+    }
+}
+
 /// The §II motivational workload: AlexNet + MobileNet + VGG-19 +
 /// SqueezeNet (84 layers).
 pub fn motivational_workload() -> Workload {
@@ -311,6 +414,70 @@ mod tests {
     #[test]
     fn motivational_workload_is_84_layers() {
         assert_eq!(motivational_workload().total_layers(), 84);
+    }
+
+    /// The default budget against the exhaustive one, `AnalyticModel`
+    /// guiding both.
+    fn patient_and_exhaustive(seeds: &[u64], mixes: &[Workload]) -> (PlateauCell, PlateauCell) {
+        let board = omniboost_hw::Board::hikey970();
+        let runtime = Runtime::new(board.clone());
+        let evaluator = omniboost_hw::AnalyticModel::new(board);
+        let exhaustive = SearchBudget {
+            patience: usize::MAX,
+            ..SearchBudget::default()
+        };
+        let cell = |budget| plateau_cell(&runtime, &evaluator, budget, seeds, mixes);
+        (cell(SearchBudget::default()), cell(exhaustive))
+    }
+
+    /// Quality guard of the plateau rule on the benchmark's own inputs:
+    /// over the fifteen paper mixes the default budget deploys mappings
+    /// that measure no worse (2 % slack) than the ones the exhaustive
+    /// 500 iterations pick.
+    #[test]
+    fn default_patience_keeps_the_measured_quality_of_the_full_budget() {
+        let mixes = all_paper_mixes();
+        assert_eq!(mixes.len(), 15);
+        let (patient, exhaustive) =
+            patient_and_exhaustive(&[OmniBoostConfig::default().seed], &mixes);
+        assert_eq!(exhaustive.mean_iterations, 500.0);
+        assert!(
+            patient.mean_iterations < 400.0,
+            "the plateau rule saved nothing: {patient:?}"
+        );
+        assert!(
+            patient.norm_tps_geomean >= exhaustive.norm_tps_geomean * 0.98,
+            "stopping early cost measured throughput: {patient:?} vs {exhaustive:?}"
+        );
+    }
+
+    /// The same guard on inputs the default was **not** chosen on:
+    /// random 2- to 5-DNN mixes and search seeds that neither the
+    /// plateau sweep nor any benchmark workload uses. Besides measured
+    /// throughput it bounds the evaluator's own score — deployed
+    /// throughput itself wherever the board model is the evaluator, as
+    /// in perfbench's fleet replay. The sweep holds that score to 0.97
+    /// over 252 decisions (it reads 0.974 there); these 32 read 0.962,
+    /// so the bound here is the coarser 0.95 — what a patience of 48
+    /// (0.915 in the sweep) would break, not what separates 96 from 128.
+    #[test]
+    fn default_patience_holds_on_mixes_and_seeds_it_was_not_chosen_on() {
+        let mixes: Vec<Workload> = (2..=5)
+            .flat_map(|k| random_mixes(k, 4, 0x6E1D + k as u64))
+            .collect();
+        let (patient, exhaustive) = patient_and_exhaustive(&[3, 5], &mixes);
+        assert!(
+            patient.mean_iterations < 400.0,
+            "the plateau rule saved nothing: {patient:?}"
+        );
+        assert!(
+            patient.norm_tps_geomean >= exhaustive.norm_tps_geomean * 0.98,
+            "stopping early cost measured throughput: {patient:?} vs {exhaustive:?}"
+        );
+        assert!(
+            patient.mean_reward >= exhaustive.mean_reward * 0.95,
+            "stopping early cost the evaluator's own score: {patient:?} vs {exhaustive:?}"
+        );
     }
 
     #[test]

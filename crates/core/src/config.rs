@@ -7,9 +7,10 @@ use omniboost_mcts::SearchBudget;
 /// Configuration for both phases of OmniBoost.
 ///
 /// Defaults reproduce the paper's setup: 500 random training workloads
-/// (400/100 split, 100 epochs, L1 + Adam) at design time; MCTS with 500
-/// iterations, depth 100 and a pipeline-stage cap equal to the device
-/// count at run time.
+/// (400/100 split, 100 epochs, L1 + Adam) at design time; MCTS with at
+/// most 500 iterations (the search ends early once its incumbent stops
+/// improving, see [`SearchBudget::patience`]), depth 100 and a
+/// pipeline-stage cap equal to the device count at run time.
 #[derive(Debug, Clone)]
 pub struct OmniBoostConfig {
     /// Design-time dataset generation.

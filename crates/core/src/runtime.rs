@@ -326,6 +326,14 @@ impl Runtime {
                 });
                 let mapping = scheduler.decide(&self.board, workload)?;
                 drop(search_span);
+                if let Some(effort) = scheduler.last_search_effort() {
+                    // Counters beside `core.decide.memo_misses`, the count of
+                    // searched decisions: mean iterations = sum / misses.
+                    self.telemetry
+                        .incr("core.decide.iterations", effort.iterations as u64);
+                    self.telemetry
+                        .incr("core.decide.plateau_stops", effort.plateau_stops as u64);
+                }
                 if let Some(k) = key {
                     self.memo.lock().insert(k, mapping.clone());
                 }

@@ -2,7 +2,7 @@
 
 use crate::config::OmniBoostConfig;
 use omniboost_estimator::{BoardScopedCache, CnnEstimator, EvalCache, TrainHistory};
-use omniboost_hw::{Board, EvalCacheStats, HwError, Mapping, Scheduler, Workload};
+use omniboost_hw::{Board, EvalCacheStats, HwError, Mapping, Scheduler, SearchEffort, Workload};
 use omniboost_mcts::{Mcts, SchedulingEnv, SearchBudget};
 
 /// The OmniBoost multi-DNN manager (§IV).
@@ -24,6 +24,7 @@ pub struct OmniBoost {
     /// board-scoped, so deciding against different hardware flushes.
     eval_cache: BoardScopedCache,
     last_evaluations: usize,
+    last_effort: SearchEffort,
 }
 
 impl OmniBoost {
@@ -47,6 +48,7 @@ impl OmniBoost {
             config,
             eval_cache,
             last_evaluations: 0,
+            last_effort: SearchEffort::default(),
         }
     }
 
@@ -103,6 +105,9 @@ impl Scheduler for OmniBoost {
         // a CNN forward — report those so "evaluations per decision"
         // stays truthful on the recurring-traffic path too.
         self.last_evaluations = scope.fresh_evaluations(result.evaluations);
+        self.last_effort = SearchEffort::default();
+        self.last_effort
+            .add(result.iterations, result.stopped_on_plateau);
         let mapping = env.mapping_of(&result.best_state);
         mapping.validate(workload)?;
         Ok(mapping)
@@ -110,6 +115,10 @@ impl Scheduler for OmniBoost {
 
     fn eval_cache_stats(&self) -> Option<EvalCacheStats> {
         self.eval_cache.stats_if_enabled()
+    }
+
+    fn last_search_effort(&self) -> Option<SearchEffort> {
+        Some(self.last_effort)
     }
 }
 
@@ -217,6 +226,13 @@ mod tests {
         mapping.validate(&w).unwrap();
         assert!(mapping.max_stages() <= 3);
         assert!(sched.last_evaluations() > 0);
+        // The budget is a ceiling; the decision says what it performed.
+        let effort = sched.last_search_effort().expect("omniboost searches");
+        assert!((1..=sched.config().budget.iterations).contains(&effort.iterations));
+        assert_eq!(
+            effort.plateau_stops,
+            usize::from(effort.iterations < sched.config().budget.iterations)
+        );
         // Re-query with a different workload without retraining.
         let w2 = Workload::from_ids([ModelId::MobileNet, ModelId::SqueezeNet]);
         let mapping2 = sched.decide(&board, &w2).unwrap();

@@ -60,5 +60,5 @@ pub use fnv::Fnv1a;
 pub use mapping::{Mapping, Segment};
 pub use noise::NoiseModel;
 pub use profile::LayerTimeTable;
-pub use scheduler::{EvalCacheStats, Scheduler, ThroughputModel, ThroughputReport};
+pub use scheduler::{EvalCacheStats, Scheduler, SearchEffort, ThroughputModel, ThroughputReport};
 pub use workload::Workload;

@@ -140,6 +140,30 @@ impl EvalCacheStats {
     }
 }
 
+/// What a searching scheduler's last decision spent, next to the
+/// evaluator queries it already reports: the tree-search iterations
+/// performed (the budget is a ceiling — a search ends early once its
+/// incumbent stops improving) and how many of the decision's searches
+/// ended that way. The first field of a per-decision record; telemetry
+/// only, it never feeds a decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SearchEffort {
+    /// Search iterations performed, summed over the searches the
+    /// decision raced.
+    pub iterations: usize,
+    /// How many of those searches stopped on a plateau, short of their
+    /// iteration ceiling.
+    pub plateau_stops: usize,
+}
+
+impl SearchEffort {
+    /// Adds one finished search.
+    pub fn add(&mut self, iterations: usize, stopped_on_plateau: bool) {
+        self.iterations += iterations;
+        self.plateau_stops += usize::from(stopped_on_plateau);
+    }
+}
+
 /// A multi-DNN scheduler: given a board and a workload, produce a mapping.
 ///
 /// Implemented by OmniBoost itself and by every baseline of §V
@@ -160,6 +184,13 @@ pub trait Scheduler {
     /// on `RunOutcome` next to the runtime's decision-memo stats so
     /// serving-path cache effectiveness is observable per run.
     fn eval_cache_stats(&self) -> Option<EvalCacheStats> {
+        None
+    }
+
+    /// Search effort of the last `decide` call (`None` for schedulers
+    /// that do not search). The runtime records it beside the decision's
+    /// spans.
+    fn last_search_effort(&self) -> Option<SearchEffort> {
         None
     }
 

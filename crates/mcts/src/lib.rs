@@ -21,6 +21,15 @@
 //!   depth 100). [`SearchResult::evaluations`] counts the queries that
 //!   actually reached the evaluator (memo hits, within-batch duplicates
 //!   and dead states are free).
+//! * **Budget** — [`SearchBudget::iterations`] is a **ceiling**, not a
+//!   target: the search ends at the first round boundary at which it has
+//!   an incumbent that has survived [`SearchBudget::patience`]
+//!   iterations unimproved, because past that point the evaluator's
+//!   reward still creeps up while the measured throughput of the chosen
+//!   mapping barely does. A search that has scored nothing yet always
+//!   runs on. [`SearchResult::iterations`] reports what was performed
+//!   and [`SearchResult::stopped_on_plateau`] why the search ended;
+//!   `patience: usize::MAX` reproduces the paper's fixed budget.
 //! * **Rollouts** — simulation playouts use the stage-budget-aware
 //!   policy, which provably reaches a live terminal from any live state,
 //!   so the batched pipeline's evaluation batches actually fill. (The

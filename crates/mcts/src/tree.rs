@@ -13,8 +13,13 @@ pub struct SearchResult<S> {
     pub best_state: S,
     /// Its reward.
     pub best_reward: f64,
-    /// Iterations performed.
+    /// Iterations **performed** — at most the budget's ceiling, fewer
+    /// when the search ended on a plateau.
     pub iterations: usize,
+    /// Whether the search ended short of its ceiling because its
+    /// incumbent survived [`SearchBudget::patience`] iterations
+    /// unimproved.
+    pub stopped_on_plateau: bool,
     /// **Actual evaluator queries** performed — the dominant run-time
     /// cost the paper discusses in §V-B. Counted by the environment
     /// ([`Environment::reward_batch_counted`]): terminal rollouts
@@ -80,8 +85,15 @@ impl Mcts {
     /// cold entry.
     ///
     /// Iterations proceed in rounds of up to `budget.batch_size` leaf
-    /// rollouts. Within a round, each selected path receives a *virtual
-    /// loss* (its visit count is pre-incremented with zero reward), which
+    /// rollouts, up to the ceiling `budget.iterations`; the search
+    /// returns at the first round boundary at which it **has** an
+    /// incumbent and that incumbent has gone `budget.patience`
+    /// iterations without improving (an improvement is dated to the end
+    /// of the round that scored it, the moment its reward arrives). A
+    /// search that has scored nothing yet is never cut short: it has
+    /// nothing to return, and its iterations cost no evaluator query.
+    /// Within a round, each selected path receives a *virtual loss*
+    /// (its visit count is pre-incremented with zero reward), which
     /// keeps UCT selection sound while rewards are pending and steers
     /// concurrent selections apart; the round's terminal rollouts are
     /// then scored through **one** [`Environment::reward_batch`] call and
@@ -124,6 +136,7 @@ impl Mcts {
                 best_state: root_state,
                 best_reward: reward,
                 iterations: 0,
+                stopped_on_plateau: false,
                 evaluations,
                 terminal_rollouts: 1,
                 live_terminal_rollouts: usize::from(reward > 0.0),
@@ -147,6 +160,8 @@ impl Mcts {
         let mut live_terminal_rollouts = 0usize;
         let mut rounds = 0usize;
         let mut done = 0usize;
+        // `done` as of the round that last improved the incumbent.
+        let mut improved_at = 0usize;
         // Scratch for the actions a descent step may still expand,
         // refilled per step.
         let mut unexplored: Vec<usize> = Vec::with_capacity(env.num_actions());
@@ -282,6 +297,9 @@ impl Mcts {
                 rewards
             };
 
+            done += quota;
+            rounds += 1;
+
             // 5. Backpropagation: convert each virtual loss into the real
             //    outcome (the visit is already counted).
             let mut ri = 0usize;
@@ -303,6 +321,7 @@ impl Mcts {
                 if terminal && reward > best_reward {
                     best_reward = reward;
                     best_state = Some(rollout);
+                    improved_at = done;
                 }
                 let mut cur = Some(idx);
                 while let Some(i) = cur {
@@ -310,14 +329,19 @@ impl Mcts {
                     cur = nodes[i].parent;
                 }
             }
-            done += quota;
-            rounds += 1;
+            // 6. Plateau: there is an incumbent and it has outlived the
+            //    budget's patience, so the rest of the ceiling is not
+            //    spent.
+            if best_state.is_some() && done - improved_at >= self.budget.patience {
+                break;
+            }
         }
 
         SearchResult {
             best_state: best_state.unwrap_or(root_state),
             best_reward,
-            iterations: self.budget.iterations,
+            iterations: done,
+            stopped_on_plateau: done < self.budget.iterations,
             evaluations,
             terminal_rollouts,
             live_terminal_rollouts,
@@ -334,12 +358,15 @@ mod tests {
     #[test]
     fn finds_optimum_of_toy_problem() {
         let env = CountOnes { depth: 8 };
+        // The mechanics reach the optimum given the whole budget.
         let mcts = Mcts::new(SearchBudget {
             iterations: 400,
+            patience: usize::MAX,
             max_depth: 16,
             ..SearchBudget::default()
         });
         let result = mcts.run(&env, 1);
+        assert_eq!(result.iterations, 400);
         assert_eq!(result.best_reward, 1.0, "should find all-ones");
         assert!(result.best_state.iter().all(|b| *b == 1));
     }
@@ -348,7 +375,12 @@ mod tests {
     fn batched_search_finds_optimum_too() {
         let env = CountOnes { depth: 8 };
         for batch in [1usize, 4, 16, 64] {
-            let mcts = Mcts::new(SearchBudget::with_iterations(400).with_batch_size(batch));
+            let mcts = Mcts::new(SearchBudget {
+                iterations: 400,
+                patience: usize::MAX,
+                batch_size: batch,
+                ..SearchBudget::default()
+            });
             let result = mcts.run(&env, 1);
             assert_eq!(result.best_reward, 1.0, "batch {batch} missed the optimum");
         }

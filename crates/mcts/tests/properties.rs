@@ -6,6 +6,124 @@ use omniboost_models::ModelId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
+
+/// Binary decisions of fixed depth scored by the fraction of 1-bits,
+/// logging the best reward of every scoring round — the record the
+/// plateau rule is checked against.
+struct LoggedOnes {
+    depth: usize,
+    round_best: RefCell<Vec<f64>>,
+}
+
+impl LoggedOnes {
+    fn new(depth: usize) -> Self {
+        Self {
+            depth,
+            round_best: RefCell::new(Vec::new()),
+        }
+    }
+}
+
+impl Environment for LoggedOnes {
+    type State = Vec<usize>;
+
+    fn initial(&self) -> Vec<usize> {
+        Vec::new()
+    }
+
+    fn num_actions(&self) -> usize {
+        2
+    }
+
+    fn apply(&self, state: &Vec<usize>, action: usize) -> Vec<usize> {
+        let mut next = state.clone();
+        next.push(action);
+        next
+    }
+
+    fn is_terminal(&self, state: &Vec<usize>) -> bool {
+        state.len() >= self.depth
+    }
+
+    fn reward(&self, state: &Vec<usize>) -> f64 {
+        state.iter().sum::<usize>() as f64 / self.depth as f64
+    }
+
+    fn reward_batch(&self, states: &[Vec<usize>]) -> Vec<f64> {
+        let rewards: Vec<f64> = states.iter().map(|s| self.reward(s)).collect();
+        let best = rewards.iter().copied().fold(0.0, f64::max);
+        self.round_best.borrow_mut().push(best);
+        rewards
+    }
+}
+
+/// The heavy 4-DNN mix of the batched-pipeline tests.
+fn heavy_mix() -> Workload {
+    Workload::from_ids([
+        ModelId::Vgg19,
+        ModelId::ResNet50,
+        ModelId::InceptionV3,
+        ModelId::AlexNet,
+    ])
+}
+
+/// Prefix property: ending on a plateau only cuts the search short — a
+/// patient search that performed `n` iterations is, draw for draw, the
+/// impatient search whose ceiling is `n`.
+#[test]
+fn a_plateau_stop_is_a_prefix_of_the_exhaustive_search() {
+    let evaluator = AnalyticModel::new(Board::hikey970());
+    let workload = heavy_mix();
+    let mut stopped_early = 0;
+    for batch in [1usize, 16] {
+        for seed in [0u64, 7, 42, 0x0B00575] {
+            let patient = SearchBudget::default().with_batch_size(batch);
+            let env = SchedulingEnv::new(&workload, &evaluator, 3).unwrap();
+            let a = Mcts::new(patient).run(&env, seed);
+            stopped_early += usize::from(a.stopped_on_plateau);
+            let exhaustive = SearchBudget {
+                iterations: a.iterations,
+                patience: usize::MAX,
+                ..patient
+            };
+            let env = SchedulingEnv::new(&workload, &evaluator, 3).unwrap();
+            let b = Mcts::new(exhaustive).run(&env, seed);
+            assert!(!b.stopped_on_plateau);
+            assert_eq!(b.iterations, a.iterations, "batch {batch} seed {seed}");
+            assert_eq!(a.best_state, b.best_state, "batch {batch} seed {seed}");
+            assert_eq!(a.best_reward, b.best_reward);
+            assert_eq!(a.evaluations, b.evaluations);
+            assert_eq!(a.rounds, b.rounds);
+        }
+    }
+    assert!(stopped_early > 0, "no search ended on a plateau");
+}
+
+/// A ceiling within the patience, and any ceiling with `patience:
+/// usize::MAX`, replays the search as it was before the plateau rule
+/// existed: `(best_reward bits, evaluations)` captured at PR 21 on the
+/// heavy mix, seed 42, batch 16.
+#[test]
+fn searches_the_plateau_rule_cannot_touch_replay_the_fixed_budget_search() {
+    let evaluator = AnalyticModel::new(Board::hikey970());
+    let workload = heavy_mix();
+    let exhaustive_500 = SearchBudget {
+        patience: usize::MAX,
+        ..SearchBudget::default()
+    };
+    for (budget, bits, evaluations) in [
+        (SearchBudget::with_iterations(60), 0x3ffb_ff84_1bab_11ca, 60),
+        (exhaustive_500, 0x4002_0990_150f_a467, 500),
+    ] {
+        let env = SchedulingEnv::new(&workload, &evaluator, 3).unwrap();
+        let result = Mcts::new(budget).run(&env, 42);
+        assert_eq!(result.iterations, budget.iterations);
+        assert!(!result.stopped_on_plateau);
+        assert_eq!(result.best_reward.to_bits(), bits, "{budget:?}");
+        assert_eq!(result.evaluations, evaluations, "{budget:?}");
+    }
+}
 
 fn arb_mix() -> impl Strategy<Value = Vec<ModelId>> {
     proptest::sample::subsequence(ModelId::ALL.to_vec(), 1..=3)
@@ -233,5 +351,68 @@ proptest! {
         prop_assert_eq!(&a.best_state, &b.best_state);
         prop_assert_eq!(a.best_reward, b.best_reward);
         prop_assert_eq!(a.evaluations, b.evaluations);
+    }
+
+    /// The plateau rule, checked against the environment's own record
+    /// of each round's best reward: the search never exceeds its
+    /// ceiling, passes every round boundary at which the rule does not
+    /// hold — none holds before something has scored — and stops short
+    /// of the ceiling only on a round boundary with an incumbent whose
+    /// last improvement is at least `patience` iterations back.
+    #[test]
+    fn plateau_stops_only_where_the_rule_says(
+        seed in 0u64..1000,
+        patience in 1usize..120,
+        batch in proptest::sample::select(vec![1usize, 4, 16]),
+        ceiling in 1usize..300,
+    ) {
+        let env = LoggedOnes::new(10);
+        let budget = SearchBudget { iterations: ceiling, patience, ..SearchBudget::default() }
+            .with_batch_size(batch);
+        let result = Mcts::new(budget).run(&env, seed);
+        prop_assert!(result.iterations <= ceiling);
+        prop_assert_eq!(result.stopped_on_plateau, result.iterations < ceiling);
+        let round_best = env.round_best.borrow();
+        prop_assert_eq!(result.rounds, round_best.len());
+        let (mut incumbent, mut improved_at, mut done) = (0.0f64, 0usize, 0usize);
+        for (round, best) in round_best.iter().enumerate() {
+            done = (done + batch).min(ceiling);
+            if *best > incumbent {
+                incumbent = *best;
+                improved_at = done;
+            }
+            let plateau = incumbent > 0.0 && done - improved_at >= patience;
+            if round + 1 < round_best.len() {
+                prop_assert!(!plateau, "searched past a plateau at {done}");
+            } else if result.stopped_on_plateau {
+                prop_assert!(plateau, "stopped at {done}, improved at {improved_at}");
+                prop_assert_eq!(done % batch, 0);
+            }
+        }
+        prop_assert_eq!(result.iterations, done);
+        prop_assert_eq!(result.best_reward, incumbent);
+    }
+
+    /// Nothing ever scores when every rollout overruns the depth cap. A
+    /// search with no incumbent has nothing to stop on — and nothing to
+    /// return — so it runs its ceiling out, whatever the patience, at no
+    /// evaluator query, and hands back the root.
+    #[test]
+    fn a_search_that_never_scores_is_never_cut_short(
+        seed in 0u64..1000,
+        patience in 1usize..120,
+        batch in proptest::sample::select(vec![1usize, 4, 16]),
+        ceiling in 1usize..300,
+    ) {
+        let env = LoggedOnes::new(50);
+        let budget = SearchBudget { iterations: ceiling, patience, max_depth: 5, ..SearchBudget::default() }
+            .with_batch_size(batch);
+        let result = Mcts::new(budget).run(&env, seed);
+        prop_assert_eq!(result.iterations, ceiling);
+        prop_assert!(!result.stopped_on_plateau);
+        prop_assert_eq!(result.best_state, env.initial());
+        prop_assert_eq!(result.best_reward, 0.0);
+        prop_assert_eq!(result.evaluations, 0);
+        prop_assert!(env.round_best.borrow().is_empty());
     }
 }

@@ -240,6 +240,11 @@ fn metrics_histograms_and_trace_export() {
     let metrics = client.metrics().expect("metrics");
     // The pre-histogram flat lines survive byte-identically.
     assert!(metrics.contains("omniboost_pool_submitted 3"));
+    // Why searches ended rides along with how long decisions took:
+    // iterations performed and plateau stops, counters beside the
+    // searched-decision count (mean iterations = sum / memo misses).
+    assert!(metrics.contains("# TYPE omniboost_core_decide_iterations counter"));
+    assert!(metrics.contains("# TYPE omniboost_core_decide_plateau_stops counter"));
     // At least three histogram families, each with the mandatory +Inf
     // bucket, _sum and _count samples.
     let families: Vec<&str> = metrics

@@ -2,7 +2,9 @@
 //! policy knob between them.
 
 use omniboost_estimator::{BoardScopedCache, EvalCache};
-use omniboost_hw::{Board, EvalCacheStats, HwError, Mapping, Scheduler, ThroughputModel, Workload};
+use omniboost_hw::{
+    Board, EvalCacheStats, HwError, Mapping, Scheduler, SearchEffort, ThroughputModel, Workload,
+};
 use omniboost_mcts::{Environment as _, Mcts, SchedState, SchedulingEnv, SearchBudget};
 
 /// How the scheduler reacts to a workload delta.
@@ -138,6 +140,7 @@ pub struct OnlineScheduler<M> {
     floors: Vec<f64>,
     last_kind: DecisionKind,
     last_evaluations: usize,
+    last_effort: SearchEffort,
     /// Decisions taken so far (drives the periodic cold refresh).
     decisions: u64,
     /// Armed by [`OnlineScheduler::speculate_next`]: the next decision
@@ -157,6 +160,7 @@ impl<M: ThroughputModel + Sync> OnlineScheduler<M> {
             floors: Vec::new(),
             last_kind: DecisionKind::Cold,
             last_evaluations: 0,
+            last_effort: SearchEffort::default(),
             decisions: 0,
             speculative: false,
         }
@@ -312,7 +316,7 @@ fn try_warm<E: ThroughputModel>(
     env: &SchedulingEnv<'_, E>,
     workload: &Workload,
     hint: &WarmHint,
-) -> Option<(Mapping, DecisionKind, usize)> {
+) -> Option<(Mapping, DecisionKind, usize, SearchEffort)> {
     if hint.decided + 1 < workload.len() || hint.decided > workload.len() {
         return None; // multi-job delta: cold restart is the answer
     }
@@ -321,6 +325,7 @@ fn try_warm<E: ThroughputModel>(
         return None;
     }
     let mcts = Mcts::new(config.warm_budget);
+    let mut effort = SearchEffort::default();
     let (kind, mut best_mapping, mut best_reward, mut evaluations) =
         if hint.decided == workload.len() {
             // Departure: the carried mapping is complete — score it (one
@@ -329,6 +334,8 @@ fn try_warm<E: ThroughputModel>(
             // the better of the two deploys.
             let carried = mcts.search_from(env, root, config.seed);
             let refine = mcts.run(env, config.seed);
+            effort.add(carried.iterations, carried.stopped_on_plateau);
+            effort.add(refine.iterations, refine.stopped_on_plateau);
             let evaluations = carried.evaluations + refine.evaluations;
             let best = if refine.best_reward > carried.best_reward {
                 refine
@@ -371,6 +378,8 @@ fn try_warm<E: ThroughputModel>(
             };
             let warm = mcts.search_from(env, root, config.seed);
             let challenger = side_budget.run(env, config.seed);
+            effort.add(warm.iterations, warm.stopped_on_plateau);
+            effort.add(challenger.iterations, challenger.stopped_on_plateau);
             let mut evaluations = warm.evaluations + challenger.evaluations;
             let mut best = if challenger.best_reward > warm.best_reward {
                 challenger
@@ -379,6 +388,7 @@ fn try_warm<E: ThroughputModel>(
             };
             if let Some(root) = release_root {
                 let release = side_budget.search_from(env, root, config.seed);
+                effort.add(release.iterations, release.stopped_on_plateau);
                 evaluations += release.evaluations;
                 if release.best_reward > best.best_reward {
                     best = release;
@@ -403,7 +413,7 @@ fn try_warm<E: ThroughputModel>(
             }
         }
     }
-    (best_reward > 0.0).then_some((best_mapping, kind, evaluations))
+    (best_reward > 0.0).then_some((best_mapping, kind, evaluations, effort))
 }
 
 impl<M: ThroughputModel + Sync> Scheduler for OnlineScheduler<M> {
@@ -447,10 +457,12 @@ impl<M: ThroughputModel + Sync> Scheduler for OnlineScheduler<M> {
             }
             _ => None,
         };
-        let (mapping, kind, evaluations) = match warm {
+        let (mapping, kind, evaluations, effort) = match warm {
             Some(found) => found,
             None => {
                 let result = Mcts::new(config.cold_budget).run(&env, config.seed);
+                let mut effort = SearchEffort::default();
+                effort.add(result.iterations, result.stopped_on_plateau);
                 let mut mapping = env.mapping_of(&result.best_state);
                 let mut evaluations = result.evaluations;
                 // Under the warm policy even cold decisions (refresh or
@@ -466,10 +478,11 @@ impl<M: ThroughputModel + Sync> Scheduler for OnlineScheduler<M> {
                         }
                     }
                 }
-                (mapping, DecisionKind::Cold, evaluations)
+                (mapping, DecisionKind::Cold, evaluations, effort)
             }
         };
         self.last_kind = kind;
+        self.last_effort = effort;
         self.last_evaluations = scope.fresh_evaluations(evaluations);
         mapping.validate(workload)?;
         Ok(mapping)
@@ -477,6 +490,10 @@ impl<M: ThroughputModel + Sync> Scheduler for OnlineScheduler<M> {
 
     fn eval_cache_stats(&self) -> Option<EvalCacheStats> {
         self.cache.stats_if_enabled()
+    }
+
+    fn last_search_effort(&self) -> Option<SearchEffort> {
+        Some(self.last_effort)
     }
 
     /// Digest of the armed floor vector, so the runtime's decision memo

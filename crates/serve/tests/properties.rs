@@ -720,6 +720,16 @@ fn recording_telemetry_is_digest_neutral() {
         .histograms()
         .iter()
         .any(|(name, h)| name.starts_with("core.decide.") && !h.is_empty()));
+    // Every decision that reached the scheduler says how long it
+    // searched: at least one iteration each, at most the ceilings of
+    // the three searches a warm arrival races, and no more plateau stops
+    // than searches.
+    let searched = telemetry.counter_value("core.decide.memo_misses");
+    let iterations = telemetry.counter_value("core.decide.iterations");
+    let online = quick_online();
+    let ceiling = online.cold_budget.iterations + 2 * online.warm_budget.iterations;
+    assert!(searched > 0 && iterations >= searched && iterations <= searched * ceiling as u64);
+    assert!(telemetry.counter_value("core.decide.plateau_stops") <= 3 * searched);
 }
 
 /// Status cost must not grow with uptime: a snapshot reads running
