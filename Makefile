@@ -9,8 +9,9 @@ verify:
 	cargo test -q --no-fail-fast
 
 # The tensor and estimator suites again, optimized: their bitwise
-# contracts (plan == graph, pinned prediction bits, GEMM == naive) must
-# hold in the profile every benchmark runs, not only in debug.
+# contracts (plan == graph, Conv3x3 == the naive mul_add loop, pinned
+# prediction bits, GEMM == naive) must hold in the profile every
+# benchmark runs, not only in debug.
 .PHONY: kernels-release
 kernels-release:
 	cargo test --release -q -p omniboost-tensor -p omniboost-estimator
@@ -27,10 +28,11 @@ bench-quick:
 # Perf smoke: the six policy benches end to end in SMOKE mode — shrunken
 # budgets/traces, metrics pipelines fully exercised, no JSON snapshot
 # rewrites (numbers from noisy runners must not be published) — then
-# one per-stage profile of the estimator forward and the ablation bin
-# (its plateau sweep is the evidence for SearchBudget's default
-# patience, so it must keep running). Latency itself is perfbench's
-# job: see bench-quick.
+# one per-stage profile of the estimator forward (stage times, the
+# multiply's GFLOP/s, which of fma / avx512f the build has) and the
+# ablation bin (its plateau sweep is the evidence for SearchBudget's
+# default patience, so it must keep running). Latency itself is
+# perfbench's job: see bench-quick.
 .PHONY: perf-smoke
 perf-smoke:
 	SMOKE=1 cargo bench --bench serving

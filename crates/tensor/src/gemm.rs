@@ -6,9 +6,13 @@
 //! * [`gemm_nn`] — `C += A·B`. Conv/linear forward (`out = W·cols`,
 //!   `y = G·W`) and the linear input gradient. The per-element
 //!   accumulation starts from the existing `C` value and walks `k` in
-//!   ascending order, so with `C` pre-filled with the bias the result is
-//!   **bit-identical** to the seed's sequential tap loop (the contract
-//!   the batched-vs-scalar 1e-9 equivalence tests rely on).
+//!   ascending order, one fused multiply-add (`acc = a.mul_add(b, acc)`,
+//!   a single rounding) per product, so with `C` pre-filled with the
+//!   bias the result is **bit-identical** to a sequential `mul_add` tap
+//!   loop — the forward contract shared with [`crate::infer`] and the
+//!   direct `N == 1` convolution. IEEE-754 specifies the fused operation
+//!   exactly, so the bits do not depend on target, profile, tile shape
+//!   or vector width.
 //! * [`gemm_nt`] — `C += A·Bᵀ`. The weight gradients (`dW = G·colsᵀ`,
 //!   `dW = Gᵀ·X` transposed): tiny output, huge reduction dimension.
 //!   Uses lane-blocked partial sums (deterministic, but *not* the
@@ -22,11 +26,14 @@
 
 /// Micro-kernel row count (A-panel height).
 pub(crate) const MR: usize = 4;
-/// Micro-kernel column count (B-panel width) — 16 `f32`s = two AVX (or
-/// four SSE) vectors, putting the `MR×NR` accumulator block at 8 AVX
-/// registers: half the architectural register file, leaving room for
-/// the broadcast value and the B panel loads.
-pub(crate) const NR: usize = 16;
+/// Micro-kernel column count (B-panel width) — 32 `f32`s = two 512-bit
+/// vectors per row, so the `MR×NR` accumulator block is 8 of the 32
+/// AVX-512 registers: eight independent FMA chains to cover the unit's
+/// latency. (At 256 bits it is all 16 registers, and still measured
+/// faster than 4×16.) Speed only — no result depends on it. It moves
+/// together with the fused inner loop: LLVM does not vectorise an
+/// unfused `acc += a * b` tile this wide.
+pub(crate) const NR: usize = 32;
 /// Lane count for the dot-product kernel ([`gemm_nt`]) — 16 `f32`s =
 /// two AVX vectors per accumulator, giving eight independent add chains
 /// across the four accumulators to hide floating-point latency.
@@ -53,10 +60,10 @@ pub struct GemmScratch {
 ///
 /// Numerical contract: every output element accumulates its `k` products
 /// in ascending order on top of the *existing* `C` value, exactly like a
-/// naive `for kk { c += a*b }` loop — register blocking changes which
-/// elements are computed together, never the per-element operation
-/// sequence. Callers pre-fill `C` with the bias (or zeros) and get
-/// bitwise-reproducible results regardless of `m`/`n` blocking.
+/// naive `for kk { c = a.mul_add(b, c) }` loop — register blocking
+/// changes which elements are computed together, never the per-element
+/// operation sequence. Callers pre-fill `C` with the bias (or zeros) and
+/// get bitwise-reproducible results regardless of `m`/`n` blocking.
 ///
 /// # Panics
 ///
@@ -147,7 +154,7 @@ fn microkernel(mr: usize, nr: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc:
         // into dead accumulators, which keeps this loop branch-free.
         for (acc_row, &av) in acc.iter_mut().zip(ak) {
             for (av_acc, &bv) in acc_row.iter_mut().zip(bk) {
-                *av_acc += av * bv;
+                *av_acc = av.mul_add(bv, *av_acc);
             }
         }
     }
@@ -323,8 +330,14 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], ldb: usize, c
                 let b1 = &b[(p + 1) * ldb + j0..(p + 1) * ldb + j0 + w];
                 let b2 = &b[(p + 2) * ldb + j0..(p + 2) * ldb + j0 + w];
                 let b3 = &b[(p + 3) * ldb + j0..(p + 3) * ldb + j0 + w];
-                for (j, cv) in crow.iter_mut().enumerate() {
-                    *cv += (a0 * b0[j] + a1 * b1[j]) + (a2 * b2[j] + a3 * b3[j]);
+                // Zipped, not indexed: `b0[j]` leaves a bounds check in
+                // the loop's scalar remainder, and with 512-bit vectors
+                // that remainder is up to 31 elements — most of the 90-
+                // and 18-wide rows the conv backward multiplies.
+                for ((((cv, &x0), &x1), &x2), &x3) in
+                    crow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
+                {
+                    *cv += (a0 * x0 + a1 * x1) + (a2 * x2 + a3 * x3);
                 }
                 p += 4;
             }
@@ -354,12 +367,21 @@ mod tests {
         (0..n).map(|_| rng.gen_range(-2.0f32..2.0)).collect()
     }
 
-    fn naive_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    /// The contract, spelled out: ascending `k`, one fused multiply-add
+    /// per product on top of the existing `C`. `fused = false` is the
+    /// separate-multiply-and-add contract this crate had before, kept
+    /// only to show the test tells the two apart.
+    fn naive_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], fused: bool) {
         for i in 0..m {
             for j in 0..n {
                 let mut acc = c[i * n + j];
                 for p in 0..k {
-                    acc += a[i * k + p] * b[p * n + j];
+                    let (av, bv) = (a[i * k + p], b[p * n + j]);
+                    acc = if fused {
+                        av.mul_add(bv, acc)
+                    } else {
+                        acc + av * bv
+                    };
                 }
                 c[i * n + j] = acc;
             }
@@ -369,16 +391,38 @@ mod tests {
     #[test]
     fn nn_matches_naive_bitwise_across_odd_shapes() {
         let mut scratch = GemmScratch::default();
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (4, 8, 8), (5, 27, 33), (24, 216, 130)] {
+        let mut contracts_differ = false;
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 5, 7),
+            (4, 8, 8),
+            (5, 27, 33),
+            (24, 216, 130),
+            // Around the `NR`-wide tile, with `m` off the `MR` grid.
+            (2, 9, 31),
+            (3, 9, 32),
+            (5, 27, 32),
+            (6, 18, 33),
+            (7, 72, 65),
+        ] {
             let a = randv(m * k, 1);
             let b = randv(k * n, 2);
             let init = randv(m * n, 3); // non-zero init: the bias contract
             let mut c = init.clone();
             let mut reference = init.clone();
+            let mut unfused = init.clone();
             gemm_nn(m, k, n, &a, &b, &mut c, &mut scratch);
-            naive_nn(m, k, n, &a, &b, &mut reference);
+            naive_nn(m, k, n, &a, &b, &mut reference, true);
+            naive_nn(m, k, n, &a, &b, &mut unfused, false);
             assert_eq!(c, reference, "shape ({m},{k},{n}) must be bit-identical");
+            contracts_differ |= reference != unfused;
         }
+        // Inputs on which `a * b + c` and `mul_add` happened to coincide
+        // would let a kernel that slid back to the unfused form pass.
+        assert!(
+            contracts_differ,
+            "no shape tells the fused contract from the unfused one"
+        );
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //! with no scatter in between, and pooling walks the same planes.
 //!
 //! Numerical contract — the graph's, unchanged: every convolution
-//! output is its bias plus its taps in ascending `(ic, ky, kx)` order
-//! with a separate multiply and add per tap (padded taps contribute an
-//! explicit `w·0.0`), on the same `MR×NR` register tile as
+//! output starts from its bias and takes its taps in ascending
+//! `(ic, ky, kx)` order, one fused multiply-add per tap
+//! (`acc = w.mul_add(x, acc)`, a single rounding; padded taps contribute
+//! an explicit `w·0.0`), on the same `MR×NR` register tile as
 //! [`gemm_nn`](crate::gemm_nn); the residual add and the activation are
 //! applied to that sum as the tile is stored. Pooling and the dense head
 //! use the graph's own expressions. Outputs therefore compare `==` to
-//! the graph's `forward`, element for element.
+//! the graph's `forward`, element for element, on every target and in
+//! every profile: the fused operation is exactly specified.
 
 use crate::gemm::{gemm_nt, pack_a, MR, NR};
 use crate::ops::activation::gelu_scalar;
@@ -309,7 +311,7 @@ fn accumulate(acc: &mut [[f32; NR]; MR], ap: &[f32], rows: &[f32], ld: usize) {
         let bk: &[f32; NR] = brow[..NR].try_into().expect("ld is a multiple of NR");
         for (tile_row, &av) in tile.iter_mut().zip(ak) {
             for (t, &bv) in tile_row.iter_mut().zip(bk) {
-                *t += av * bv;
+                *t = av.mul_add(bv, *t);
             }
         }
     }

@@ -48,6 +48,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// The forward kernels are `mul_add` loops. Without hardware FMA each one
+// is a libm `fmaf` call per element: the same bits, ~90x the time.
+#[cfg(all(target_arch = "x86_64", not(target_feature = "fma")))]
+compile_error!(
+    "omniboost-tensor needs hardware FMA on x86_64: build with the rustflags in \
+     .cargo/config.toml (`-C target-cpu=native`). Cargo finds that file from the \
+     working directory, not from `--manifest-path` — run cargo from the repository \
+     root, and do not override it with RUSTFLAGS."
+);
+
 pub mod gemm;
 pub mod infer;
 mod init;

@@ -148,9 +148,10 @@ impl Conv2d {
     ///
     /// Numerical contract: [`gemm_nn`] accumulates each output element's
     /// taps in the same ascending `(ic, ky, kx)` order onto the bias as
-    /// the direct kernel, so outputs are bit-identical except that
-    /// padded positions contribute an explicit `w·0.0` instead of being
-    /// skipped (can flip a `-0.0` to `+0.0`, never a value change).
+    /// the direct kernel, with the same fused multiply-add per tap, so
+    /// outputs are bit-identical except that padded positions
+    /// contribute an explicit `w·0.0` instead of being skipped (can flip
+    /// a `-0.0` to `+0.0`, never a value change).
     fn forward_batched_gemm(
         &mut self,
         n: usize,
@@ -439,8 +440,10 @@ impl Module for Conv2d {
                 let obase = ((ni * self.out_ch + oc) * oh) * ow;
                 od[obase..obase + oh * ow].fill(b[oc]);
                 // Accumulate one (ic, ky, kx) tap at a time; the inner ox
-                // loop is a contiguous shifted multiply-add, which the
-                // compiler vectorizes.
+                // loop is a contiguous shifted fused multiply-add
+                // (`mul_add`, one rounding — the forward contract shared
+                // with `gemm::microkernel` and `infer::accumulate`),
+                // which the compiler vectorizes.
                 for ic in 0..c {
                     let xplane = &x[((ni * c + ic) * h) * w..((ni * c + ic) * h + h) * w];
                     for ky in 0..k {
@@ -472,14 +475,14 @@ impl Module for Conv2d {
                                         let xseg = &xrow[(lo as isize + off) as usize
                                             ..(hi as isize + off) as usize];
                                         for (o, xv) in orow[lo..hi].iter_mut().zip(xseg) {
-                                            *o += wv * xv;
+                                            *o = wv.mul_add(*xv, *o);
                                         }
                                     }
                                 } else {
                                     for (ox, o) in orow.iter_mut().enumerate() {
                                         let ix = (ox * s + kx) as isize - pad;
                                         if ix >= 0 && ix < w as isize {
-                                            *o += wv * xrow[ix as usize];
+                                            *o = wv.mul_add(xrow[ix as usize], *o);
                                         }
                                     }
                                 }

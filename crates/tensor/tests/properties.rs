@@ -7,6 +7,55 @@ use omniboost_tensor::{
 };
 use proptest::prelude::*;
 
+/// `Conv3x3::forward`'s contract computed one output at a time, on
+/// channel-major slices: the bias, then the taps in ascending
+/// `(ic, ky, kx)` order (padded taps contribute `w·0.0`), then the
+/// residual, then the activation. `fused` selects one `mul_add` per tap
+/// — the contract — or the separate multiply and add it replaced.
+#[allow(clippy::too_many_arguments)]
+fn naive_conv3x3(
+    n: usize,
+    h: usize,
+    w: usize,
+    weight: &Tensor,
+    bias: &Tensor,
+    x: &[f32],
+    residual: Option<&[f32]>,
+    act: Activation,
+    fused: bool,
+) -> Vec<f32> {
+    let [oc, ic, 3, 3] = *weight.shape() else {
+        panic!("expects an [OC, IC, 3, 3] weight");
+    };
+    let (s, cols) = (h * w, n * h * w);
+    let mut y = vec![0.0f32; oc * cols];
+    for (at, out) in y.iter_mut().enumerate() {
+        let (o, col) = (at / cols, at % cols);
+        let (ni, oy, ox) = (col / s, col % s / w, col % w);
+        let mut acc = bias.data()[o];
+        for c in 0..ic {
+            for ky in 0..3 {
+                for kx in 0..3 {
+                    let wv = weight.data()[((o * ic + c) * 3 + ky) * 3 + kx];
+                    let inside = (1..=h).contains(&(oy + ky)) && (1..=w).contains(&(ox + kx));
+                    let xv = if inside {
+                        x[c * cols + ni * s + (oy + ky - 1) * w + (ox + kx - 1)]
+                    } else {
+                        0.0
+                    };
+                    acc = if fused {
+                        wv.mul_add(xv, acc)
+                    } else {
+                        acc + wv * xv
+                    };
+                }
+            }
+        }
+        *out = act.apply(residual.map_or(acc, |r| acc + r[at]));
+    }
+    y
+}
+
 fn arb_small_tensor(shape: &'static [usize]) -> impl Strategy<Value = Tensor> {
     let n: usize = shape.iter().product();
     proptest::collection::vec(-3.0f32..3.0, n).prop_map(move |data| Tensor::from_vec(data, shape))
@@ -207,6 +256,45 @@ proptest! {
             prop_assert!((yb.get(&[0, i]) - ya.get(&[0, i])).abs() < 1e-4);
             prop_assert!((yb.get(&[1, i]) - yb2.get(&[0, i])).abs() < 1e-4);
         }
+    }
+
+    /// The fused-multiply-add contract has a witness that shares no code
+    /// with the kernels: `Conv3x3::forward` equals the naive per-output
+    /// loop bit for bit — over one-row and one-column planes, a batch
+    /// whose last tile block is short, channel counts off the `MR` grid,
+    /// with and without a residual — and the same loop with a separate
+    /// multiply and add does not, so a site that slid back to
+    /// `a * b + c` cannot pass.
+    #[test]
+    fn conv3x3_equals_the_naive_fused_loop(seed in 0u64..10_000) {
+        let mut contracts_differ = false;
+        for (i, &(n, ic, oc, h, w)) in [
+            (3usize, 4usize, 6usize, 11usize, 37usize), // two samples per block: 2 + 1
+            (2, 3, 8, 5, 9),
+            (4, 2, 5, 1, 7),
+            (3, 2, 3, 6, 1),
+            (5, 1, 1, 1, 1),
+            (1, 5, 7, 3, 34),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let at = seed * 16 + i as u64 * 4;
+            let weight = Tensor::randn(&[oc, ic, 3, 3], at);
+            let bias = Tensor::randn(&[oc], at + 1);
+            let x = Tensor::randn(&[ic * n * h * w], at + 2);
+            let skip = Tensor::randn(&[oc * n * h * w], at + 3);
+            let mut conv = Conv3x3::new(&weight, &bias, h, w);
+            let mut y = vec![f32::NAN; skip.len()];
+            for (residual, act) in [(None, Activation::Gelu), (Some(skip.data()), Activation::Relu)] {
+                conv.forward(n, x.data(), residual, act, &mut y, &mut ());
+                let want = naive_conv3x3(n, h, w, &weight, &bias, x.data(), residual, act, true);
+                prop_assert_eq!(&y, &want, "n={} ic={} oc={} {}x{}", n, ic, oc, h, w);
+                contracts_differ |=
+                    want != naive_conv3x3(n, h, w, &weight, &bias, x.data(), residual, act, false);
+            }
+        }
+        prop_assert!(contracts_differ, "no case tells the fused contract from the unfused one");
     }
 
     /// The inference kernels change layout and bookkeeping, never

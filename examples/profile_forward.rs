@@ -1,7 +1,9 @@
 //! Where one estimator forward spends its time: a batch of 16 masked
 //! inputs through the compiled [`InferencePlan`], timed stage by stage
-//! (lower / GEMM + epilogue / pool / head), fastest of N. Start a kernel
-//! change from this breakdown, not from a guess.
+//! (lower / GEMM + epilogue / pool / head), fastest of N, with the
+//! multiply's achieved GFLOP/s and the vector features the build was
+//! compiled for. Start a kernel change from this breakdown, not from a
+//! guess.
 //!
 //! Run with `cargo run --release --example profile_forward [reps]`.
 
@@ -104,11 +106,25 @@ fn main() {
         plain_best = plain_best.min(t.elapsed());
     }
 
+    // What the seven convolutions emit and multiply, from the plan's own
+    // weight shapes `[OC, IC, 3, 3]`: two convs at full resolution, three
+    // at half, two at quarter; 2·OC·IC·9 flops per output column.
+    let (s0, s1, s2) = (m * l, (m / 2) * (l / 2), (m / 4) * (l / 4));
+    let (mut emitted, mut flops) = (0usize, 0usize);
+    for (weight, plane) in plan
+        .params()
+        .iter()
+        .step_by(2)
+        .zip([s0, s0, s1, s1, s1, s2, s2])
+    {
+        let (oc, ic) = (weight.shape()[0], weight.shape()[1]);
+        emitted += oc * BATCH * plane;
+        flops += 2 * oc * ic * 9 * BATCH * plane;
+    }
+
     // The epilogue runs inside the GEMM stage, on each register tile as
     // it is stored. Its arithmetic alone, as a standalone pass over as
     // many values as a forward's convolutions emit, bounds its share.
-    let (s0, s1, s2) = (m * l, (m / 2) * (l / 2), (m / 4) * (l / 4));
-    let emitted = BATCH * ((8 + 16) * s0 + (16 + 16 + 24) * s1 + (24 + 24) * s2);
     let mut values: Vec<f32> = Tensor::randn(&[emitted], 3).data().to_vec();
     let mut epilogue_best = Duration::MAX;
     for _ in 0..reps {
@@ -122,7 +138,15 @@ fn main() {
 
     println!("one batch-{BATCH} forward on the {m}x{l} grid, fastest of {reps}:");
     for (stage, best) in STAGES.iter().zip(stage_best) {
-        println!("  {:<8} {:>8.1} us", format!("{stage:?}"), us(best));
+        print!("  {:<8} {:>8.1} us", format!("{stage:?}"), us(best));
+        if *stage == Stage::Gemm {
+            print!(
+                "   ({:.1} MFLOP at {:.1} GFLOP/s, epilogue included)",
+                flops as f64 / 1e6,
+                flops as f64 / best.as_secs_f64() / 1e9
+            );
+        }
+        println!();
     }
     println!(
         "  sum      {:>8.1} us   ({:.1} us per mapping)",
@@ -137,5 +161,12 @@ fn main() {
     println!(
         "  epilogue {:>8.1} us   (GELU alone over the {emitted} values the convs emit; inside Gemm above)",
         us(epilogue_best)
+    );
+    // Static, as compiled: the kernels have one form and take whatever
+    // the build's target features give them.
+    println!(
+        "  kernel   fma: {}, avx512f: {}   (target features of this build; see .cargo/config.toml)",
+        cfg!(target_feature = "fma"),
+        cfg!(target_feature = "avx512f")
     );
 }
