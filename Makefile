@@ -8,13 +8,14 @@ verify:
 	cargo build --release
 	cargo test -q --no-fail-fast
 
-# The tensor and estimator suites again, optimized: their bitwise
-# contracts (plan == graph, Conv3x3 == the naive mul_add loop, pinned
-# prediction bits, GEMM == naive) must hold in the profile every
-# benchmark runs, not only in debug.
+# The tensor, estimator and board-model suites again, optimized: their
+# bitwise contracts (plan == graph, Conv3x3 == the naive mul_add loop,
+# pinned prediction bits, GEMM == naive, the fixed-point early exits ==
+# the full damped loops) must hold in the profile every benchmark runs,
+# not only in debug.
 .PHONY: kernels-release
 kernels-release:
-	cargo test --release -q -p omniboost-tensor -p omniboost-estimator
+	cargo test --release -q -p omniboost-tensor -p omniboost-estimator -p omniboost-hw
 
 # The repo's benchmark (BENCHMARK.json, perfbench/) must not rot: its
 # own tests, then a ~17 s smoke of every workload. perfbench is a

@@ -13,9 +13,21 @@
 //! Clamping the CNN's prediction by this bound removes physically
 //! impossible over-estimates while leaving the learned contention model
 //! in charge everywhere below the bound.
+//!
+//! The fair-sharing recursion is defined as 60 damped steps.
+//! [`omniboost_hw::fixed_point::iterate`] ends it as soon as the rates
+//! repeat bit for bit (a fixed point, or a two-value flip in the last
+//! bits), which returns *exactly* the 60-step answer: each step reads
+//! only the rates and the mapping's stage times, so every later iterate
+//! is already known. The tests keep the full loop as a reference and
+//! compare bits.
 
 use crate::embedding::EmbeddingTensor;
-use omniboost_hw::{Device, Mapping, Workload};
+use omniboost_hw::{fixed_point, Device, Mapping, Workload};
+
+/// Damped steps that define the bound (the early exit returns the same
+/// bits after fewer).
+const ITERATIONS: usize = 60;
 
 /// Fair-sharing feasibility bound computed from the embedding tensor.
 ///
@@ -24,13 +36,14 @@ use omniboost_hw::{Device, Mapping, Workload};
 #[derive(Debug, Clone)]
 pub struct FeasibilityBound<'a> {
     embedding: &'a EmbeddingTensor,
-    iterations: usize,
     /// `(dnn, device, ms)` of every pipeline stage of the mapping in
     /// hand, in DNN order.
     stages: Vec<(usize, Device, f64)>,
     /// Per-DNN rate iterate and congested bottleneck time.
     rate: Vec<f64>,
     bottleneck: Vec<f64>,
+    /// The early exit's two previous iterates.
+    history: Vec<f64>,
 }
 
 impl<'a> FeasibilityBound<'a> {
@@ -38,10 +51,10 @@ impl<'a> FeasibilityBound<'a> {
     pub fn new(embedding: &'a EmbeddingTensor) -> Self {
         Self {
             embedding,
-            iterations: 60,
             stages: Vec::new(),
             rate: Vec::new(),
             bottleneck: Vec::new(),
+            history: Vec::new(),
         }
     }
 
@@ -82,19 +95,19 @@ impl<'a> FeasibilityBound<'a> {
         }
         self.rate.clear();
         self.rate.extend(self.bottleneck.iter().map(|t| 1.0 / t));
-        for _ in 0..self.iterations {
+        fixed_point::iterate(&mut self.rate, ITERATIONS, &mut self.history, |rate| {
             let mut util = [0.0f64; Device::COUNT];
             for &(di, dev, t) in &self.stages {
-                util[dev.index()] += self.rate[di] * t;
+                util[dev.index()] += rate[di] * t;
             }
             self.bottleneck.fill(0.0);
             for &(di, dev, t) in &self.stages {
                 self.bottleneck[di] = self.bottleneck[di].max(t * util[dev.index()].max(1.0));
             }
-            for (x, worst) in self.rate.iter_mut().zip(&self.bottleneck) {
+            for (x, worst) in rate.iter_mut().zip(&self.bottleneck) {
                 *x = 0.5 * *x + 0.5 / worst;
             }
-        }
+        });
         self.rate.iter().sum::<f64>() / rows.len() as f64 * 1e3
     }
 }
@@ -109,6 +122,75 @@ mod tests {
 
     fn embedding(board: &Board) -> EmbeddingTensor {
         EmbeddingTensor::profile(board, &zoo::build_all(), NoiseModel::none())
+    }
+
+    /// The bound as it was before the early exit, kept verbatim as the
+    /// exactness reference: every one of `iterations` damped steps, no
+    /// exit.
+    fn reference(
+        embedding: &EmbeddingTensor,
+        rows: &[usize],
+        mapping: &Mapping,
+        iterations: usize,
+    ) -> f64 {
+        let scale = embedding.scale_ms();
+        let mut stages: Vec<(usize, Device, f64)> = Vec::new();
+        for (di, &row) in rows.iter().enumerate() {
+            for seg in mapping.segments(di) {
+                let t: f64 = (seg.start..seg.end)
+                    .map(|l| f64::from(embedding.value(seg.device, row, l)) * scale)
+                    .sum();
+                stages.push((di, seg.device, t.max(1e-9)));
+            }
+        }
+        let mut bottleneck = vec![0.0f64; rows.len()];
+        for &(di, _, t) in &stages {
+            bottleneck[di] = bottleneck[di].max(t);
+        }
+        let mut rate: Vec<f64> = bottleneck.iter().map(|t| 1.0 / t).collect();
+        for _ in 0..iterations {
+            let mut util = [0.0f64; Device::COUNT];
+            for &(di, dev, t) in &stages {
+                util[dev.index()] += rate[di] * t;
+            }
+            bottleneck.fill(0.0);
+            for &(di, dev, t) in &stages {
+                bottleneck[di] = bottleneck[di].max(t * util[dev.index()].max(1.0));
+            }
+            for (x, worst) in rate.iter_mut().zip(&bottleneck) {
+                *x = 0.5 * *x + 0.5 / worst;
+            }
+        }
+        rate.iter().sum::<f64>() / rows.len() as f64 * 1e3
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The early exit is exact: on random 1–5-DNN mixes over the
+        /// whole zoo (duplicates included) and random mappings with
+        /// stage caps 1–3 or none, one reused calculator returns the
+        /// full 60-step loop's value, bit for bit.
+        #[test]
+        fn early_exit_equals_the_full_loop_bit_for_bit(
+            dnns in 1usize..=5,
+            picks in proptest::collection::vec(proptest::sample::select(ModelId::ALL.to_vec()), 5),
+            stage_cap in proptest::sample::select(vec![1, 2, 3, usize::MAX]),
+            seed in 0u64..u64::MAX,
+        ) {
+            static EMBEDDING: std::sync::OnceLock<EmbeddingTensor> = std::sync::OnceLock::new();
+            let emb = EMBEDDING.get_or_init(|| embedding(&Board::hikey970()));
+            let mut bound = FeasibilityBound::new(emb);
+            let w = Workload::from_ids(picks[..dnns].to_vec());
+            let rows = emb.rows_of(&w).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..8 {
+                let m = Mapping::random(&w, stage_cap, &mut rng);
+                let fast = bound.average_upper_bound(&w, &m).unwrap();
+                let full = reference(emb, &rows, &m, ITERATIONS);
+                proptest::prop_assert_eq!(fast.to_bits(), full.to_bits(), "{}", m);
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! 2. *Run-time*: achieved throughput of a concurrently executing
 //!    multi-DNN pipeline mapping, via a processor-sharing discrete-event
 //!    simulator ([`des`]) and a fast analytic fixed-point solver
-//!    ([`analytic`]).
+//!    ([`analytic`]) that stops iterating, exactly, once its answer is
+//!    fixed ([`fixed_point`]).
 //!
 //! Crucially, the simulator reproduces the phenomena the paper's results
 //! hinge on: **GPU saturation** under co-located DNNs (the source of the
@@ -44,6 +45,7 @@ pub mod cost;
 pub mod des;
 mod device;
 mod error;
+pub mod fixed_point;
 mod fnv;
 mod mapping;
 mod noise;

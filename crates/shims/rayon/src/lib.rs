@@ -9,11 +9,19 @@
 
 #![forbid(unsafe_code)]
 
-/// Number of worker threads parallel operations will use.
+use std::sync::OnceLock;
+
+/// Number of worker threads parallel operations will use, fixed on first
+/// use as rayon fixes its pool size. `available_parallelism` re-reads the
+/// cgroup quota files on every call (std's docs say to cache it), which
+/// costs more than many of the batches it would size.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Runs two closures, potentially in parallel, returning both results.
