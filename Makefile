@@ -11,8 +11,9 @@ verify:
 # The tensor, estimator and board-model suites again, optimized: their
 # bitwise contracts (plan == graph, Conv3x3 == the naive mul_add loop,
 # pinned prediction bits, GEMM == naive, the fixed-point early exits ==
-# the full damped loops) must hold in the profile every benchmark runs,
-# not only in debug.
+# the full damped loops, the DES's flat event loop == the nested-list
+# reference loop) must hold in the profile every benchmark runs, not
+# only in debug.
 .PHONY: kernels-release
 kernels-release:
 	cargo test --release -q -p omniboost-tensor -p omniboost-estimator -p omniboost-hw

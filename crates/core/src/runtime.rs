@@ -15,7 +15,8 @@ use std::time::{Duration, Instant};
 pub struct MemoStats {
     /// Decisions answered from the memo without re-running the scheduler.
     pub hits: u64,
-    /// Decisions that ran the scheduler (and populated the memo).
+    /// Decisions that ran the scheduler (and, once measured, populated
+    /// the memo).
     pub misses: u64,
 }
 
@@ -68,12 +69,18 @@ pub struct RunOutcome {
 /// **decision memo** keyed on `(scheduler name, workload composition)`:
 /// a workload mix seen before maps to the cached mapping without
 /// re-running the search — the serving-path behaviour a production
-/// scheduler needs under recurring traffic. The memo is **opt-in**
-/// because the key cannot see scheduler *configuration* or internal
-/// randomness: experiment harnesses that sweep configs under one
-/// scheduler name (the ablation binary) or rely on fresh randomness per
-/// call (`RandomSplit` in the Fig. 1 study) would be silently pinned to
-/// their first decision.
+/// scheduler needs under recurring traffic. A memo entry is a whole
+/// deployment, the mapping *and* its measurement, so a hit re-runs
+/// neither the search nor the simulator. Reusing the measurement is
+/// exact: the simulator is a pure function of (board, workload,
+/// mapping) — its noise is a seeded hash, not a stream — and a
+/// runtime's board and simulator never change (a board swap builds a
+/// new runtime). Debug builds re-simulate every hit and assert the bits
+/// agree. The memo is **opt-in** because the key cannot see scheduler
+/// *configuration* or internal randomness: experiment harnesses that
+/// sweep configs under one scheduler name (the ablation binary) or rely
+/// on fresh randomness per call (`RandomSplit` in the Fig. 1 study)
+/// would be silently pinned to their first decision.
 ///
 /// ```no_run
 /// use omniboost::Runtime;
@@ -92,7 +99,7 @@ pub struct Runtime {
     board: Board,
     simulator: DesSimulator,
     memo_enabled: bool,
-    memo: Mutex<HashMap<MemoKey, Mapping>>,
+    memo: Mutex<HashMap<MemoKey, Deployment>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     telemetry: Telemetry,
@@ -119,7 +126,17 @@ enum MemoMode {
 /// architectures under one name. Order is preserved (workloads are
 /// mixes, but [`Workload`] keeps order and so do we, which is
 /// conservative: permutations simply miss).
+///
+/// A key names one workload, so its entry holds a whole deployment, the
+/// decision *and* its measurement ([`Deployment`]). Replaying the stored
+/// measurement is exact: the simulator is a pure function of (board,
+/// workload, mapping), and a runtime's board and simulator are fixed.
 type MemoKey = (String, u64, Vec<(String, usize, u64)>);
+
+/// A memo entry: one whole deployment, the decided mapping and the
+/// simulator's measurement of it. Entered only once the measurement
+/// succeeded, so a mapping the board rejects is never replayed.
+type Deployment = (Mapping, ThroughputReport);
 
 impl Clone for Runtime {
     fn clone(&self) -> Self {
@@ -307,11 +324,11 @@ impl Runtime {
             None
         };
         let memo_hit = memoized.is_some();
-        let mapping = match memoized {
-            Some(mapping) => {
+        let (mapping, memoized_report) = match memoized {
+            Some((mapping, report)) => {
                 self.memo_hits.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.incr("core.decide.memo_hits", 1);
-                mapping
+                (mapping, Some(report))
             }
             None => {
                 self.memo_misses.fetch_add(1, Ordering::Relaxed);
@@ -334,19 +351,37 @@ impl Runtime {
                     self.telemetry
                         .incr("core.decide.plateau_stops", effort.plateau_stops as u64);
                 }
-                if let Some(k) = key {
-                    self.memo.lock().insert(k, mapping.clone());
-                }
-                mapping
+                (mapping, None)
             }
         };
         let decision_time = start.elapsed();
         let migrated_layers = previous
             .as_ref()
             .map(|p| mapping.migrated_layers(p.mapping, p.pairing));
-        let report = {
-            let _span = self.telemetry.span("core.deploy.measure");
-            self.simulator.evaluate(workload, &mapping)?
+        let report = match memoized_report {
+            Some(report) => {
+                debug_assert_eq!(
+                    self.simulator
+                        .evaluate(workload, &mapping)
+                        .as_ref()
+                        .map(report_bits),
+                    Ok(report_bits(&report)),
+                    "a memoized measurement differs from re-simulating it"
+                );
+                report
+            }
+            None => {
+                let report = {
+                    let _span = self.telemetry.span("core.deploy.measure");
+                    self.simulator.evaluate(workload, &mapping)?
+                };
+                if let Some(k) = key {
+                    self.memo
+                        .lock()
+                        .insert(k, (mapping.clone(), report.clone()));
+                }
+                report
+            }
         };
         Ok(RunOutcome {
             mapping,
@@ -383,6 +418,17 @@ impl Runtime {
     ) -> Vec<Result<ThroughputReport, HwError>> {
         self.simulator.evaluate_batch(workload, mappings)
     }
+}
+
+/// Every value of a report, as bits: the memo's exactness check.
+fn report_bits(report: &ThroughputReport) -> Vec<u64> {
+    report
+        .per_dnn
+        .iter()
+        .chain(&report.per_device)
+        .chain([&report.average])
+        .map(|v| v.to_bits())
+        .collect()
 }
 
 #[cfg(test)]
@@ -447,6 +493,58 @@ mod tests {
         let third = rt.run(&mut sched, &w2).unwrap();
         assert!(!third.memo_hit);
         assert_eq!(rt.memo_stats(), MemoStats { hits: 1, misses: 2 });
+    }
+
+    #[test]
+    fn a_memo_hit_reports_the_measurement_bit_for_bit() {
+        let rt = Runtime::new(Board::hikey970()).with_memo();
+        let w = Workload::from_ids([ModelId::ResNet50, ModelId::MobileNet, ModelId::AlexNet]);
+        let mut sched = RandomSplit::new(13);
+        rt.run(&mut sched, &w).unwrap();
+        let hit = rt.run(&mut sched, &w).unwrap();
+        assert!(hit.memo_hit);
+        let fresh = rt.measure(&w, &hit.mapping).unwrap();
+        assert_eq!(report_bits(&hit.report), report_bits(&fresh));
+    }
+
+    /// A memo hit deploys what was already measured: one mix run twice
+    /// is simulated once.
+    #[test]
+    fn a_memo_hit_records_no_deploy_measurement() {
+        let mut rt = Runtime::new(Board::hikey970()).with_memo();
+        let telemetry = Telemetry::recording();
+        rt.set_telemetry(telemetry.clone());
+        let w = Workload::from_ids([ModelId::AlexNet, ModelId::SqueezeNet]);
+        let mut sched = GpuOnly::new();
+        rt.run(&mut sched, &w).unwrap();
+        assert!(rt.run(&mut sched, &w).unwrap().memo_hit);
+        let count = |name| telemetry.histogram(name).map_or(0, |h| h.count());
+        assert_eq!(count("core.deploy.measure"), 1);
+        assert_eq!(count("core.decide.memo_lookup"), 2);
+    }
+
+    /// A decision the board rejects is not memoized: the repeat searches
+    /// again and fails again, rather than replaying the bad mapping.
+    #[test]
+    fn a_mapping_that_fails_to_measure_is_not_memoized() {
+        struct Malformed;
+        impl Scheduler for Malformed {
+            fn name(&self) -> &str {
+                "malformed"
+            }
+            fn decide(&mut self, _: &Board, _: &Workload) -> Result<Mapping, HwError> {
+                Ok(Mapping::new(vec![vec![Device::Gpu; 3]]))
+            }
+        }
+        let rt = Runtime::new(Board::hikey970()).with_memo();
+        let w = Workload::from_ids([ModelId::AlexNet]);
+        for _ in 0..2 {
+            assert!(matches!(
+                rt.run(&mut Malformed, &w),
+                Err(HwError::MappingShape { .. })
+            ));
+        }
+        assert_eq!(rt.memo_stats(), MemoStats { hits: 0, misses: 2 });
     }
 
     #[test]

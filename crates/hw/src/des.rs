@@ -17,6 +17,25 @@
 //! GB resident) while the lighter Fig. 1 mix (~0.8 GB) merely fair-shares
 //! — see `DESIGN.md` §5 for the calibration argument. A mild
 //! stage-count term models command-queue interference on top.
+//!
+//! ## The event loop
+//!
+//! One call builds a flat stage table: every DNN's stages in DNN-major
+//! order, each with its device, service time, outgoing transfer time and
+//! owning DNN, plus each DNN's first-stage offset. Each stage's remaining
+//! work is one `f64`, and an idle stage carries `+∞`: `∞ / rate` is `∞`
+//! (also at rate 0) and `∞ − dt·rate` stays `∞`, so the next-completion
+//! pass and the advance pass run over every stage with no busy test. The
+//! per-device service rate is tabulated once per call for every possible
+//! active-stage count, and the counts are kept incrementally. One
+//! DNN-major pass advances the stages and completes the finished ones;
+//! only a stage that finished or received a token is considered for a
+//! restart. Every scratch buffer is allocated once per call.
+//!
+//! The contract is bitwise: every report and utilization figure equals,
+//! to the last bit, what the nested-list loop this one replaced computes
+//! — the same floating-point operations on every busy stage, in the same
+//! order. The tests keep that loop as the reference and compare bits.
 
 use crate::board::Board;
 use crate::device::Device;
@@ -90,20 +109,20 @@ pub struct DesSimulator {
     config: DesConfig,
 }
 
+/// One pipeline stage of the flat, DNN-major stage table.
 struct Stage {
-    device: Device,
+    /// [`Device::index`] of the serving device.
+    device: usize,
     service_ms: f64,
-    /// Tokens waiting to enter this stage.
-    queue: usize,
-    /// Remaining work of the token currently in service.
-    busy: Option<f64>,
     /// Bus time to ship the activation to the next stage (None for last).
     transfer_ms: Option<f64>,
+    /// Owning DNN.
+    dnn: usize,
 }
 
 struct Transfer {
-    dnn: usize,
-    to_stage: usize,
+    /// Flat index of the receiving stage.
+    to: usize,
     remaining: f64,
 }
 
@@ -123,39 +142,32 @@ impl DesSimulator {
         &self.config
     }
 
-    fn build_stages(&self, workload: &Workload, mapping: &Mapping) -> Vec<Vec<Stage>> {
-        workload
-            .dnns()
-            .iter()
-            .enumerate()
-            .map(|(di, dnn)| {
-                let table = LayerTimeTable::profile(&self.board, dnn, self.config.noise);
-                let segs = mapping.segments(di);
-                let last = segs.len() - 1;
-                segs.iter()
-                    .enumerate()
-                    .map(|(si, seg)| {
-                        let service_ms: f64 = (seg.start..seg.end)
-                            .map(|l| table.time_ms(seg.device, l))
-                            .sum();
-                        let transfer_ms = (si != last).then(|| {
-                            self.board
-                                .bus
-                                .transfer_ms(dnn.cut_bytes(seg.end - 1) as u64)
-                        });
-                        Stage {
-                            device: seg.device,
-                            service_ms,
-                            // Pre-fill: one token per stage puts the closed
-                            // pipeline directly near steady state.
-                            queue: 1,
-                            busy: None,
-                            transfer_ms,
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+    /// The mapping's stages as one DNN-major table, and the index of each
+    /// DNN's first stage in it.
+    fn build_stages(&self, workload: &Workload, mapping: &Mapping) -> (Vec<Stage>, Vec<usize>) {
+        let mut stages = Vec::new();
+        let mut first = Vec::with_capacity(workload.len());
+        for (di, dnn) in workload.dnns().iter().enumerate() {
+            let table = LayerTimeTable::profile(&self.board, dnn, self.config.noise);
+            let segs = mapping.segments(di);
+            let last = segs.len() - 1;
+            first.push(stages.len());
+            stages.extend(segs.iter().enumerate().map(|(si, seg)| {
+                Stage {
+                    device: seg.device.index(),
+                    service_ms: (seg.start..seg.end)
+                        .map(|l| table.time_ms(seg.device, l))
+                        .sum(),
+                    transfer_ms: (si != last).then(|| {
+                        self.board
+                            .bus
+                            .transfer_ms(dnn.cut_bytes(seg.end - 1) as u64)
+                    }),
+                    dnn: di,
+                }
+            }));
+        }
+        (stages, first)
     }
 }
 
@@ -182,7 +194,7 @@ impl DesSimulator {
         self.board.admit(workload)?;
         mapping.validate(workload)?;
 
-        let mut stages = self.build_stages(workload, mapping);
+        let (stages, first) = self.build_stages(workload, mapping);
         let m = workload.len();
         let global = self.board.saturation.global_factor(m);
 
@@ -195,16 +207,45 @@ impl DesSimulator {
                 resident[dev.index()] += layer.weight_bytes() + layer.output_bytes() as u64;
             }
         }
-        let ws_factor: Vec<f64> = Device::ALL
-            .iter()
-            .map(|d| {
-                self.board
-                    .saturation
-                    .ws_factor(resident[d.index()], self.board.device(*d).ws_capacity_bytes)
-            })
-            .collect();
+        let specs = self.board.devices();
+        let ws_factor: [f64; Device::COUNT] = std::array::from_fn(|d| {
+            self.board
+                .saturation
+                .ws_factor(resident[d], specs[d].ws_capacity_bytes)
+        });
 
-        let mut transfers: Vec<Transfer> = Vec::new();
+        // `rate_by_count[d][n]`: the service rate each of `n` active
+        // stages on device `d` gets (0 when none is active).
+        let mut on_device = [0usize; Device::COUNT];
+        for st in &stages {
+            on_device[st.device] += 1;
+        }
+        let rate_by_count: [Vec<f64>; Device::COUNT] = std::array::from_fn(|d| {
+            let knee = specs[d].saturation_knee;
+            (0..=on_device[d])
+                .map(|n| {
+                    if n == 0 {
+                        0.0
+                    } else {
+                        1.0 / (n as f64
+                            * self.board.saturation.device_factor(n, knee)
+                            * ws_factor[d]
+                            * global)
+                    }
+                })
+                .collect()
+        });
+
+        // Pre-fill: one token in service per stage puts the closed
+        // pipeline directly near steady state. An idle stage holds +∞.
+        let mut remaining: Vec<f64> = stages.iter().map(|st| st.service_ms).collect();
+        let mut queue = vec![0usize; stages.len()];
+        let mut active = on_device;
+        // A DNN holds one token per stage, so at most that many transfers
+        // are in flight and at most two stage touches per token happen in
+        // one event: neither buffer grows after this.
+        let mut transfers: Vec<Transfer> = Vec::with_capacity(stages.len());
+        let mut touched: Vec<usize> = Vec::with_capacity(2 * stages.len());
         let mut now = 0.0f64;
         let mut completions = vec![0usize; m];
         let mut window_start: Option<f64> = None;
@@ -214,52 +255,22 @@ impl DesSimulator {
         let mut bus_busy_ms = 0.0f64;
         let window_end = self.config.max_sim_ms;
 
-        // Admit initial tokens into service.
-        start_idle_stages(&mut stages);
-
         loop {
-            // Per-device active-stage counts and rates.
-            let mut active = [0usize; Device::COUNT];
-            for dnn in &stages {
-                for st in dnn {
-                    if st.busy.is_some() {
-                        active[st.device.index()] += 1;
-                    }
-                }
-            }
-            let rate: Vec<f64> = Device::ALL
-                .iter()
-                .map(|d| {
-                    let n = active[d.index()];
-                    if n == 0 {
-                        0.0
-                    } else {
-                        let knee = self.board.device(*d).saturation_knee;
-                        1.0 / (n as f64
-                            * self.board.saturation.device_factor(n, knee)
-                            * ws_factor[d.index()]
-                            * global)
-                    }
-                })
-                .collect();
+            let rate: [f64; Device::COUNT] = std::array::from_fn(|d| rate_by_count[d][active[d]]);
             let bus_rate = if transfers.is_empty() {
                 0.0
             } else {
                 1.0 / (transfers.len() as f64 * global)
             };
 
-            // Next completion.
-            let mut dt = f64::INFINITY;
-            for dnn in &stages {
-                for st in dnn {
-                    if let Some(rem) = st.busy {
-                        dt = dt.min(rem / rate[st.device.index()]);
-                    }
-                }
-            }
-            for tr in &transfers {
-                dt = dt.min(tr.remaining / bus_rate);
-            }
+            // Next completion; an idle stage's +∞ never wins it.
+            let dt = remaining
+                .iter()
+                .zip(&stages)
+                .fold(f64::INFINITY, |dt, (rem, st)| dt.min(rem / rate[st.device]));
+            let dt = transfers
+                .iter()
+                .fold(dt, |dt, tr| dt.min(tr.remaining / bus_rate));
             if !dt.is_finite() {
                 // Closed network with tokens should never drain.
                 debug_assert!(false, "simulator deadlocked");
@@ -268,72 +279,70 @@ impl DesSimulator {
             let dt = dt.min(window_end - now).max(0.0);
             now += dt;
             if window_start.is_some() {
-                for d in Device::ALL {
-                    if active[d.index()] > 0 {
-                        busy_ms[d.index()] += dt;
+                for (busy, n) in busy_ms.iter_mut().zip(active) {
+                    if n > 0 {
+                        *busy += dt;
                     }
                 }
                 if !transfers.is_empty() {
                     bus_busy_ms += dt;
                 }
             }
-
-            // Advance.
-            for dnn in stages.iter_mut() {
-                for st in dnn.iter_mut() {
-                    if let Some(rem) = st.busy.as_mut() {
-                        *rem -= dt * rate[st.device.index()];
-                    }
-                }
-            }
-            for tr in transfers.iter_mut() {
-                tr.remaining -= dt * bus_rate;
-            }
+            // Watchdog: nothing in flight is read after the loop.
             if now >= window_end {
                 break;
             }
 
-            // Stage completions.
-            let measuring = window_start.is_some();
-            let mut new_transfers: Vec<Transfer> = Vec::new();
-            for (di, dnn) in stages.iter_mut().enumerate() {
-                let last = dnn.len() - 1;
-                for si in 0..dnn.len() {
-                    let finished = matches!(dnn[si].busy, Some(rem) if rem <= EPS);
-                    if !finished {
-                        continue;
-                    }
-                    dnn[si].busy = None;
-                    if measuring {
-                        device_completions[dnn[si].device.index()] += 1;
-                    }
-                    if si == last {
-                        completions[di] += 1;
-                        // Recycle: a fresh input frame enters stage 0.
-                        dnn[0].queue += 1;
-                    } else {
-                        new_transfers.push(Transfer {
-                            dnn: di,
-                            to_stage: si + 1,
-                            remaining: dnn[si].transfer_ms.expect("non-last stage transfers"),
-                        });
-                    }
+            // Advance the bus; a delivered activation queues at its stage.
+            transfers.retain_mut(|tr| {
+                tr.remaining -= dt * bus_rate;
+                let delivered = tr.remaining <= EPS;
+                if delivered {
+                    queue[tr.to] += 1;
+                    touched.push(tr.to);
                 }
-            }
-            // Transfer completions.
-            let mut ti = 0;
-            while ti < transfers.len() {
-                if transfers[ti].remaining <= EPS {
-                    let tr = transfers.swap_remove(ti);
-                    stages[tr.dnn][tr.to_stage].queue += 1;
-                } else {
-                    ti += 1;
-                }
-            }
-            transfers.extend(new_transfers);
-            start_idle_stages(&mut stages);
+                !delivered
+            });
 
-            // Measurement-window state machine.
+            // Advance every stage and complete the finished ones.
+            let measuring = window_start.is_some();
+            for (i, (rem, st)) in remaining.iter_mut().zip(&stages).enumerate() {
+                *rem -= dt * rate[st.device];
+                if *rem <= EPS {
+                    *rem = f64::INFINITY;
+                    active[st.device] -= 1;
+                    if measuring {
+                        device_completions[st.device] += 1;
+                    }
+                    touched.push(i);
+                    match st.transfer_ms {
+                        Some(ms) => transfers.push(Transfer {
+                            to: i + 1,
+                            remaining: ms,
+                        }),
+                        None => {
+                            completions[st.dnn] += 1;
+                            // Recycle: a fresh input frame enters stage 0.
+                            let head = first[st.dnn];
+                            queue[head] += 1;
+                            touched.push(head);
+                        }
+                    }
+                }
+            }
+
+            // Only a stage that finished or received a token can start.
+            for i in touched.drain(..) {
+                if remaining[i].is_infinite() && queue[i] > 0 {
+                    queue[i] -= 1;
+                    remaining[i] = stages[i].service_ms;
+                    active[stages[i].device] += 1;
+                }
+            }
+
+            // Measurement-window state machine, on every event: with zero
+            // warm-up or zero required completions it decides on events
+            // no DNN completes on.
             if window_start.is_none()
                 && completions
                     .iter()
@@ -342,15 +351,13 @@ impl DesSimulator {
                 window_start = Some(now);
                 window_base.copy_from_slice(&completions);
             }
-            if let Some(ws) = window_start {
-                let done = completions
+            if window_start.is_some()
+                && completions
                     .iter()
                     .zip(&window_base)
-                    .all(|(c, b)| c - b >= self.config.min_completions);
-                if done {
-                    break;
-                }
-                let _ = ws;
+                    .all(|(c, b)| c - b >= self.config.min_completions)
+            {
+                break;
             }
         }
 
@@ -409,16 +416,8 @@ impl ThroughputModel for DesSimulator {
     }
 }
 
-fn start_idle_stages(stages: &mut [Vec<Stage>]) {
-    for dnn in stages.iter_mut() {
-        for st in dnn.iter_mut() {
-            if st.busy.is_none() && st.queue > 0 {
-                st.queue -= 1;
-                st.busy = Some(st.service_ms);
-            }
-        }
-    }
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -612,5 +611,71 @@ mod tests {
         let a = s.evaluate(&w, &mapping).unwrap();
         let b = s.evaluate(&w, &mapping).unwrap();
         assert_eq!(a.per_dnn, b.per_dnn);
+    }
+
+    /// Every output of one simulation, as bits.
+    fn bits((report, util): &(ThroughputReport, UtilizationReport)) -> Vec<u64> {
+        report
+            .per_dnn
+            .iter()
+            .chain(&report.per_device)
+            .chain([&report.average])
+            .chain(&util.device_busy)
+            .chain([&util.bus_busy, &util.window_ms])
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The flat loop is exact: on the three board profiles, random
+        /// 1–5-DNN mixes over the whole zoo (duplicates included),
+        /// mappings with stage caps 1–3, uncapped or all on one device,
+        /// noisy profiles, zero warm-up, zero or one required completion
+        /// and a watchdog that trips, `per_dnn`, `per_device`, `average`,
+        /// `device_busy`, `bus_busy` and `window_ms` all equal the
+        /// nested-list reference loop's, bit for bit.
+        #[test]
+        fn flat_loop_equals_the_reference_bit_for_bit(
+            board in 0usize..3,
+            dnns in 1usize..=5,
+            picks in proptest::collection::vec(proptest::sample::select(ModelId::ALL.to_vec()), 5),
+            shape in proptest::sample::select(vec![1, 2, 3, usize::MAX, 0]),
+            noise_seed in 0u64..u64::MAX,
+            warmup_completions in proptest::sample::select(vec![0, 2]),
+            min_completions in proptest::sample::select(vec![0, 1, 30]),
+            max_sim_ms in proptest::sample::select(vec![2e6, 30.0]),
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let board = [Board::hikey970(), Board::hikey970_lite(), Board::hikey970_gpu_down()]
+                [board]
+                .clone();
+            let s = DesSimulator::new(board, DesConfig {
+                warmup_completions,
+                min_completions,
+                max_sim_ms,
+                noise: NoiseModel::new(0.05, noise_seed),
+            });
+            let w = Workload::from_ids(picks[..dnns].to_vec());
+            let mut rng = StdRng::seed_from_u64(seed);
+            // `shape` 0: every layer on one device; otherwise a stage cap.
+            let mappings: Vec<Mapping> = (0..3)
+                .map(|_| match shape {
+                    0 => Mapping::all_on(&w, Device::ALL[rng.gen_range(0..Device::COUNT)]),
+                    cap => Mapping::random(&w, cap, &mut rng),
+                })
+                .collect();
+            for m in &mappings {
+                match (s.evaluate_traced(&w, m), s.reference_run(&w, m)) {
+                    (Ok(flat), Ok(nested)) => {
+                        proptest::prop_assert_eq!(bits(&flat), bits(&nested), "{}", m);
+                    }
+                    (flat, nested) => proptest::prop_assert_eq!(flat.err(), nested.err()),
+                }
+            }
+        }
     }
 }
