@@ -31,10 +31,11 @@ bench-quick:
 # budgets/traces, metrics pipelines fully exercised, no JSON snapshot
 # rewrites (numbers from noisy runners must not be published) — then
 # one per-stage profile of the estimator forward (stage times, the
-# multiply's GFLOP/s, which of fma / avx512f the build has) and the
-# ablation bin (its plateau sweep is the evidence for SearchBudget's
-# default patience, so it must keep running). Latency itself is
-# perfbench's job: see bench-quick.
+# multiply's GFLOP/s, which of fma / avx512f the build has), one
+# breakdown of cold analytic searches (evaluator vs the search's own
+# time per iteration) and the ablation bin (its plateau sweep is the
+# evidence for SearchBudget's default patience, so it must keep
+# running). Latency itself is perfbench's job: see bench-quick.
 .PHONY: perf-smoke
 perf-smoke:
 	SMOKE=1 cargo bench --bench serving
@@ -44,6 +45,7 @@ perf-smoke:
 	SMOKE=1 cargo bench --bench chaos
 	SMOKE=1 cargo bench --bench telemetry_overhead
 	cargo run --release --example profile_forward -- 20
+	cargo run --release --example profile_search -- 3
 	cargo run --release -p omniboost-bench --bin ablation -- --quick
 
 # Full perf snapshots: rewrites BENCH_serving.json, BENCH_fleet.json,

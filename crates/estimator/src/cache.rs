@@ -31,6 +31,10 @@
 //!   lookup, insert and eviction, no unsafe.
 //! * **Observable** — hit/miss/eviction counters ([`EvalCacheStats`])
 //!   surface on `RunOutcome` next to the runtime memo stats.
+//! * **No copies on a cold batch** — [`CachedEstimator::evaluate_batch`]
+//!   forwards an all-miss batch (most of a cold search's) to the wrapped
+//!   model as the caller's own slice; only a partial hit gathers its
+//!   misses into a new vector.
 //!
 //! Only successful reports are cached: errors are cheap to recompute,
 //! workload-shape errors would be cached forever, and the paper's
@@ -424,7 +428,9 @@ impl<M: ThroughputModel> ThroughputModel for CachedEstimator<'_, M> {
 
     /// Splits the batch into cache hits and misses, forwards the misses
     /// as **one** inner `evaluate_batch` call (preserving the wrapped
-    /// model's amortization), and stores the fresh reports.
+    /// model's amortization), and stores the fresh reports. An all-miss
+    /// batch is forwarded as the caller's slice; only a partial hit
+    /// copies its misses out.
     fn evaluate_batch(
         &self,
         workload: &Workload,
@@ -437,9 +443,12 @@ impl<M: ThroughputModel> ThroughputModel for CachedEstimator<'_, M> {
             .collect();
         let miss_idx: Vec<usize> = (0..mappings.len()).filter(|i| out[*i].is_none()).collect();
         if !miss_idx.is_empty() {
-            let miss_mappings: Vec<Mapping> =
-                miss_idx.iter().map(|&i| mappings[i].clone()).collect();
-            let fresh = self.inner.evaluate_batch(workload, &miss_mappings);
+            let fresh = if miss_idx.len() == mappings.len() {
+                self.inner.evaluate_batch(workload, mappings)
+            } else {
+                let misses: Vec<Mapping> = miss_idx.iter().map(|&i| mappings[i].clone()).collect();
+                self.inner.evaluate_batch(workload, &misses)
+            };
             for (&i, result) in miss_idx.iter().zip(fresh) {
                 if let Ok(report) = &result {
                     self.cache.insert(fp, &mappings[i], report.clone());
@@ -549,6 +558,33 @@ mod tests {
         for (m, b) in mappings.iter().zip(batch) {
             assert_eq!(model.inner.evaluate(&w, m).unwrap(), b.unwrap());
         }
+    }
+
+    #[test]
+    fn all_miss_partial_hit_and_all_hit_batches_equal_the_uncached_model() {
+        let (w, model) = setup();
+        let cache = EvalCache::new(128);
+        let cached = CachedEstimator::new(&model, &cache);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mappings: Vec<Mapping> = (0..12).map(|_| Mapping::random(&w, 3, &mut rng)).collect();
+        let uncached = model.inner.evaluate_batch(&w, &mappings);
+        // All miss: forwarded as the caller's slice.
+        assert_eq!(cached.evaluate_batch(&w, &mappings[..6]), uncached[..6]);
+        assert_eq!(model.queries(), 6);
+        // Partial hit: only the cold half reaches the model.
+        assert_eq!(cached.evaluate_batch(&w, &mappings), uncached);
+        assert_eq!(model.queries(), 12);
+        // All hit: nothing does.
+        assert_eq!(cached.evaluate_batch(&w, &mappings), uncached);
+        assert_eq!(model.queries(), 12);
+        assert_eq!(
+            cache.stats(),
+            EvalCacheStats {
+                hits: 6 + 12,
+                misses: 6 + 6,
+                evictions: 0
+            }
+        );
     }
 
     #[test]

@@ -20,19 +20,21 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     dnns: Vec<DnnModel>,
+    /// [`Workload::fingerprint`], a function of `dnns` (so the derived
+    /// `PartialEq` stays exact), computed once at construction.
+    fingerprint: u64,
 }
 
 impl Workload {
     /// Creates a workload from fully-described models (zoo or custom).
     pub fn new(dnns: Vec<DnnModel>) -> Self {
-        Self { dnns }
+        let fingerprint = fingerprint_of(&dnns);
+        Self { dnns, fingerprint }
     }
 
     /// Creates a workload from zoo identifiers.
     pub fn from_ids(ids: impl IntoIterator<Item = ModelId>) -> Self {
-        Self {
-            dnns: ids.into_iter().map(zoo::build).collect(),
-        }
+        Self::new(ids.into_iter().map(zoo::build).collect())
     }
 
     /// The DNNs in this workload.
@@ -83,22 +85,31 @@ impl Workload {
     /// order throughout the stack), process-independent (FNV-1a, no
     /// `RandomState`), and stable across runs so persisted caches could
     /// reuse it.
+    ///
+    /// Computed once per workload, in [`Workload::new`]: every
+    /// evaluation-cache lookup asks for it, and hashing 24 bytes per
+    /// layer on each ask cost more than the lookup itself.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::Hasher;
-        let mut h = crate::Fnv1a::default();
-        for dnn in &self.dnns {
-            h.write(dnn.name().as_bytes());
-            // Separator so ("ab", 1-layer) never collides with ("a", ...).
-            h.write(&[0xFF]);
-            h.write(&(dnn.num_layers() as u64).to_le_bytes());
-            for layer in dnn.layers() {
-                h.write(&layer.flops().to_le_bytes());
-                h.write(&layer.weight_bytes().to_le_bytes());
-                h.write(&(layer.output_bytes() as u64).to_le_bytes());
-            }
-        }
-        h.finish()
+        self.fingerprint
     }
+}
+
+/// The FNV-1a digest behind [`Workload::fingerprint`].
+fn fingerprint_of(dnns: &[DnnModel]) -> u64 {
+    use std::hash::Hasher;
+    let mut h = crate::Fnv1a::default();
+    for dnn in dnns {
+        h.write(dnn.name().as_bytes());
+        // Separator so ("ab", 1-layer) never collides with ("a", ...).
+        h.write(&[0xFF]);
+        h.write(&(dnn.num_layers() as u64).to_le_bytes());
+        for layer in dnn.layers() {
+            h.write(&layer.flops().to_le_bytes());
+            h.write(&layer.weight_bytes().to_le_bytes());
+            h.write(&(layer.output_bytes() as u64).to_le_bytes());
+        }
+    }
+    h.finish()
 }
 
 impl FromIterator<DnnModel> for Workload {

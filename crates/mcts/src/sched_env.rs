@@ -3,6 +3,7 @@
 use crate::env::Environment;
 use omniboost_hw::{Device, HwError, Mapping, ThroughputModel, Workload};
 use rand::Rng;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -161,6 +162,71 @@ enum Decision {
     Layer(usize, usize),
 }
 
+/// The reward memo's key for a complete assignment: eight device
+/// indices packed per `u64` word, the words folded by multiply–rotate,
+/// so keying costs one multiply per eight layers. Computed once per live
+/// terminal state per scoring round. The key is never persisted, so it
+/// needs no stability across processes; the memo verifies every hit, so
+/// a collision costs a comparison, never a wrong reward.
+fn assignment_key(devices: &[Device]) -> u64 {
+    devices.chunks(8).fold(devices.len() as u64, |h, word| {
+        let packed = word.iter().fold(0u64, |w, d| w << 8 | d.index() as u64);
+        (h ^ packed)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29)
+    })
+}
+
+/// [`SchedulingEnv`]'s reward memo: assignments by [`assignment_key`].
+#[derive(Default)]
+struct RewardMemo {
+    buckets: HashMap<u64, MemoBucket>,
+}
+
+/// The memoized assignments sharing one key. Almost always one, so the
+/// first lives inline; the others (a key collision) wait in a list that
+/// allocates only when one happens.
+struct MemoBucket {
+    first: (Vec<Device>, f64),
+    collided: Vec<(Vec<Device>, f64)>,
+}
+
+impl MemoBucket {
+    fn get(&self, devices: &[Device]) -> Option<f64> {
+        std::iter::once(&self.first)
+            .chain(&self.collided)
+            .find(|(held, _)| held.as_slice() == devices)
+            .map(|(_, reward)| *reward)
+    }
+}
+
+impl RewardMemo {
+    /// The reward memoized for `devices`, whose key is `key`.
+    fn get(&self, key: u64, devices: &[Device]) -> Option<f64> {
+        self.buckets.get(&key)?.get(devices)
+    }
+
+    /// Memoizes `reward` for `devices` under `key`. Idempotent: an
+    /// assignment already held (two trees raced to score it) keeps its
+    /// one entry.
+    fn insert(&mut self, key: u64, devices: &[Device], reward: f64) {
+        match self.buckets.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(MemoBucket {
+                    first: (devices.to_vec(), reward),
+                    collided: Vec::new(),
+                });
+            }
+            Entry::Occupied(slot) => {
+                let bucket = slot.into_mut();
+                if bucket.get(devices).is_none() {
+                    bucket.collided.push((devices.to_vec(), reward));
+                }
+            }
+        }
+    }
+}
+
 /// The scheduling environment: states are partial mappings, actions are
 /// devices, terminal rewards come from a throughput model.
 ///
@@ -191,7 +257,13 @@ pub struct SchedulingEnv<'a, M: ThroughputModel> {
     /// i.e. to one scheduling decision — the evaluator is deterministic,
     /// so memoized rewards are exactly what a fresh query would return.
     /// (Cross-decision reuse is the estimator-side `EvalCache`'s job.)
-    reward_memo: Mutex<HashMap<Vec<Device>, f64>>,
+    ///
+    /// Keyed by [`assignment_key`], and every hit is verified against
+    /// the stored assignment: two assignments sharing a key are both
+    /// held, each with its own reward. The key lives and dies with this
+    /// memo, never leaving the process, so it needs no stability — only
+    /// speed.
+    reward_memo: Mutex<RewardMemo>,
     /// Reward queries answered from the memo (a previous round scored
     /// the same assignment).
     memo_hits: AtomicUsize,
@@ -240,7 +312,7 @@ impl<'a, M: ThroughputModel> SchedulingEnv<'a, M> {
             reference,
             win_bonus: 0.1,
             floors: Vec::new(),
-            reward_memo: Mutex::new(HashMap::new()),
+            reward_memo: Mutex::new(RewardMemo::default()),
             memo_hits: AtomicUsize::new(0),
             batch_dedup_hits: AtomicUsize::new(0),
             memo_misses: AtomicUsize::new(0),
@@ -365,6 +437,79 @@ impl<'a, M: ThroughputModel> SchedulingEnv<'a, M> {
             state.decision += 1;
         }
     }
+
+    /// [`Environment::reward_batch_counted`] under the key function
+    /// `key_of` (always [`assignment_key`] outside the tests, which
+    /// force collisions through it).
+    fn reward_batch_keyed(
+        &self,
+        states: &[SchedState],
+        key_of: impl Fn(&[Device]) -> u64,
+    ) -> (Vec<f64>, usize) {
+        let mut out = vec![0.0f64; states.len()];
+        // The round's evaluator queries, first occurrence first: each
+        // unique un-memoized live assignment's key and first state, and
+        // its mapping at the same index.
+        let mut fresh: Vec<(u64, usize)> = Vec::new();
+        let mut mappings: Vec<Mapping> = Vec::new();
+        // Later occurrences within the round: (state, its fresh slot).
+        let mut duplicates: Vec<(usize, usize)> = Vec::new();
+        let mut memo_hits = 0usize;
+        {
+            // Memo lookups under the lock; the guard is dropped before
+            // the evaluator runs so the expensive batch call is never
+            // made while holding it.
+            let memo = self.reward_memo.lock().unwrap_or_else(|e| e.into_inner());
+            for (i, state) in states.iter().enumerate() {
+                debug_assert!(self.is_terminal(state), "reward on non-terminal state");
+                if state.dead {
+                    continue;
+                }
+                let key = key_of(&state.devices);
+                if let Some(r) = memo.get(key, &state.devices) {
+                    out[i] = r;
+                    memo_hits += 1;
+                    continue;
+                }
+                // A round holds at most `batch_size` states: scanning
+                // its fresh keys is cheaper than a second map.
+                match fresh
+                    .iter()
+                    .position(|&(k, first)| k == key && states[first].devices == state.devices)
+                {
+                    Some(slot) => duplicates.push((i, slot)),
+                    None => {
+                        fresh.push((key, i));
+                        mappings.push(self.mapping_of(state));
+                    }
+                }
+            }
+        }
+        self.memo_hits.fetch_add(memo_hits, Ordering::Relaxed);
+        self.batch_dedup_hits
+            .fetch_add(duplicates.len(), Ordering::Relaxed);
+        self.memo_misses.fetch_add(fresh.len(), Ordering::Relaxed);
+        if fresh.is_empty() {
+            return (out, 0);
+        }
+        // Unlocked: two trees may race to evaluate the same assignment,
+        // but the evaluator is deterministic, so both insert the same
+        // reward — wasted work at worst, never wrong answers.
+        let reports = self.evaluator.evaluate_batch(self.workload, &mappings);
+        let mut memo = self.reward_memo.lock().unwrap_or_else(|e| e.into_inner());
+        for (&(key, first), report) in fresh.iter().zip(reports) {
+            let reward = match report {
+                Ok(r) => self.score(&r),
+                Err(_) => 0.0,
+            };
+            memo.insert(key, &states[first].devices, reward);
+            out[first] = reward;
+        }
+        for (i, slot) in duplicates {
+            out[i] = out[fresh[slot].1];
+        }
+        (out, fresh.len())
+    }
 }
 
 impl<M: ThroughputModel> Environment for SchedulingEnv<'_, M> {
@@ -465,66 +610,16 @@ impl<M: ThroughputModel> Environment for SchedulingEnv<'_, M> {
     /// second element is the number of **actual evaluator queries**
     /// (unique, un-memoized, live assignments) — dead states, memo hits
     /// and within-batch duplicates are answered for free.
+    ///
+    /// Each live state is keyed once, by [`assignment_key`]; the reward
+    /// memo and the round's dedup both look up by that key and verify a
+    /// match against the assignment itself, so a key collision is a
+    /// miss, never another assignment's reward. The key never leaves
+    /// this call and the memo, so it needs no stability across
+    /// processes. Each fresh mapping is built once, straight into the
+    /// batch the evaluator receives.
     fn reward_batch_counted(&self, states: &[SchedState]) -> (Vec<f64>, usize) {
-        let mut out = vec![0.0f64; states.len()];
-        // Indices still needing an evaluator query, deduplicated by
-        // assignment (first occurrence wins; duplicates share the slot).
-        let mut unique: HashMap<&[Device], usize> = HashMap::new();
-        let mut fresh: Vec<(Vec<usize>, Mapping)> = Vec::new();
-        let mut memo_hits = 0usize;
-        let mut dedup_hits = 0usize;
-        {
-            // Memo lookups under the lock; the guard is dropped before
-            // the evaluator runs so the expensive batch call is never
-            // made while holding it.
-            let memo = self.reward_memo.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, state) in states.iter().enumerate() {
-                debug_assert!(self.is_terminal(state), "reward on non-terminal state");
-                if state.dead {
-                    continue;
-                }
-                if let Some(r) = memo.get(state.devices.as_slice()) {
-                    out[i] = *r;
-                    memo_hits += 1;
-                    continue;
-                }
-                match unique.get(state.devices.as_slice()) {
-                    Some(&slot) => {
-                        fresh[slot].0.push(i);
-                        dedup_hits += 1;
-                    }
-                    None => {
-                        unique.insert(state.devices.as_slice(), fresh.len());
-                        fresh.push((vec![i], self.mapping_of(state)));
-                    }
-                }
-            }
-        }
-        self.memo_hits.fetch_add(memo_hits, Ordering::Relaxed);
-        self.batch_dedup_hits
-            .fetch_add(dedup_hits, Ordering::Relaxed);
-        self.memo_misses.fetch_add(fresh.len(), Ordering::Relaxed);
-        let queries = fresh.len();
-        if fresh.is_empty() {
-            return (out, queries);
-        }
-        let mappings: Vec<Mapping> = fresh.iter().map(|(_, m)| m.clone()).collect();
-        // Unlocked: two trees may race to evaluate the same assignment,
-        // but the evaluator is deterministic, so both insert the same
-        // reward — wasted work at worst, never wrong answers.
-        let reports = self.evaluator.evaluate_batch(self.workload, &mappings);
-        let mut memo = self.reward_memo.lock().unwrap_or_else(|e| e.into_inner());
-        for ((indices, _), report) in fresh.iter().zip(reports) {
-            let reward = match report {
-                Ok(r) => self.score(&r),
-                Err(_) => 0.0,
-            };
-            memo.insert(states[indices[0]].devices.clone(), reward);
-            for &i in indices {
-                out[i] = reward;
-            }
-        }
-        (out, queries)
+        self.reward_batch_keyed(states, assignment_key)
     }
 
     /// Stage-budget-aware simulation playouts: whole-DNN placements draw
@@ -576,12 +671,16 @@ impl<M: ThroughputModel> Environment for SchedulingEnv<'_, M> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::budget::SearchBudget;
     use crate::tree::Mcts;
     use omniboost_hw::{AnalyticModel, Board};
     use omniboost_models::ModelId;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn setup() -> (Workload, AnalyticModel) {
@@ -1050,5 +1149,152 @@ mod tests {
         assert_eq!(env.memo_hits(), 1);
         assert_eq!(env.batch_dedup_hits(), 2);
         assert_eq!(env.memo_misses(), 1);
+    }
+
+    #[test]
+    fn two_assignments_on_one_key_are_both_memoized_with_their_own_rewards() {
+        let mut memo = RewardMemo::default();
+        let (a, b) = (vec![Device::Gpu; 5], vec![Device::BigCpu; 5]);
+        memo.insert(7, &a, 1.25);
+        assert_eq!(memo.get(7, &b), None, "a shared key is not a hit");
+        memo.insert(7, &b, 2.5);
+        assert_eq!(memo.get(7, &a), Some(1.25));
+        assert_eq!(memo.get(7, &b), Some(2.5));
+        assert_eq!(memo.get(8, &a), None, "the key is looked up first");
+        // Racing trees insert again: still one entry each.
+        memo.insert(7, &a, 1.25);
+        memo.insert(7, &b, 2.5);
+        let held: usize = memo.buckets.values().map(|b| 1 + b.collided.len()).sum();
+        assert_eq!((memo.buckets.len(), held), (1, 2));
+    }
+
+    /// Scores every mapping with the analytic model and records each
+    /// batch it is handed.
+    struct Recording {
+        inner: AnalyticModel,
+        batches: Mutex<Vec<Vec<Mapping>>>,
+    }
+
+    impl Recording {
+        fn new() -> Self {
+            Self {
+                inner: AnalyticModel::new(Board::hikey970()),
+                batches: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn batches(&self) -> Vec<Vec<Mapping>> {
+            self.batches.lock().unwrap().clone()
+        }
+    }
+
+    impl ThroughputModel for Recording {
+        fn evaluate(
+            &self,
+            workload: &Workload,
+            mapping: &Mapping,
+        ) -> Result<omniboost_hw::ThroughputReport, HwError> {
+            self.inner.evaluate(workload, mapping)
+        }
+
+        fn evaluate_batch(
+            &self,
+            workload: &Workload,
+            mappings: &[Mapping],
+        ) -> Vec<Result<omniboost_hw::ThroughputReport, HwError>> {
+            self.batches.lock().unwrap().push(mappings.to_vec());
+            self.inner.evaluate_batch(workload, mappings)
+        }
+    }
+
+    /// A terminal state: a uniform random walk (which mostly dies on the
+    /// stage cap) or a rollout (which never does).
+    fn random_terminal<M: ThroughputModel>(
+        env: &SchedulingEnv<'_, M>,
+        rng: &mut rand::rngs::StdRng,
+    ) -> SchedState {
+        let uniform = rng.gen_bool(0.4);
+        let mut s = env.initial();
+        while !env.is_terminal(&s) {
+            let action = if uniform {
+                rng.gen_range(0..Device::COUNT)
+            } else {
+                env.rollout_action(&s, rng)
+            };
+            env.advance(&mut s, action);
+        }
+        s
+    }
+
+    /// Rounds of random terminal states — dead ones, duplicates within a
+    /// round, repeats of earlier rounds — through the live path under
+    /// `key_of` and through the reference, each on its own environment:
+    /// the rewards' bits, the query counts, the counters and every batch
+    /// the evaluator saw must agree.
+    fn agrees_with_the_reference(workload: &Workload, seed: u64, key_of: fn(&[Device]) -> u64) {
+        let (live_model, reference_model) = (Recording::new(), Recording::new());
+        let live = SchedulingEnv::new(workload, &live_model, 3).unwrap();
+        let reference_env = SchedulingEnv::new(workload, &reference_model, 3).unwrap();
+        let reference = reference::ReferenceMemo::new(&reference_env);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut seen: Vec<SchedState> = (0..6).map(|_| random_terminal(&live, &mut rng)).collect();
+        for round in 0..8 {
+            let size = rng.gen_range(1..=16);
+            let states: Vec<SchedState> = (0..size)
+                .map(|_| {
+                    if rng.gen_bool(0.35) {
+                        seen.push(random_terminal(&live, &mut rng));
+                        seen[seen.len() - 1].clone()
+                    } else {
+                        seen[rng.gen_range(0..seen.len())].clone()
+                    }
+                })
+                .collect();
+            let (got, got_queries) = live.reward_batch_keyed(&states, key_of);
+            let (want, want_queries) = reference.reward_batch_counted(&states);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "round {round}, state {i}");
+            }
+            assert_eq!(got_queries, want_queries, "round {round}");
+            assert_eq!(
+                (
+                    live.memo_hits(),
+                    live.batch_dedup_hits(),
+                    live.memo_misses()
+                ),
+                reference.counters(),
+                "round {round}"
+            );
+            assert_eq!(
+                live_model.batches(),
+                reference_model.batches(),
+                "round {round}"
+            );
+        }
+        let dead = seen.iter().filter(|s| s.is_dead()).count();
+        assert!(
+            dead > 0 && dead < seen.len(),
+            "{dead} of {} dead",
+            seen.len()
+        );
+        assert!(live.memo_hits() > 0 && live.batch_dedup_hits() > 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The keyed memo is the reference memo, bit for bit, on random
+        /// 1–5-DNN zoo mixes (repeats allowed) — under the real key, and
+        /// with every assignment forced onto one key, so each hit and
+        /// each dedup match stands on its assignment check alone.
+        #[test]
+        fn keyed_memo_equals_the_reference(dnns in 1usize..=5, seed in 0u64..1_000_000) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let workload = Workload::from_ids(
+                (0..dnns).map(|_| ModelId::ALL[rng.gen_range(0..ModelId::ALL.len())]),
+            );
+            agrees_with_the_reference(&workload, seed, assignment_key);
+            agrees_with_the_reference(&workload, seed, |_| 0);
+        }
     }
 }
