@@ -249,10 +249,9 @@ fn main() {
             "batched top-k rebalancing priced speculatively as a set, sharded cells with a ",
             "hysteresis cross-cell balancer. overhead_us_per_board_tick = (wall clock - time ",
             "inside per-board rescheduling searches) / (ticks x boards); scaling_pass = ",
-            "largest cell within 2x of the smallest. lost_jobs must be 0 in every cell. Run ",
-            "on the 1-core container, where rayon cell-parallelism is sequential — cells ",
-            "still bound each rebalance decision to a constant-size neighbourhood, which is ",
-            "what keeps the per-board figure flat.\",\n",
+            "largest cell within 2x of the smallest. lost_jobs must be 0 in every cell. Cells ",
+            "run one after another; each bounds a rebalance decision to a constant-size ",
+            "neighbourhood, which is what keeps the per-board figure flat.\",\n",
             "  \"all_pass\": {},\n",
             "  \"overhead_ratio_largest_vs_smallest\": {:.3},\n",
             "  \"scaling_pass\": {},\n",

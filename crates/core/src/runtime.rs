@@ -407,8 +407,7 @@ impl Runtime {
         self.simulator.evaluate(workload, mapping)
     }
 
-    /// Measures many mappings of one workload in a single batched call
-    /// (the simulator parallelizes across worker threads).
+    /// Measures many mappings of one workload in a single batched call.
     ///
     /// Element `i` equals `self.measure(workload, &mappings[i])`.
     pub fn measure_batch(

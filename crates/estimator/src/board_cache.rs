@@ -212,7 +212,9 @@ impl BoardScopedCache {
             }
             let fp = buf.get_u64_le();
             let dnns = buf.get_u32_le() as usize;
-            let mut assignments = Vec::with_capacity(dnns);
+            // Each DNN takes at least its 4-byte layer count: a hostile
+            // `dnns` fails on the bytes, not on the allocator.
+            let mut assignments = Vec::with_capacity(dnns.min(buf.remaining() / 4));
             for _ in 0..dnns {
                 if buf.remaining() < 4 {
                     return Err(LoadError::Corrupt("cache mapping length"));
@@ -758,5 +760,149 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_dnn_count_is_corrupt_not_an_abort() {
+        // A `u32::MAX` DNN count once went straight to `Vec::with_capacity`
+        // and aborted the process; a daemon booting from such a segment
+        // must start cold instead.
+        let board = Board::hikey970();
+        let mut blob = BytesMut::with_capacity(64);
+        blob.put_u32_le(MAGIC);
+        blob.put_u16_le(VERSION);
+        blob.put_u64_le(board.fingerprint());
+        blob.put_u64_le(1); // one entry
+        blob.put_u64_le(0); // its workload key
+        blob.put_u32_le(u32::MAX); // its DNN count
+        assert!(matches!(
+            BoardScopedCache::from_bytes(blob.freeze(), 16, &board),
+            Err(LoadError::Corrupt(_))
+        ));
+    }
+
+    /// A cache for `board` holding four entries over a one- and a
+    /// two-DNN mix.
+    fn populated(board: &Board) -> BoardScopedCache {
+        let mut cache = BoardScopedCache::new(64);
+        let scope = cache.begin(board);
+        let model = scope.wrap(AnalyticModel::new(board.clone()));
+        for w in [
+            Workload::from_ids([ModelId::AlexNet]),
+            Workload::from_ids([ModelId::AlexNet, ModelId::SqueezeNet]),
+        ] {
+            for device in [Device::Gpu, Device::BigCpu] {
+                model.evaluate(&w, &Mapping::all_on(&w, device)).unwrap();
+            }
+        }
+        assert_eq!(cache.cache().len(), 4);
+        cache
+    }
+
+    /// Marks the bytes of a valid snapshot that carry values rather than
+    /// structure: each entry's workload key and its report's `f64`s. The
+    /// format has no checksum, so a flipped value byte decodes (to
+    /// another value). Every other byte is a magic, version, board
+    /// fingerprint, count, length or device index.
+    fn value_bytes(blob: &[u8]) -> Vec<bool> {
+        let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize;
+        let mut is_value = vec![false; blob.len()];
+        let count = u64::from_le_bytes(blob[14..22].try_into().unwrap());
+        let mut at = 22;
+        for _ in 0..count {
+            is_value[at..at + 8].fill(true);
+            let dnns = u32_at(at + 8);
+            at += 12;
+            for _ in 0..dnns {
+                at += 4 + u32_at(at);
+            }
+            let report = (u32_at(at) + Device::COUNT) * 8;
+            at += 4;
+            is_value[at..at + report].fill(true);
+            at += report;
+        }
+        assert_eq!(at, blob.len(), "snapshot layout drifted; fix value_bytes");
+        is_value
+    }
+
+    #[test]
+    fn torn_snapshots_fail_closed_at_every_byte() {
+        let board = Board::hikey970();
+        let blob = populated(&board).to_bytes().to_vec();
+        let load =
+            |bytes: &[u8]| BoardScopedCache::from_bytes(Bytes::from(bytes.to_vec()), 64, &board);
+        for cut in 0..blob.len() {
+            assert!(load(&blob[..cut]).is_err(), "a {cut}-byte prefix loaded");
+        }
+        for (at, is_value) in value_bytes(&blob).into_iter().enumerate() {
+            let mut torn = blob.clone();
+            torn[at] ^= 0xFF;
+            if let Ok(cache) = load(&torn) {
+                assert!(is_value, "a flipped structural byte at {at} loaded");
+                assert_eq!(
+                    cache.cache().len(),
+                    4,
+                    "a flipped value at {at} lost entries"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn torn_archives_boot_each_profile_cold_or_intact() {
+        let boards = [Board::hikey970(), Board::hikey970_lite()];
+        let mut archive = CacheArchive::new();
+        for board in &boards {
+            archive.upsert(&populated(board));
+        }
+        let blob = archive.to_bytes().to_vec();
+        for cut in 0..blob.len() {
+            assert!(
+                CacheArchive::from_bytes(Bytes::from(blob[..cut].to_vec())).is_err(),
+                "a {cut}-byte archive prefix loaded"
+            );
+        }
+        // Each board's segment: where its fingerprint starts, and where
+        // its snapshot starts and ends.
+        let u64_at = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        let mut segments = Vec::new();
+        let mut at = 14;
+        while at < blob.len() {
+            let (fp, len) = (u64_at(at), u64_at(at + 8) as usize);
+            let board = boards.iter().position(|b| b.fingerprint() == fp).unwrap();
+            segments.push((board, at, at + 16..at + 16 + len));
+            at += 16 + len;
+        }
+        for flip in 0..blob.len() {
+            let mut torn = blob.clone();
+            torn[flip] ^= 0xFF;
+            let torn = CacheArchive::from_bytes(Bytes::from(torn)).ok();
+            for (board, _, body) in &segments {
+                let got = torn.as_ref().and_then(|a| a.segment(64, &boards[*board]));
+                let in_other = segments.iter().any(|(other, o_at, o_body)| {
+                    other != board && ((*o_at..o_at + 8).contains(&flip) || o_body.contains(&flip))
+                });
+                if in_other {
+                    // Another profile's fingerprint or snapshot: this
+                    // segment is untouched.
+                    let seg = got.unwrap_or_else(|| panic!("a flip at {flip} lost board {board}"));
+                    assert_eq!(seg.to_bytes().to_vec(), blob[body.clone()].to_vec());
+                } else if body.contains(&flip)
+                    && value_bytes(&blob[body.clone()])[flip - body.start]
+                {
+                    if let Some(seg) = got {
+                        assert_eq!(
+                            seg.cache().len(),
+                            4,
+                            "a flipped value at {flip} lost entries"
+                        );
+                    }
+                } else {
+                    // The header, a length, this board's fingerprint or
+                    // a structural byte of its snapshot: boot cold.
+                    assert!(got.is_none(), "a flip at {flip} left board {board} warm");
+                }
+            }
+        }
     }
 }

@@ -107,8 +107,15 @@ impl CnnEstimator {
         use crate::io::LoadError;
         use omniboost_tensor::Module;
         let num_models = model_names.len();
-        if layer_counts.len() != num_models {
+        if layer_counts.len() != num_models || layer_counts.iter().any(|&n| n > max_layers) {
             return Err(LoadError::Corrupt("layer count table"));
+        }
+        // `EstimatorNet::new` panics on a grid too small to pool twice.
+        if num_models < 4 || max_layers < 4 {
+            return Err(LoadError::Corrupt("embedding grid"));
+        }
+        if !(scale_ms.is_finite() && scale_ms > 0.0) {
+            return Err(LoadError::Corrupt("embedding scale"));
         }
         let embedding =
             EmbeddingTensor::from_raw(model_names, layer_counts, max_layers, scale_ms, values);

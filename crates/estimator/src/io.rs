@@ -99,7 +99,10 @@ fn get_f32s(buf: &mut Bytes) -> Result<Vec<f32>, LoadError> {
         return Err(LoadError::Corrupt("f32 array length"));
     }
     let len = buf.get_u64_le() as usize;
-    if buf.remaining() < len * 4 {
+    if len
+        .checked_mul(4)
+        .is_none_or(|bytes| buf.remaining() < bytes)
+    {
         return Err(LoadError::Corrupt("f32 array body"));
     }
     Ok((0..len).map(|_| buf.get_f32_le()).collect())
@@ -163,8 +166,13 @@ impl CnnEstimator {
         let num_models = buf.get_u32_le() as usize;
         let max_layers = buf.get_u32_le() as usize;
         let scale_ms = buf.get_f64_le();
-        let mut names = Vec::with_capacity(num_models);
-        let mut counts = Vec::with_capacity(num_models);
+        // Pre-allocate no more than the remaining bytes can hold: a model
+        // takes at least 8 (name length + layer count), a tensor at least
+        // 12 (rank + data length). A hostile count then fails on the
+        // bytes, not on the allocator.
+        let models_cap = num_models.min(buf.remaining() / 8);
+        let mut names = Vec::with_capacity(models_cap);
+        let mut counts = Vec::with_capacity(models_cap);
         for _ in 0..num_models {
             names.push(get_string(buf)?);
             if buf.remaining() < 4 {
@@ -187,7 +195,7 @@ impl CnnEstimator {
         }
         let activation = activation_from_tag(buf.get_u8())?;
         let n_params = buf.get_u32_le() as usize;
-        let mut snapshot = Vec::with_capacity(n_params);
+        let mut snapshot = Vec::with_capacity(n_params.min(buf.remaining() / 12));
         for _ in 0..n_params {
             if buf.remaining() < 4 {
                 return Err(LoadError::Corrupt("tensor rank"));
@@ -198,7 +206,8 @@ impl CnnEstimator {
             }
             let shape: Vec<usize> = (0..rank).map(|_| buf.get_u32_le() as usize).collect();
             let data = get_f32s(buf)?;
-            if data.len() != shape.iter().product::<usize>() {
+            let numel = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+            if numel != Some(data.len()) {
                 return Err(LoadError::Corrupt("tensor data"));
             }
             snapshot.push(omniboost_tensor::Tensor::from_vec(data, &shape));
@@ -257,9 +266,12 @@ pub(crate) fn activation_from_tag(tag: u8) -> Result<ActivationKind, LoadError> 
 mod tests {
     use super::*;
     use crate::dataset::DatasetConfig;
+    use crate::embedding::EmbeddingTensor;
+    use crate::model::EstimatorNet;
+    use crate::preprocess::TargetTransform;
     use crate::train::TrainConfig;
-    use omniboost_hw::{Board, Device, Mapping, Workload};
-    use omniboost_models::ModelId;
+    use omniboost_hw::{Board, Device, Mapping, NoiseModel, Workload};
+    use omniboost_models::{zoo, ModelId};
 
     fn trained() -> (Board, CnnEstimator) {
         let board = Board::hikey970();
@@ -386,5 +398,132 @@ mod tests {
             CnnEstimator::from_bytes(Bytes::from(versioned)),
             Err(LoadError::Version(_))
         ));
+    }
+
+    /// A blob's header and embedding grid, the model table still to come.
+    fn header(num_models: u32, max_layers: u32, scale_ms: f64) -> BytesMut {
+        let mut buf = BytesMut::with_capacity(1024);
+        buf.put_u32_le(MAGIC);
+        buf.put_u16_le(VERSION);
+        buf.put_u32_le(num_models);
+        buf.put_u32_le(max_layers);
+        buf.put_f64_le(scale_ms);
+        buf
+    }
+
+    /// A blob that is well-formed up to its parameter tensors: `models`
+    /// rows of `layers` layers each in an `M × L` grid, a zero embedding,
+    /// a 12-value transform, then `n_params` announced and none present.
+    fn up_to_params(grid: (u32, u32), scale_ms: f64, layers: u32, n_params: u32) -> Bytes {
+        let (models, max_layers) = grid;
+        let mut buf = header(models, max_layers, scale_ms);
+        for _ in 0..models {
+            put_string(&mut buf, "m");
+            buf.put_u32_le(layers);
+        }
+        put_f32s(&mut buf, &vec![0.0; 3 * (models * max_layers) as usize]);
+        put_f32s(&mut buf, &[1.0; 12]);
+        buf.put_u8(activation_tag(ActivationKind::Gelu));
+        buf.put_u32_le(n_params);
+        buf.freeze()
+    }
+
+    #[test]
+    fn hostile_f32_array_length_is_corrupt_not_an_overflow() {
+        // `len * 4` on a length of 2^62 overflowed: a panic in debug, a
+        // capacity overflow in release.
+        let mut buf = header(0, 0, 1.0);
+        buf.put_u64_le(1 << 62);
+        assert!(matches!(
+            CnnEstimator::from_bytes(buf.freeze()),
+            Err(LoadError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn hostile_counts_are_corrupt_not_an_abort() {
+        // `Vec::with_capacity` on a `u32::MAX` model or tensor count
+        // aborted the process.
+        let models = header(u32::MAX, 4, 1.0).freeze();
+        let tensors = up_to_params((4, 4), 1.0, 4, u32::MAX);
+        for blob in [models, tensors] {
+            assert!(matches!(
+                CnnEstimator::from_bytes(blob),
+                Err(LoadError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn hostile_embedding_headers_are_corrupt_not_a_panic() {
+        // A grid too small for the network's two poolings panicked in
+        // `EstimatorNet::new`; a layer count past the grid or a scale that
+        // is not a positive number loaded.
+        let cases = [
+            (up_to_params((1, 1), 1.0, 1, 0), "embedding grid"),
+            (up_to_params((4, 4), 1.0, 5, 0), "layer count table"),
+            (up_to_params((4, 4), f64::NAN, 4, 0), "embedding scale"),
+            (up_to_params((4, 4), -1.0, 4, 0), "embedding scale"),
+            (up_to_params((4, 4), 1.0, 4, 0), "parameter count"),
+        ];
+        for (blob, want) in cases {
+            match CnnEstimator::from_bytes(blob) {
+                Err(LoadError::Corrupt(what)) => assert_eq!(what, want),
+                Err(other) => panic!("expected Corrupt({want:?}), got {other:?}"),
+                Ok(_) => panic!("expected Corrupt({want:?}), the blob loaded"),
+            }
+        }
+    }
+
+    /// An untrained estimator over four models of at most 20 layers: the
+    /// real blob layout with a short embedding, so a byte-by-byte sweep
+    /// of its header stays cheap.
+    fn small_untrained() -> CnnEstimator {
+        let models: Vec<_> = [
+            ModelId::AlexNet,
+            ModelId::ResNet34,
+            ModelId::Vgg13,
+            ModelId::InceptionV3,
+        ]
+        .into_iter()
+        .map(zoo::build)
+        .collect();
+        let embedding = EmbeddingTensor::profile(&Board::hikey970(), &models, NoiseModel::none());
+        let net = EstimatorNet::new(4, embedding.max_layers(), ActivationKind::Gelu, 7);
+        let transform = TargetTransform::fit(&[[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]);
+        CnnEstimator::from_parts(embedding, net, transform)
+    }
+
+    #[test]
+    fn torn_headers_fail_closed_at_every_byte() {
+        let est = small_untrained();
+        let blob = est.to_bytes().to_vec();
+        let transform = transform_offset(&est);
+        let len = u64::from_le_bytes(blob[transform..transform + 8].try_into().unwrap());
+        assert_eq!(len, 12, "blob layout drifted; fix transform_offset");
+        // Transform (length + 12 values), activation tag, tensor count.
+        let first_tensor = transform + 8 + 48 + 1 + 4;
+        let values = transform - 4 * est.embedding().raw_values().len();
+        // Bytes that carry values, not structure: the format has no
+        // checksum, so flipping one decodes to another value. They are
+        // the embedding scale, the embedding's values and the
+        // transform's values.
+        let is_value = |at: usize| {
+            (14..22).contains(&at)
+                || (values..transform).contains(&at)
+                || (transform + 8..transform + 56).contains(&at)
+        };
+        let load = |bytes: &[u8]| CnnEstimator::from_bytes(Bytes::from(bytes.to_vec()));
+        assert!(load(&blob).is_ok());
+        for cut in (0..=first_tensor).chain([blob.len() - 1]) {
+            assert!(load(&blob[..cut]).is_err(), "a {cut}-byte prefix loaded");
+        }
+        for at in 0..first_tensor {
+            let mut torn = blob.clone();
+            torn[at] ^= 0xFF;
+            if load(&torn).is_ok() {
+                assert!(is_value(at), "a flipped structural byte at {at} loaded");
+            }
+        }
     }
 }

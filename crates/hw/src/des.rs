@@ -390,27 +390,6 @@ impl ThroughputModel for DesSimulator {
         Ok(self.run(workload, mapping)?.0)
     }
 
-    /// Simulates the batch across worker threads. Each simulation is pure
-    /// in `&self`, so results are bitwise identical to the scalar loop —
-    /// only wall-clock time changes on multi-core hosts.
-    fn evaluate_batch(
-        &self,
-        workload: &Workload,
-        mappings: &[Mapping],
-    ) -> Vec<Result<ThroughputReport, HwError>> {
-        use rayon::prelude::*;
-        if mappings.len() < 2 {
-            return mappings
-                .iter()
-                .map(|m| self.evaluate(workload, m))
-                .collect();
-        }
-        mappings
-            .par_iter()
-            .map(|m| self.evaluate(workload, m))
-            .collect()
-    }
-
     fn model_name(&self) -> &str {
         "des-board"
     }
@@ -561,9 +540,9 @@ mod tests {
 
     #[test]
     fn evaluate_batch_matches_scalar_evaluate() {
-        // Batched-vs-scalar equivalence: the parallel batch must equal N
-        // scalar evaluations within 1e-9 (the simulation is pure in
-        // `&self`, so they are bitwise identical).
+        // Batched-vs-scalar equivalence: the batch must equal N scalar
+        // evaluations within 1e-9 (the simulation is pure in `&self`,
+        // so they are bitwise identical).
         use crate::mapping::Mapping;
         use rand::rngs::StdRng;
         use rand::SeedableRng;

@@ -60,10 +60,10 @@ pub trait ThroughputModel {
     /// amortization point of the batched scheduling pipeline (§V-B's
     /// bottleneck is ~500 estimator queries per decision).
     ///
-    /// The default loops over [`ThroughputModel::evaluate`]; models with a
-    /// cheaper batch path (minibatched CNN forward, parallel simulation)
-    /// override it. Implementations must be *observationally equivalent*
-    /// to the scalar loop: element `i` of the result equals
+    /// The default loops over [`ThroughputModel::evaluate`]; a model with
+    /// a cheaper batch path (the minibatched CNN forward) overrides it.
+    /// Implementations must be *observationally equivalent* to the scalar
+    /// loop: element `i` of the result equals
     /// `self.evaluate(workload, &mappings[i])`.
     fn evaluate_batch(
         &self,

@@ -1,19 +1,16 @@
 //! Sharded-cell rebalancing: partition the fleet into fixed-size cells
-//! rebalanced independently (and, on multi-core hosts, concurrently via
-//! `rayon`), plus a cheap top-level balancer that moves a job across
-//! cells only when inter-cell imbalance clears a hysteresis bar.
+//! rebalanced independently, plus a cheap top-level balancer that moves
+//! a job across cells only when inter-cell imbalance clears a
+//! hysteresis bar.
 //!
-//! Determinism is structural, not locked: cells are fixed contiguous
-//! chunks of the stable slot vector, per-cell [`Rebalancer`] state lives
-//! in cell order, cell results are merged in cell order (the rayon shim
-//! preserves input order), and the cross-cell pass runs sequentially
-//! after the merge — so a seeded run replays bit-for-bit regardless of
-//! how many worker threads executed the cells.
+//! Determinism is structural: cells are fixed contiguous chunks of the
+//! stable slot vector, per-cell [`Rebalancer`] state lives in cell order,
+//! cells run and their results merge in cell order, and the cross-cell
+//! pass runs after the merge — so a seeded run replays bit-for-bit.
 
 use crate::rebalance::{balance_slice, RebalanceConfig, RebalanceTick, Rebalancer};
 use omniboost_hw::ThroughputModel;
-use omniboost_serve::{BoardSlot, Fleet};
-use rayon::prelude::*;
+use omniboost_serve::Fleet;
 
 /// Knobs of the sharded-cell driver.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +56,7 @@ impl ShardedRebalancer {
     /// when the inter-cell imbalance bar clears. All dirty boards must
     /// be flushed first. Moves are merged in cell order; the returned
     /// tick's `cooled_down` is set only when *every* cell was cooling.
-    pub fn tick<M: ThroughputModel + Send + Sync>(
+    pub fn tick<M: ThroughputModel>(
         &mut self,
         fleet: &mut Fleet<M>,
         config: &RebalanceConfig,
@@ -71,20 +68,12 @@ impl ShardedRebalancer {
         while self.cells.len() < n_cells {
             self.cells.push(Rebalancer::new());
         }
-        let cell_ticks: Vec<RebalanceTick> = {
-            let mut pairs: Vec<(&mut Rebalancer, &mut [BoardSlot<M>])> = self
-                .cells
-                .iter_mut()
-                .zip(fleet.slots_mut().chunks_mut(cell_size))
-                .collect();
-            pairs
-                .par_iter_mut()
-                .map(|pair| {
-                    let (state, cell) = pair;
-                    state.tick_cell(cell, config, at_ms)
-                })
-                .collect()
-        };
+        let cell_ticks: Vec<RebalanceTick> = self
+            .cells
+            .iter_mut()
+            .zip(fleet.slots_mut().chunks_mut(cell_size))
+            .map(|(state, cell)| state.tick_cell(cell, config, at_ms))
+            .collect();
         let mut out = RebalanceTick {
             cooled_down: cell_ticks.iter().all(|t| t.cooled_down),
             ..Default::default()
@@ -97,9 +86,7 @@ impl ShardedRebalancer {
             fleet.reindex(from);
             fleet.reindex(to);
         }
-        // Cross-cell pass: sequential and last, so it sees the settled
-        // per-cell outcome and the merge order never depends on thread
-        // scheduling.
+        // Cross-cell pass: last, so it sees the settled per-cell outcome.
         if self.cross_cooldown > 0 {
             self.cross_cooldown -= 1;
             return out;

@@ -143,7 +143,7 @@ impl Rebalancer {
     /// Runs one rebalance tick over the whole fleet, reading donors and
     /// receivers off the load index. All dirty boards must be flushed
     /// first — proposals are priced against current deployments.
-    pub fn tick<M: ThroughputModel + Sync>(
+    pub fn tick<M: ThroughputModel>(
         &mut self,
         fleet: &mut Fleet<M>,
         config: &RebalanceConfig,
@@ -177,7 +177,7 @@ impl Rebalancer {
     /// a linear sort of the cell — cells are small, so sorting beats
     /// maintaining per-cell indices. The caller must
     /// [`Fleet::reindex`] every move's `from`/`to` slot afterwards.
-    pub fn tick_cell<M: ThroughputModel + Sync>(
+    pub fn tick_cell<M: ThroughputModel>(
         &mut self,
         cell: &mut [BoardSlot<M>],
         config: &RebalanceConfig,
@@ -224,7 +224,7 @@ impl Rebalancer {
 /// `slots`. `donors` are `(position, load score)` hottest-first,
 /// `receivers` coldest-first, positions into `slots`; the emitted
 /// [`RebalanceMove`] rows carry the slots' stable global indices.
-pub(crate) fn balance_slice<M: ThroughputModel + Sync>(
+pub(crate) fn balance_slice<M: ThroughputModel>(
     slots: &mut [BoardSlot<M>],
     donors: &[(usize, f64)],
     receivers: &[(usize, f64)],
@@ -381,7 +381,7 @@ pub(crate) fn balance_slice<M: ThroughputModel + Sync>(
 /// Prices a move set: speculatively reschedules every affected donor
 /// (minus its moved job) and receiver (plus its gained jobs), summing
 /// throughput deltas and migration bills across the whole set.
-fn price_plan<M: ThroughputModel + Sync>(
+fn price_plan<M: ThroughputModel>(
     slots: &mut [BoardSlot<M>],
     plan: &[PlannedMove],
 ) -> Option<PricedPlan> {
@@ -449,7 +449,7 @@ fn slot_pair<M>(
 
 /// Prices the donor side: the board without `job_id`, warm-started from
 /// the surviving rows of its current deployment.
-fn speculate_without<M: ThroughputModel + Sync>(
+fn speculate_without<M: ThroughputModel>(
     slot: &mut BoardSlot<M>,
     job_id: u64,
 ) -> Option<SideScore> {
@@ -515,7 +515,7 @@ fn speculate_without<M: ThroughputModel + Sync>(
 
 /// Prices the receiver side: the board plus `added` models appended (in
 /// plan order), warm-started from the receiver's current deployment.
-fn speculate_with_many<M: ThroughputModel + Sync>(
+fn speculate_with_many<M: ThroughputModel>(
     slot: &mut BoardSlot<M>,
     added: &[DnnModel],
 ) -> Option<SideScore> {

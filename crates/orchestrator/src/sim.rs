@@ -52,7 +52,7 @@ pub struct OrchestratorConfig {
     /// Sharded-cell rebalancing (`None` runs the single whole-fleet
     /// rebalancer; ignored when `rebalance` is `None`). At hundreds of
     /// boards cells bound each rebalance decision to a constant-size
-    /// slice and parallelize across cells.
+    /// slice.
     pub cells: Option<CellConfig>,
     /// Admission-mempool knobs (validation, quotas, TTL, backoff, and
     /// the queue-drain ordering that used to be the standalone
@@ -427,7 +427,7 @@ impl WarmPool {
 
     /// Records that slot `index` — about to be deactivated, its cache
     /// staying where it is — is now its profile's most recent source.
-    fn retire_in_place<M: ThroughputModel + Sync>(&mut self, fleet: &Fleet<M>, index: usize) {
+    fn retire_in_place<M: ThroughputModel>(&mut self, fleet: &Fleet<M>, index: usize) {
         let cache = fleet.slots()[index].scheduler.board_cache();
         if let Some(fingerprint) = cache.board_fingerprint() {
             self.retired.insert(fingerprint, Retired::InSlot(index));
@@ -440,7 +440,7 @@ impl WarmPool {
     /// flap rejoin, a recovery, a repeated brown-out and a join next to
     /// live peers all boot warm. `None` for a profile the run has not
     /// seen.
-    fn source<'a, M: ThroughputModel + Sync>(
+    fn source<'a, M: ThroughputModel>(
         &'a self,
         fleet: &'a Fleet<M>,
         fingerprint: u64,
@@ -488,11 +488,7 @@ impl RebalanceDriver {
         }
     }
 
-    fn tick<M: ThroughputModel + Send + Sync>(
-        &mut self,
-        fleet: &mut Fleet<M>,
-        at_ms: u64,
-    ) -> RebalanceTick {
+    fn tick<M: ThroughputModel>(&mut self, fleet: &mut Fleet<M>, at_ms: u64) -> RebalanceTick {
         match self {
             Self::Single(rebalancer, config) => rebalancer.tick(fleet, config, at_ms),
             Self::Sharded(sharded, config, cells) => sharded.tick(fleet, config, cells, at_ms),
@@ -527,7 +523,7 @@ impl Rebalancing {
     /// The engine's post-flush stage at stamp `t`: accepted moves land
     /// in `moves`; returns whether the periodic pass committed any (the
     /// engine then offers the freed headroom to the pool).
-    fn after_flush<M: ThroughputModel + Send + Sync>(
+    fn after_flush<M: ThroughputModel>(
         &mut self,
         fleet: &mut Fleet<M>,
         t: u64,
@@ -592,13 +588,13 @@ impl Rebalancing {
 }
 
 /// Whether `board` names a slot still in rotation.
-fn alive<M: ThroughputModel + Send + Sync>(engine: &ServingEngine<M>, board: usize) -> bool {
+fn alive<M: ThroughputModel>(engine: &ServingEngine<M>, board: usize) -> bool {
     engine.fleet().slots().get(board).is_some_and(|s| s.active)
 }
 
 impl<M, F> OrchestratorSim<M, F>
 where
-    M: ThroughputModel + Send + Sync,
+    M: ThroughputModel,
     F: FnMut(Board) -> M,
 {
     /// Builds the control plane for a fleet spec. The factory receives

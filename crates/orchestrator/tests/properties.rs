@@ -246,9 +246,9 @@ proptest! {
     }
 
     /// (iii) **Orchestrated traces are bit-for-bit deterministic per
-    /// seed**, including the sharded-cell mode whose per-cell passes run
-    /// on the rayon pool: two fresh control planes produce identical
-    /// digests, and a different seed produces different traffic.
+    /// seed**, the sharded-cell mode included: two fresh control planes
+    /// produce identical digests, and a different seed produces
+    /// different traffic.
     #[test]
     fn orchestrated_replay_is_deterministic_per_seed(
         process in arb_process(),

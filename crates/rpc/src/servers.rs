@@ -5,9 +5,9 @@
 //! each connection is served to completion by one worker with keep-alive
 //! and per-read socket timeouts, so a stalled or truncated peer is
 //! bounded in time as well as memory ([`FrameLimits`]). All state lives
-//! in one [`Shared`] block: the engine behind a mutex (serving decisions
-//! are already rayon-parallel *inside* the engine, so cross-request
-//! serialization is the determinism contract, not a bottleneck), plus
+//! in one [`Shared`] block: the engine behind a mutex (cross-request
+//! serialization is the determinism contract; a submit's searches run
+//! under it, one board after another, so reads wait behind them), plus
 //! lock-free drain/stop flags the hot submit path checks first.
 //!
 //! ## Lifecycle
@@ -115,7 +115,7 @@ pub struct RpcServer<M> {
     shared: Arc<Shared<M>>,
 }
 
-impl<M: ThroughputModel + Send + Sync + 'static> RpcServer<M> {
+impl<M: ThroughputModel + Send + 'static> RpcServer<M> {
     /// Boots the daemon: builds the engine (loading any persisted cache
     /// archive — [`ServingConfig::cache_path`]), binds, and spawns the
     /// worker pool. The engine starts with a fresh run already open.
@@ -200,7 +200,7 @@ impl<M: ThroughputModel + Send + Sync + 'static> RpcServer<M> {
 
 /// One worker: accept until the stop flag, serve each connection to
 /// completion.
-fn worker_loop<M: ThroughputModel + Send + Sync>(
+fn worker_loop<M: ThroughputModel + Send>(
     shared: &Arc<Shared<M>>,
     listener: &TcpListener,
     limits: FrameLimits,
@@ -238,7 +238,7 @@ fn wake_workers(addr: SocketAddr, workers: usize) {
 /// the peer closes, errors, times out, or asks to close. Framing errors
 /// answer with their mapped status and close — the stream cannot
 /// resynchronize.
-fn serve_conn<M: ThroughputModel + Send + Sync>(
+fn serve_conn<M: ThroughputModel + Send>(
     shared: &Arc<Shared<M>>,
     mut stream: TcpStream,
     limits: FrameLimits,
@@ -288,7 +288,7 @@ fn serve_conn<M: ThroughputModel + Send + Sync>(
 
 /// Routes one request to its handler, folding [`ApiError`]s into their
 /// wire form.
-fn route<M: ThroughputModel + Send + Sync>(
+fn route<M: ThroughputModel + Send>(
     shared: &Shared<M>,
     request: &Request,
 ) -> (u16, String, &'static str) {
@@ -350,7 +350,7 @@ fn endpoint_span<M>(
     Some(shared.telemetry.span(name))
 }
 
-fn handle_submit<M: ThroughputModel + Send + Sync>(
+fn handle_submit<M: ThroughputModel + Send>(
     shared: &Shared<M>,
     body: &[u8],
 ) -> Result<String, ApiError> {
@@ -398,7 +398,7 @@ fn handle_submit<M: ThroughputModel + Send + Sync>(
     }
 }
 
-fn handle_depart<M: ThroughputModel + Send + Sync>(
+fn handle_depart<M: ThroughputModel + Send>(
     shared: &Shared<M>,
     body: &[u8],
 ) -> Result<String, ApiError> {
@@ -412,7 +412,7 @@ fn handle_depart<M: ThroughputModel + Send + Sync>(
     .to_json())
 }
 
-fn handle_drain<M: ThroughputModel + Send + Sync>(shared: &Shared<M>) -> DrainReply {
+fn handle_drain<M: ThroughputModel + Send>(shared: &Shared<M>) -> DrainReply {
     let was_draining = shared.draining.swap(true, Ordering::SeqCst);
     let engine = shared.engine();
     let reply = DrainReply {
@@ -435,7 +435,7 @@ fn handle_drain<M: ThroughputModel + Send + Sync>(shared: &Shared<M>) -> DrainRe
     reply
 }
 
-fn handle_shutdown<M: ThroughputModel + Send + Sync>(
+fn handle_shutdown<M: ThroughputModel + Send>(
     shared: &Shared<M>,
     body: &[u8],
 ) -> Result<String, ApiError> {
@@ -491,7 +491,7 @@ fn handle_shutdown<M: ThroughputModel + Send + Sync>(
     Ok(reply.to_json())
 }
 
-fn status_reply<M: ThroughputModel + Send + Sync>(shared: &Shared<M>) -> StatusReply {
+fn status_reply<M: ThroughputModel + Send>(shared: &Shared<M>) -> StatusReply {
     let engine = shared.engine();
     StatusReply {
         clock_ms: engine.now().max(shared.wall_ms()),
@@ -505,7 +505,7 @@ fn status_reply<M: ThroughputModel + Send + Sync>(shared: &Shared<M>) -> StatusR
     }
 }
 
-fn snapshot<M: ThroughputModel + Send + Sync>(shared: &Shared<M>) -> ServingSummary {
+fn snapshot<M: ThroughputModel + Send>(shared: &Shared<M>) -> ServingSummary {
     let engine = shared.engine();
     let at = engine.now().max(shared.wall_ms());
     engine.snapshot(at)
@@ -594,7 +594,7 @@ pub(crate) fn summary_json(s: &ServingSummary) -> String {
 /// <value>` line per counter, labelled lines for per-board and
 /// per-tenant series. Everything comes off a [`ServingEngine::snapshot`]
 /// — the scrape never disturbs the run.
-fn metrics_text<M: ThroughputModel + Send + Sync>(shared: &Shared<M>) -> String {
+fn metrics_text<M: ThroughputModel + Send>(shared: &Shared<M>) -> String {
     let engine = shared.engine();
     let clock_ms = engine.now().max(shared.wall_ms());
     let s = engine.snapshot(clock_ms);

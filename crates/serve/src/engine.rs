@@ -72,7 +72,7 @@ struct Accumulators {
 impl Accumulators {
     /// Integrates the interval `[last_t, t)` under the still-current
     /// deployment. `busy_ms` grows with the fleet (joined boards).
-    fn advance_to<M: ThroughputModel + Sync>(&mut self, fleet: &Fleet<M>, t: u64) {
+    fn advance_to<M: ThroughputModel>(&mut self, fleet: &Fleet<M>, t: u64) {
         self.busy_ms.resize(fleet.len(), 0);
         let dt = t.saturating_sub(self.last_t);
         if dt > 0 {
@@ -147,7 +147,7 @@ pub struct ServingEngine<M> {
     telemetry: Telemetry,
 }
 
-impl<M: ThroughputModel + Send + Sync> ServingEngine<M> {
+impl<M: ThroughputModel> ServingEngine<M> {
     /// Builds a fleet of `boards` with one evaluator per board and loads
     /// any persisted cache archive ([`ServingConfig::cache_path`]).
     pub fn new(

@@ -27,7 +27,6 @@ use omniboost_estimator::CacheArchive;
 use omniboost_hw::{Board, Mapping, ThroughputModel, ThroughputReport, Workload};
 use omniboost_models::{zoo, DnnModel, JobSpec};
 use omniboost_telemetry::Telemetry;
-use rayon::prelude::*;
 
 /// How arriving jobs are assigned to boards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,7 +204,7 @@ impl<M> BoardSlot<M> {
     }
 }
 
-impl<M: ThroughputModel + Sync> BoardSlot<M> {
+impl<M: ThroughputModel> BoardSlot<M> {
     /// Reschedules the slot if its job set changed since the last
     /// deployment: builds the warm hint and migration pairing from the
     /// previous deployment, runs the decision through the runtime (memo
@@ -477,7 +476,7 @@ pub struct Fleet<M> {
     telemetry: Telemetry,
 }
 
-impl<M: ThroughputModel + Sync> Fleet<M> {
+impl<M: ThroughputModel> Fleet<M> {
     /// Builds the fleet: one runtime and one scheduler per board.
     pub fn new(
         boards: Vec<Board>,
@@ -1093,32 +1092,16 @@ impl<M: ThroughputModel + Sync> Fleet<M> {
         board
     }
 
-    /// Reschedules every dirty board and returns the decisions in slot
-    /// order. A typical tick dirties one board, and that one flushes
-    /// inline; only when several boards are dirty do their (independent)
-    /// searches fan out across the host's threads — over the dirty
-    /// slots alone, so no thread is ever spawned for a clean board.
-    pub fn flush_dirty(&mut self) -> Vec<BoardDecision>
-    where
-        M: Send,
-    {
-        let mut dirty: Vec<&mut BoardSlot<M>> =
-            self.slots.iter_mut().filter(|slot| slot.dirty).collect();
-        if dirty.len() <= 1 {
-            // Exactly sized: every tick record keeps this vector for
-            // the rest of the run.
-            return match dirty.pop().and_then(BoardSlot::flush) {
-                Some(decision) => vec![decision],
-                None => Vec::new(),
-            };
-        }
-        dirty
-            .par_iter_mut()
-            .map(|slot| slot.flush())
-            .collect::<Vec<Option<BoardDecision>>>()
-            .into_iter()
-            .flatten()
-            .collect()
+    /// Reschedules every dirty board, one after another, and returns the
+    /// decisions in slot order.
+    pub fn flush_dirty(&mut self) -> Vec<BoardDecision> {
+        let dirty = self.slots.iter().filter(|slot| slot.dirty).count();
+        let mut decisions = Vec::with_capacity(dirty);
+        decisions.extend(self.slots.iter_mut().filter_map(BoardSlot::flush));
+        // Exactly sized: every tick record keeps this vector for the rest
+        // of the run (an idle dirty board decides nothing).
+        decisions.shrink_to_fit();
+        decisions
     }
 
     /// Warm-loads every slot whose hardware profile has a segment in

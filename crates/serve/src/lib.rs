@@ -28,9 +28,8 @@
 //!   frontier.
 //! * **A fleet** ([`PlacementPolicy`]) — N boards behind a placement
 //!   policy (least-loaded by estimated throughput headroom, or
-//!   round-robin), per-board schedulers: a tick's one dirty board
-//!   reschedules inline, several fan out (rayon across the dirty
-//!   boards only).
+//!   round-robin), per-board schedulers: a tick's dirty boards
+//!   reschedule one after another, in slot order.
 //! * **An admission mempool** ([`Mempool`], [`AdmissionPolicy`]) — the
 //!   one intake path shared with the orchestrator: validates on submit,
 //!   enforces per-tenant in-queue quotas, queue-jumps

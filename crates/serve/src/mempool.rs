@@ -283,7 +283,7 @@ impl Mempool {
     /// Submits a fresh arrival: tries to place it now, otherwise
     /// validates (could any profile ever admit it?), checks the
     /// tenant's in-queue quota, and enqueues.
-    pub fn submit<M: ThroughputModel + Send + Sync>(
+    pub fn submit<M: ThroughputModel>(
         &mut self,
         fleet: &mut Fleet<M>,
         job: JobSpec,
@@ -315,7 +315,7 @@ impl Mempool {
     /// already-admitted job is never bounced by validation, quota or a
     /// full pool, or the orchestrator's zero-loss conservation
     /// invariant would break.
-    pub fn requeue<M: ThroughputModel + Send + Sync>(
+    pub fn requeue<M: ThroughputModel>(
         &mut self,
         fleet: &mut Fleet<M>,
         job: JobSpec,
@@ -371,7 +371,7 @@ impl Mempool {
     /// are probed — one admissibility check per model bucket, exact
     /// because capacity never grows mid-drain — and entries inside
     /// their retry backoff window are skipped.
-    pub fn drain<M: ThroughputModel + Send + Sync>(
+    pub fn drain<M: ThroughputModel>(
         &mut self,
         fleet: &mut Fleet<M>,
         now: u64,
@@ -493,7 +493,7 @@ impl Mempool {
     /// Whether any hardware profile in the fleet (active or not — a
     /// board that failed may be rejoined by an identical profile) could
     /// admit one job of `model` on an empty board.
-    fn servable<M: ThroughputModel + Sync>(fleet: &Fleet<M>, model: ModelId) -> bool {
+    fn servable<M: ThroughputModel>(fleet: &Fleet<M>, model: ModelId) -> bool {
         let weight = zoo::build(model).total_weight_bytes();
         let mut seen: Vec<u64> = Vec::new();
         for slot in fleet.slots() {
@@ -549,7 +549,7 @@ impl Mempool {
         }
     }
 
-    fn timed_place<M: ThroughputModel + Send + Sync>(
+    fn timed_place<M: ThroughputModel>(
         &mut self,
         fleet: &mut Fleet<M>,
         job: JobSpec,

@@ -148,7 +148,7 @@ pub struct OnlineScheduler<M> {
     speculative: bool,
 }
 
-impl<M: ThroughputModel + Sync> OnlineScheduler<M> {
+impl<M: ThroughputModel> OnlineScheduler<M> {
     /// Creates a scheduler with the given policy.
     pub fn new(evaluator: M, policy: ReschedulePolicy, config: OnlineConfig) -> Self {
         Self {
@@ -416,7 +416,7 @@ fn try_warm<E: ThroughputModel>(
     (best_reward > 0.0).then_some((best_mapping, kind, evaluations, effort))
 }
 
-impl<M: ThroughputModel + Sync> Scheduler for OnlineScheduler<M> {
+impl<M: ThroughputModel> Scheduler for OnlineScheduler<M> {
     /// Policy-qualified so a runtime memo never mixes decisions across
     /// policies.
     fn name(&self) -> &str {

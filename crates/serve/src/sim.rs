@@ -325,7 +325,7 @@ pub struct ServingSim<M> {
     engine: ServingEngine<M>,
 }
 
-impl<M: ThroughputModel + Send + Sync> ServingSim<M> {
+impl<M: ThroughputModel> ServingSim<M> {
     /// Builds a fleet of `boards` with one evaluator per board (the
     /// factory receives each board, so board-calibrated evaluators like
     /// [`omniboost_hw::AnalyticModel`] fit naturally).

@@ -600,6 +600,44 @@ fn swap_board_evicts_newest_until_the_weaker_profile_admits() {
     fleet.index_check().expect("indexes survive the recovery");
 }
 
+/// A tick that dirties several boards flushes them one after another in
+/// slot order, whatever order they were dirtied in; a board emptied by
+/// the tick decides nothing; and the returned vector is exactly sized,
+/// because every tick record keeps it for the rest of the run.
+#[test]
+fn multi_board_flush_decides_in_slot_order_into_an_exact_vector() {
+    let mut fleet = Fleet::new(
+        vec![Board::hikey970(); 4],
+        PlacementPolicy::RoundRobin,
+        false,
+        index_scheduler,
+    );
+    // Two jobs a board: 1..=4 land on boards 0..=3, then 5..=8.
+    for id in 1..=8u64 {
+        let placed = fleet.place(JobSpec::new(id, ModelId::MobileNet, 0));
+        assert_eq!(placed, Some((id as usize - 1) % 4));
+    }
+    assert_eq!(fleet.flush_dirty().len(), 4);
+    // Dirty boards 3, 1 and 0, in that order; board 1 loses both jobs.
+    assert!(fleet.remove_job(3, 4));
+    assert!(fleet.remove_job(1, 2));
+    assert!(fleet.remove_job(1, 6));
+    assert!(fleet.remove_job(0, 1));
+    let decisions = fleet.flush_dirty();
+    let boards: Vec<usize> = decisions.iter().map(|d| d.board).collect();
+    assert_eq!(boards, [0, 3]);
+    assert_eq!(decisions.capacity(), decisions.len());
+    assert!(decisions.iter().all(|d| d.jobs == 1 && d.throughput > 0.0));
+    assert!(
+        fleet.slots()[1].mapping.is_none(),
+        "the emptied board deploys nothing"
+    );
+    assert!(
+        fleet.flush_dirty().is_empty(),
+        "the flush left a board dirty"
+    );
+}
+
 /// Satellite: the decision memo now serves floored mixes. The SLO floor
 /// vector is folded into the memo key via the scheduler's `memo_salt`,
 /// so an identical mix under identical floors *hits*, while the same

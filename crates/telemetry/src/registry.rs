@@ -2,8 +2,8 @@
 //! keyed by static names.
 //!
 //! Writers hash the metric name to one of a fixed set of shards and
-//! take only that shard's lock, so concurrent recorders (the fleet's
-//! parallel flush, the daemon's worker threads) rarely contend.
+//! take only that shard's lock, so concurrent recorders (the daemon's
+//! worker threads) rarely contend.
 //! Snapshots merge the shards into name-sorted vectors; histogram
 //! snapshots are exact merges (see [`LogHistogram::merge`]).
 
