@@ -10,13 +10,15 @@
 //! back a [`DecisionScope`] that wraps evaluators and answers "how many
 //! fresh queries did this decision cost?" afterwards.
 //!
-//! The wrapper also owns **persistence**: a cache snapshot outlives the
-//! process ([`BoardScopedCache::save`] / [`BoardScopedCache::load`]),
-//! keyed on the process-stable [`Board::fingerprint`] so a snapshot
-//! collected on one piece of hardware can never warm-start another
-//! (entries themselves are keyed on the process-stable
-//! `Workload::fingerprint()`, so they mean the same thing in every
-//! process).
+//! The wrapper also owns the **snapshot format**: one cache serializes
+//! to a segment ([`BoardScopedCache::to_bytes`] /
+//! [`BoardScopedCache::from_bytes`]) keyed on the process-stable
+//! [`Board::fingerprint`], so a snapshot collected on one piece of
+//! hardware can never warm-start another (entries themselves are keyed
+//! on the process-stable `Workload::fingerprint()`, so they mean the
+//! same thing in every process). Files hold a [`CacheArchive`] of such
+//! segments, one per hardware profile ([`CacheArchive::save`] /
+//! [`CacheArchive::load`]).
 
 use crate::cache::{CachedEstimator, EvalCache};
 use crate::io::LoadError;
@@ -263,26 +265,6 @@ impl BoardScopedCache {
         Ok(out)
     }
 
-    /// Persists the cache next to the rest of the design-time artefacts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        fs::write(path, self.to_bytes())
-    }
-
-    /// Loads a snapshot previously written by [`BoardScopedCache::save`]
-    /// for the given board; see [`BoardScopedCache::from_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// I/O, corruption, version and board-mismatch [`LoadError`]s.
-    pub fn load(path: impl AsRef<Path>, capacity: usize, board: &Board) -> Result<Self, LoadError> {
-        let raw = fs::read(path)?;
-        Self::from_bytes(Bytes::from(raw), capacity, board)
-    }
-
     /// Fingerprint of the board the cached reports belong to (`None`
     /// before the first decision).
     pub fn board_fingerprint(&self) -> Option<u64> {
@@ -294,7 +276,7 @@ impl BoardScopedCache {
 /// segment **per board fingerprint**, so a heterogeneous fleet persists
 /// and reloads each hardware profile's reports independently.
 ///
-/// The single-segment [`BoardScopedCache::save`] format rejects any
+/// A single segment ([`BoardScopedCache::from_bytes`]) rejects any
 /// board whose fingerprint differs from the one the snapshot was
 /// collected on — correct for one board, but in a mixed fleet it meant
 /// every profile except the first booted cold. The archive keys
@@ -750,8 +732,13 @@ mod tests {
         let dir = std::env::temp_dir().join("omniboost-cache-io-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("evalcache.bin");
-        cache.save(&path).unwrap();
-        let restored = BoardScopedCache::load(&path, 64, &board).unwrap();
+        let mut archive = CacheArchive::new();
+        archive.upsert(&cache);
+        archive.save(&path).unwrap();
+        let restored = CacheArchive::load(&path)
+            .unwrap()
+            .segment(64, &board)
+            .unwrap();
         assert_eq!(restored.cache().len(), 3);
         for m in &mappings {
             assert_eq!(

@@ -324,7 +324,7 @@ impl EvalCache {
     /// Snapshot of every cached entry, **least-recently-used first** (per
     /// shard, shards concatenated) — replaying the snapshot through
     /// [`EvalCache::insert`] reproduces the recency order, which is what
-    /// persistence ([`crate::BoardScopedCache::save`]) relies on.
+    /// persistence ([`crate::BoardScopedCache::to_bytes`]) relies on.
     pub fn entries_lru_first(&self) -> Vec<(u64, Mapping, ThroughputReport)> {
         let mut out = Vec::with_capacity(self.len());
         for shard in &self.shards {

@@ -8,7 +8,9 @@
 //! cells run and their results merge in cell order, and the cross-cell
 //! pass runs after the merge — so a seeded run replays bit-for-bit.
 
-use crate::rebalance::{balance_slice, RebalanceConfig, RebalanceTick, Rebalancer};
+use crate::rebalance::{
+    balance_slice, donors, receivers, RebalanceConfig, RebalanceTick, Rebalancer,
+};
 use omniboost_hw::ThroughputModel;
 use omniboost_serve::Fleet;
 
@@ -82,10 +84,6 @@ impl ShardedRebalancer {
             out.rejected += tick.rejected;
             out.moves.extend(tick.moves);
         }
-        for (from, to) in out.moves.iter().map(|m| (m.from, m.to)).collect::<Vec<_>>() {
-            fleet.reindex(from);
-            fleet.reindex(to);
-        }
         // Cross-cell pass: last, so it sees the settled per-cell outcome.
         if self.cross_cooldown > 0 {
             self.cross_cooldown -= 1;
@@ -116,19 +114,16 @@ impl ShardedRebalancer {
         if hot_ci == cold_ci || cold_mean > hot_mean * (1.0 - cells.cross_min_imbalance) {
             return out;
         }
-        let in_cell = |ci: usize, index: usize| index / cell_size == ci;
-        let donor = fleet
-            .slots()
-            .iter()
-            .filter(|s| s.active && !s.jobs.is_empty() && in_cell(hot_ci, s.index))
-            .map(|s| (s.index, s.load_score()))
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
-        let receiver = fleet
-            .slots()
-            .iter()
-            .filter(|s| s.active && in_cell(cold_ci, s.index))
-            .map(|s| (s.index, s.load_score()))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        // The hot cell's top donor and the cold cell's top receiver;
+        // a position in a cell is an offset from the cell's first slot.
+        let cell =
+            |ci: usize| &fleet.slots()[ci * cell_size..fleet.len().min((ci + 1) * cell_size)];
+        let donor = donors(cell(hot_ci), 1)
+            .first()
+            .map(|&(p, score)| (hot_ci * cell_size + p, score));
+        let receiver = receivers(cell(cold_ci), 1, &[])
+            .first()
+            .map(|&(p, score)| (cold_ci * cell_size + p, score));
         let (Some(donor), Some(receiver)) = (donor, receiver) else {
             return out;
         };
@@ -137,10 +132,6 @@ impl ShardedRebalancer {
             ..config.clone()
         };
         let cross = balance_slice(fleet.slots_mut(), &[donor], &[receiver], &single, at_ms);
-        for mv in &cross.moves {
-            fleet.reindex(mv.from);
-            fleet.reindex(mv.to);
-        }
         if !cross.moves.is_empty() {
             self.cross_cooldown = cells.cross_cooldown_periods;
             out.cooled_down = false;

@@ -15,10 +15,12 @@
 //! thrashing: a minimum load imbalance before anything is proposed, a
 //! per-layer gain floor, and a cooldown after every accepted set.
 //!
-//! Donor/receiver selection reads [`Fleet::most_loaded`] /
-//! [`Fleet::least_loaded`] off the load index (O(k log n)); the sharded
-//! driver (`crate::cells`) instead calls [`Rebalancer::tick_cell`] on a
-//! bounded slice, where a linear sort is cheaper than index surgery.
+//! Every rebalancer picks donors and receivers by one rule, over any
+//! slice of slots: [`donors`] are the `k` most-loaded active slots that
+//! hold jobs, [`receivers`] the `k` least-loaded active slots outside an
+//! exclusion list, ties on the lowest slot index. The whole-fleet tick,
+//! the sharded driver's per-cell and cross-cell passes (`crate::cells`)
+//! and the orchestrator's degraded-board relief all call these two.
 
 use omniboost::PreviousDeployment;
 use omniboost_hw::{Mapping, ThroughputModel, ThroughputReport};
@@ -140,43 +142,21 @@ impl Rebalancer {
         Self::default()
     }
 
-    /// Runs one rebalance tick over the whole fleet, reading donors and
-    /// receivers off the load index. All dirty boards must be flushed
-    /// first — proposals are priced against current deployments.
+    /// Runs one rebalance tick over the whole fleet. All dirty boards
+    /// must be flushed first — proposals are priced against current
+    /// deployments.
     pub fn tick<M: ThroughputModel>(
         &mut self,
         fleet: &mut Fleet<M>,
         config: &RebalanceConfig,
         at_ms: u64,
     ) -> RebalanceTick {
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
-            return RebalanceTick {
-                cooled_down: true,
-                ..Default::default()
-            };
-        }
-        let donors = fleet.most_loaded(config.top_k_boards);
-        let donor_ids: Vec<usize> = donors.iter().map(|d| d.0).collect();
-        let receivers = fleet.least_loaded(config.top_k_boards, &donor_ids);
-        // The fleet's slice is indexed by slot index, so positions and
-        // indices coincide here.
-        let out = balance_slice(fleet.slots_mut(), &donors, &receivers, config, at_ms);
-        for mv in &out.moves {
-            fleet.reindex(mv.from);
-            fleet.reindex(mv.to);
-        }
-        if !out.moves.is_empty() {
-            self.cooldown = config.cooldown_periods;
-        }
-        out
+        self.tick_cell(fleet.slots_mut(), config, at_ms)
     }
 
-    /// Runs one rebalance tick over a bounded cell of the fleet (the
-    /// sharded driver's per-cell step). Donors and receivers come from
-    /// a linear sort of the cell — cells are small, so sorting beats
-    /// maintaining per-cell indices. The caller must
-    /// [`Fleet::reindex`] every move's `from`/`to` slot afterwards.
+    /// Runs one rebalance tick over a slice of the fleet's slots — the
+    /// whole fleet, or one cell of the sharded driver: the top-k
+    /// [`donors`] of the slice, the top-k [`receivers`] among the rest.
     pub fn tick_cell<M: ThroughputModel>(
         &mut self,
         cell: &mut [BoardSlot<M>],
@@ -190,34 +170,55 @@ impl Rebalancer {
                 ..Default::default()
             };
         }
-        let mut donors: Vec<(usize, f64)> = cell
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.active && !s.jobs.is_empty())
-            .map(|(p, s)| (p, s.load_score()))
-            .collect();
-        donors.sort_by(|a, b| {
-            b.1.total_cmp(&a.1)
-                .then(cell[a.0].index.cmp(&cell[b.0].index))
-        });
-        donors.truncate(config.top_k_boards);
-        let mut receivers: Vec<(usize, f64)> = cell
-            .iter()
-            .enumerate()
-            .filter(|(p, s)| s.active && !donors.iter().any(|d| d.0 == *p))
-            .map(|(p, s)| (p, s.load_score()))
-            .collect();
-        receivers.sort_by(|a, b| {
-            a.1.total_cmp(&b.1)
-                .then(cell[a.0].index.cmp(&cell[b.0].index))
-        });
-        receivers.truncate(config.top_k_boards);
+        let donors = donors(cell, config.top_k_boards);
+        let donor_positions: Vec<usize> = donors.iter().map(|d| d.0).collect();
+        let receivers = receivers(cell, config.top_k_boards, &donor_positions);
         let out = balance_slice(cell, &donors, &receivers, config, at_ms);
         if !out.moves.is_empty() {
             self.cooldown = config.cooldown_periods;
         }
         out
     }
+}
+
+/// Rebalance donors: the `k` most-loaded active slots of `slots` that
+/// hold at least one job, as `(position, load score)` descending, ties
+/// on the lowest slot index.
+pub(crate) fn donors<M>(slots: &[BoardSlot<M>], k: usize) -> Vec<(usize, f64)> {
+    let mut donors: Vec<(usize, f64)> = slots
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.active && !s.jobs.is_empty())
+        .map(|(p, s)| (p, s.load_score()))
+        .collect();
+    donors.sort_by(|a, b| {
+        b.1.total_cmp(&a.1)
+            .then(slots[a.0].index.cmp(&slots[b.0].index))
+    });
+    donors.truncate(k);
+    donors
+}
+
+/// Rebalance receivers: the `k` least-loaded active slots of `slots`
+/// whose position is not in `exclude`, as `(position, load score)`
+/// ascending, ties on the lowest slot index.
+pub(crate) fn receivers<M>(
+    slots: &[BoardSlot<M>],
+    k: usize,
+    exclude: &[usize],
+) -> Vec<(usize, f64)> {
+    let mut receivers: Vec<(usize, f64)> = slots
+        .iter()
+        .enumerate()
+        .filter(|(p, s)| s.active && !exclude.contains(p))
+        .map(|(p, s)| (p, s.load_score()))
+        .collect();
+    receivers.sort_by(|a, b| {
+        a.1.total_cmp(&b.1)
+            .then(slots[a.0].index.cmp(&slots[b.0].index))
+    });
+    receivers.truncate(k);
+    receivers
 }
 
 /// Plans, prices and (when the gate passes) commits one move set over
@@ -561,4 +562,72 @@ fn speculate_with_many<M: ThroughputModel>(
         mapping: Some(outcome.mapping),
         report: Some(outcome.report),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{donors, receivers};
+    use omniboost_hw::{AnalyticModel, Board};
+    use omniboost_models::{zoo, JobSpec, ModelId};
+    use omniboost_serve::{
+        Fleet, OnlineConfig, OnlineScheduler, PlacementPolicy, ReschedulePolicy,
+    };
+
+    /// Seven identical boards; `jobs[i]` MobileNets resident on slot
+    /// `i`, then slot 4 fails (its jobs evacuated, its load back to 0).
+    fn fleet(jobs: [u64; 7]) -> Fleet<AnalyticModel> {
+        let mut fleet = Fleet::new(
+            vec![Board::hikey970(); jobs.len()],
+            PlacementPolicy::LeastLoaded,
+            false,
+            |board| {
+                OnlineScheduler::new(
+                    AnalyticModel::new(board.clone()),
+                    ReschedulePolicy::WarmStart,
+                    OnlineConfig::default(),
+                )
+            },
+        );
+        let mut id = 0;
+        for (slot, &count) in fleet.slots_mut().iter_mut().zip(&jobs) {
+            for _ in 0..count {
+                id += 1;
+                slot.push_job(
+                    JobSpec::new(id, ModelId::MobileNet, 0),
+                    zoo::build(ModelId::MobileNet),
+                );
+            }
+        }
+        fleet.deactivate(4);
+        fleet
+    }
+
+    fn positions(selected: &[(usize, f64)]) -> Vec<usize> {
+        selected.iter().map(|s| s.0).collect()
+    }
+
+    #[test]
+    fn donors_and_receivers_follow_one_rule() {
+        let fleet = fleet([1, 2, 2, 0, 3, 0, 2]);
+        let slots = fleet.slots();
+        // Donors: hottest first, equal scores on the lowest index, only
+        // active slots with jobs (the failed slot 4 and the idle slots 3
+        // and 5 never donate), cut at k.
+        assert_eq!(positions(&donors(slots, 2)), [1, 2]);
+        assert_eq!(positions(&donors(slots, 7)), [1, 2, 6, 0]);
+        for (pos, score) in donors(slots, 7) {
+            assert_eq!(score.to_bits(), slots[pos].load_score().to_bits());
+        }
+        // Receivers: coldest first, equal scores on the lowest index,
+        // never an inactive slot (slot 4 reads load 0 once failed) nor
+        // an excluded one.
+        assert_eq!(positions(&receivers(slots, 3, &[1, 2])), [3, 5, 0]);
+        assert_eq!(positions(&receivers(slots, 7, &[3])), [5, 0, 1, 2, 6]);
+        assert_eq!(positions(&receivers(slots, 7, &[])), [3, 5, 0, 1, 2, 6]);
+        // Over a cell, positions are offsets into the slice and ties
+        // still break on the slots' own indices.
+        assert_eq!(positions(&donors(&slots[2..], 2)), [0, 4]);
+        assert_eq!(positions(&receivers(&slots[2..], 2, &[1])), [3, 0]);
+        assert!(donors(&slots[3..6], 4).is_empty());
+    }
 }

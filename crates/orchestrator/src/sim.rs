@@ -17,7 +17,9 @@
 //!   rebalance moves of the same stamp.
 
 use crate::cells::{CellConfig, ShardedRebalancer};
-use crate::rebalance::{balance_slice, RebalanceConfig, RebalanceMove, RebalanceTick, Rebalancer};
+use crate::rebalance::{
+    balance_slice, receivers, RebalanceConfig, RebalanceMove, RebalanceTick, Rebalancer,
+};
 use crate::spec::FleetSpec;
 use omniboost_estimator::BoardScopedCache;
 use omniboost_hw::{Board, EvalCacheStats, Fnv1a, ThroughputModel};
@@ -474,8 +476,7 @@ struct ChaosState {
 }
 
 /// Which rebalancing driver a run uses, with the configuration it runs
-/// under: the single whole-fleet rebalancer (reads the load index for
-/// donors/receivers) or the sharded-cell driver.
+/// under: the single whole-fleet rebalancer or the sharded-cell driver.
 enum RebalanceDriver {
     Single(Rebalancer, RebalanceConfig),
     Sharded(ShardedRebalancer, RebalanceConfig, CellConfig),
@@ -546,12 +547,8 @@ impl Rebalancing {
                     continue;
                 }
                 let donors = [(donor, slot.load_score())];
-                let receivers = fleet.least_loaded(config.top_k_boards, &[donor]);
+                let receivers = receivers(fleet.slots(), config.top_k_boards, &[donor]);
                 let out = balance_slice(fleet.slots_mut(), &donors, &receivers, config, t);
-                for mv in &out.moves {
-                    fleet.reindex(mv.from);
-                    fleet.reindex(mv.to);
-                }
                 self.rejected += out.rejected;
                 telemetry.incr("orchestrator.rebalance_rejected", out.rejected as u64);
                 moves.extend(out.moves);

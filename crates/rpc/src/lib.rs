@@ -19,9 +19,10 @@
 //!   and reports the run digest.
 //! * [`client`] — a blocking keep-alive client with layered config
 //!   (code defaults < environment) and typed errors.
-//! * [`loadgen`] — seeded closed-loop trace replay over the wire; with
-//!   virtual stamps the daemon-side digest equals the in-process
-//!   [`omniboost_serve::ServingSim`] digest for the same trace.
+//! * [`loadgen`] — seeded closed-loop trace replay over the wire,
+//!   stamped in virtual time, so the daemon-side digest equals the
+//!   in-process [`omniboost_serve::ServingSim`] digest for the same
+//!   trace.
 //!
 //! See `examples/rpc_daemon.rs` for a boot-drive-drain walkthrough; the
 //! daemon's latency is measured by the `daemon_open_loop` and
@@ -45,5 +46,5 @@ pub use api::{
 pub use client::{ClientConfig, RpcClient, RpcError};
 pub use http::{FrameDecoder, FrameError, FrameLimits, Request, Response};
 pub use json::{Json, JsonError};
-pub use loadgen::{replay_trace, LoadgenReport, StampMode};
+pub use loadgen::{replay_trace, LoadgenReport};
 pub use servers::{RpcServer, ServerConfig};

@@ -6,7 +6,7 @@ use omniboost_hw::{AnalyticModel, Board};
 use omniboost_models::{ArrivalProcess, ArrivalTrace, ModelId, TraceConfig};
 use omniboost_rpc::api::{DepartRequest, ShutdownRequest, SubmitRequest};
 use omniboost_rpc::client::{ClientConfig, RpcClient};
-use omniboost_rpc::loadgen::{replay_trace, StampMode};
+use omniboost_rpc::loadgen::replay_trace;
 use omniboost_rpc::servers::{RpcServer, ServerConfig};
 use omniboost_serve::{OnlineConfig, SearchBudget, ServingConfig, ServingSim};
 use std::path::PathBuf;
@@ -186,7 +186,7 @@ fn wire_replay_matches_in_process_digest() {
 
     // Wire path: same trace, virtual stamps, same horizon.
     let (server, mut client) = boot(None, 2);
-    let loadgen = replay_trace(&mut client, &trace, StampMode::Virtual).expect("replay");
+    let loadgen = replay_trace(&mut client, &trace).expect("replay");
     assert_eq!(loadgen.requests, trace.len());
     assert_eq!(
         loadgen.placed + loadgen.queued + loadgen.rejected,

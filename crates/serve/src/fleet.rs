@@ -138,11 +138,14 @@ impl<M> BoardSlot<M> {
 
     /// Whether the board admits its residents plus one extra `model`.
     pub fn admits(&self, model: &DnnModel) -> bool {
+        self.admits_weight(model.total_weight_bytes())
+    }
+
+    /// Whether the board admits its residents plus one extra job of
+    /// `job_weight` bytes.
+    fn admits_weight(&self, job_weight: u64) -> bool {
         self.board
-            .admit_totals(
-                self.jobs.len() + 1,
-                self.resident_weight_bytes + model.total_weight_bytes(),
-            )
+            .admit_totals(self.jobs.len() + 1, self.resident_weight_bytes + job_weight)
             .is_ok()
     }
 
@@ -365,110 +368,12 @@ impl<M: ThroughputModel> BoardSlot<M> {
     }
 }
 
-/// One hardware profile's slice of the [`LoadIndex`]: active slots of
-/// that profile ordered by current load score. Grouping by profile is
-/// what makes the index exact on heterogeneous fleets — *within* a
-/// profile the post-placement score (current + job FLOPs over the same
-/// peak) is monotone in the current score, so the front of the ordered
-/// set is the profile's best candidate; *across* profiles the peaks
-/// differ and the (few) per-group champions are compared directly.
-struct LoadGroup {
-    fingerprint: u64,
-    /// Active slots, keyed `(load-score bits, slot index)`. Scores are
-    /// non-negative finite `f64`s, so the IEEE bit pattern orders
-    /// exactly like the value.
-    by_load: std::collections::BTreeSet<(u64, usize)>,
-    /// The subset still below the profile's concurrent-DNN cap — the
-    /// only slots a placement can ever choose (the rare memory-budget
-    /// rejection is re-checked per candidate).
-    open: std::collections::BTreeSet<(u64, usize)>,
-}
-
-/// What the index currently records for one slot (None while the slot
-/// is deactivated).
-#[derive(Clone, Copy)]
-struct IndexEntry {
-    group: usize,
-    key: u64,
-    open: bool,
-}
-
-/// The load index: every active slot, bucketed by hardware profile and
-/// ordered by load score, plus an index-ordered view of the open slots
-/// for round-robin. Placement and top-k donor/receiver selection read
-/// the ordered fronts instead of scanning every slot; every job
-/// mutation updates the affected slot's entry in O(log n).
-#[derive(Default)]
-struct LoadIndex {
-    groups: Vec<LoadGroup>,
-    entries: Vec<Option<IndexEntry>>,
-    /// Open (active, below the DNN cap) slots by index — the
-    /// round-robin iteration order.
-    open_by_index: std::collections::BTreeSet<usize>,
-}
-
-impl LoadIndex {
-    fn group_for(&mut self, fingerprint: u64) -> usize {
-        // Linear over groups: a fleet runs a handful of profiles.
-        if let Some(g) = self
-            .groups
-            .iter()
-            .position(|g| g.fingerprint == fingerprint)
-        {
-            return g;
-        }
-        self.groups.push(LoadGroup {
-            fingerprint,
-            by_load: std::collections::BTreeSet::new(),
-            open: std::collections::BTreeSet::new(),
-        });
-        self.groups.len() - 1
-    }
-
-    fn remove(&mut self, index: usize) {
-        if let Some(entry) = self.entries.get_mut(index).and_then(Option::take) {
-            let group = &mut self.groups[entry.group];
-            group.by_load.remove(&(entry.key, index));
-            if entry.open {
-                group.open.remove(&(entry.key, index));
-                self.open_by_index.remove(&index);
-            }
-        }
-    }
-
-    fn insert<M>(&mut self, slot: &BoardSlot<M>) {
-        let index = slot.index;
-        if self.entries.len() <= index {
-            self.entries.resize(index + 1, None);
-        }
-        debug_assert!(self.entries[index].is_none(), "slot {index} double-indexed");
-        if !slot.active {
-            return;
-        }
-        let key = slot.load_score().to_bits();
-        let open = slot.jobs.len() < slot.board.max_concurrent_dnns;
-        let group = self.group_for(slot.board.fingerprint());
-        self.groups[group].by_load.insert((key, index));
-        if open {
-            self.groups[group].open.insert((key, index));
-            self.open_by_index.insert(index);
-        }
-        self.entries[index] = Some(IndexEntry { group, key, open });
-    }
-}
-
 /// A fleet of boards sharing a placement policy.
 pub struct Fleet<M> {
     slots: Vec<BoardSlot<M>>,
     policy: PlacementPolicy,
     use_memo: bool,
     rr_cursor: usize,
-    index: LoadIndex,
-    /// Resident job id → slot index (O(1) departures and `board_of`).
-    job_slots: std::collections::HashMap<u64, usize>,
-    /// Boards currently in rotation, maintained on deactivate/join so
-    /// `active_boards` never rescans.
-    active_count: usize,
     /// Observability handle, propagated into every slot's runtime (and
     /// into runtimes built later by joins and profile swaps). No-op by
     /// default; never consulted for decisions, so digests are unchanged
@@ -489,9 +394,6 @@ impl<M: ThroughputModel> Fleet<M> {
             policy,
             use_memo,
             rr_cursor: 0,
-            index: LoadIndex::default(),
-            job_slots: std::collections::HashMap::new(),
-            active_count: 0,
             telemetry: Telemetry::noop(),
         };
         for board in boards {
@@ -526,8 +428,6 @@ impl<M: ThroughputModel> Fleet<M> {
             resident_flops: 0,
             resident_weight_bytes: 0,
         });
-        self.active_count += 1;
-        self.index.insert(&self.slots[index]);
         index
     }
 
@@ -557,14 +457,9 @@ impl<M: ThroughputModel> Fleet<M> {
         self.slots.is_empty()
     }
 
-    /// Number of boards currently in rotation (a maintained counter,
-    /// not a rescan).
+    /// Number of boards currently in rotation.
     pub fn active_boards(&self) -> usize {
-        debug_assert_eq!(
-            self.active_count,
-            self.slots.iter().filter(|s| s.active).count(),
-        );
-        self.active_count
+        self.slots.iter().filter(|s| s.active).count()
     }
 
     /// The slots, in stable index order.
@@ -574,148 +469,16 @@ impl<M: ThroughputModel> Fleet<M> {
 
     /// Mutable slot access — the orchestrator's rebalance/evacuation
     /// surgery. Invariants (job/model alignment, resident totals) are
-    /// maintained by [`BoardSlot`]'s methods; mutate through those, and
-    /// call [`Fleet::reindex`] for every slot whose job set changed
-    /// before the next placement — the load index does not watch raw
-    /// slot mutations.
+    /// maintained by [`BoardSlot`]'s methods; mutate through those. The
+    /// fleet keeps no state beside its slots, so nothing needs telling.
     pub fn slots_mut(&mut self) -> &mut [BoardSlot<M>] {
         &mut self.slots
     }
 
-    /// Re-derives slot `index`'s load-index entry and job→board rows
-    /// from its current state. Required after mutating a slot's job set
-    /// through [`Fleet::slots_mut`] (the rebalancer's take/push
-    /// surgery); the fleet's own mutation paths call it internally.
-    pub fn reindex(&mut self, index: usize) {
-        self.index.remove(index);
-        self.index.insert(&self.slots[index]);
-        for job in &self.slots[index].jobs {
-            self.job_slots.insert(job.id, index);
-        }
-    }
-
-    /// Removes `job_id` from `board` (a departure), keeping the load
-    /// index and the job→board map in sync. Returns whether the job was
-    /// resident.
+    /// Removes `job_id` from `board` (a departure). Returns whether the
+    /// job was resident.
     pub fn remove_job(&mut self, board: usize, job_id: u64) -> bool {
-        let removed = self.slots[board].remove_job(job_id);
-        if removed {
-            self.job_slots.remove(&job_id);
-            self.reindex(board);
-        }
-        removed
-    }
-
-    /// The `k` most-loaded active boards that hold at least one job —
-    /// rebalance donors — as `(slot index, load score)` descending.
-    /// Ties break on the lowest index. Read off the load index: per
-    /// profile group the back of the ordered set, merged across the
-    /// handful of groups.
-    pub fn most_loaded(&self, k: usize) -> Vec<(usize, f64)> {
-        let mut out: Vec<(usize, f64)> = Vec::new();
-        for group in &self.index.groups {
-            out.extend(
-                group
-                    .by_load
-                    .iter()
-                    .rev()
-                    .filter(|(_, i)| !self.slots[*i].jobs.is_empty())
-                    .take(k)
-                    .map(|&(_, i)| (i, self.slots[i].load_score())),
-            );
-        }
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
-    }
-
-    /// The `k` least-loaded active boards outside `exclude` — rebalance
-    /// receivers — as `(slot index, load score)` ascending, ties on the
-    /// lowest index.
-    pub fn least_loaded(&self, k: usize, exclude: &[usize]) -> Vec<(usize, f64)> {
-        let mut out: Vec<(usize, f64)> = Vec::new();
-        for group in &self.index.groups {
-            out.extend(
-                group
-                    .by_load
-                    .iter()
-                    .filter(|(_, i)| !exclude.contains(i))
-                    .take(k)
-                    .map(|&(_, i)| (i, self.slots[i].load_score())),
-            );
-        }
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
-    }
-
-    /// Exhaustively validates the load index, the active-board counter
-    /// and the job→board map against a linear rescan of every slot —
-    /// the test harness behind the index-agreement proptest (the
-    /// placement fast path additionally cross-checks each decision
-    /// against a linear scan under debug assertions).
-    pub fn index_check(&self) -> Result<(), String> {
-        let mut indexed = 0usize;
-        for slot in &self.slots {
-            let entry = self.index.entries.get(slot.index).copied().flatten();
-            if !slot.active {
-                if entry.is_some() {
-                    return Err(format!("inactive slot {} still indexed", slot.index));
-                }
-                continue;
-            }
-            let Some(entry) = entry else {
-                return Err(format!("active slot {} missing from index", slot.index));
-            };
-            indexed += 1;
-            let key = slot.load_score().to_bits();
-            let open = slot.jobs.len() < slot.board.max_concurrent_dnns;
-            let group = &self.index.groups[entry.group];
-            if entry.key != key {
-                return Err(format!("slot {} key stale", slot.index));
-            }
-            if group.fingerprint != slot.board.fingerprint() {
-                return Err(format!("slot {} in wrong profile group", slot.index));
-            }
-            if !group.by_load.contains(&(key, slot.index)) {
-                return Err(format!("slot {} not in by_load", slot.index));
-            }
-            if entry.open != open
-                || group.open.contains(&(key, slot.index)) != open
-                || self.index.open_by_index.contains(&slot.index) != open
-            {
-                return Err(format!("slot {} open-state stale", slot.index));
-            }
-        }
-        let active = self.slots.iter().filter(|s| s.active).count();
-        if indexed != active || self.active_count != active {
-            return Err(format!(
-                "counts diverge: {indexed} indexed, {} counted, {active} active",
-                self.active_count
-            ));
-        }
-        let sized: usize = self.index.groups.iter().map(|g| g.by_load.len()).sum();
-        if sized != active {
-            return Err(format!("{sized} group entries for {active} active slots"));
-        }
-        let resident: usize = self.slots.iter().map(|s| s.jobs.len()).sum();
-        if self.job_slots.len() != resident {
-            return Err(format!(
-                "job map holds {} rows for {resident} resident jobs",
-                self.job_slots.len()
-            ));
-        }
-        for slot in &self.slots {
-            for job in &slot.jobs {
-                if self.job_slots.get(&job.id) != Some(&slot.index) {
-                    return Err(format!(
-                        "job {} mapped away from slot {}",
-                        job.id, slot.index
-                    ));
-                }
-            }
-        }
-        Ok(())
+        self.slots[board].remove_job(job_id)
     }
 
     /// Jobs resident per board.
@@ -732,16 +495,8 @@ impl<M: ThroughputModel> Fleet<M> {
     /// evacuated jobs in arrival order. The caller re-places them.
     pub fn deactivate(&mut self, index: usize) -> Vec<JobSpec> {
         let slot = &mut self.slots[index];
-        if slot.active {
-            self.active_count -= 1;
-        }
         slot.active = false;
-        let evacuees = slot.evacuate();
-        for job in &evacuees {
-            self.job_slots.remove(&job.id);
-        }
-        self.index.remove(index);
-        evacuees
+        slot.evacuate()
     }
 
     /// Swaps slot `index`'s hardware profile **in place** — the
@@ -769,7 +524,6 @@ impl<M: ThroughputModel> Fleet<M> {
         board: Board,
         scheduler: OnlineScheduler<M>,
     ) -> (Vec<JobSpec>, OnlineScheduler<M>) {
-        self.index.remove(index);
         let use_memo = self.use_memo;
         let slot = &mut self.slots[index];
         slot.runtime = if use_memo {
@@ -794,13 +548,9 @@ impl<M: ThroughputModel> Fleet<M> {
             let model = slot.models.pop().expect("models parallel jobs");
             slot.resident_flops -= model.total_flops();
             slot.resident_weight_bytes -= model.total_weight_bytes();
-            self.job_slots.remove(&job.id);
             evicted.push(job);
         }
         slot.dirty = !slot.jobs.is_empty();
-        if self.slots[index].active {
-            self.index.insert(&self.slots[index]);
-        }
         (evicted, replaced)
     }
 
@@ -848,151 +598,23 @@ impl<M: ThroughputModel> Fleet<M> {
     }
 
     /// Candidate ordering: post-placement load score, then current load
-    /// score, then slot index. The current-score tiebreak makes the
-    /// index walk (ordered by current score within a profile group) and
-    /// a flat linear scan provably agree even when two different
-    /// current loads round to the same post-placement `f64`.
+    /// score, then slot index — a total order, so placement is
+    /// deterministic even when two different current loads round to the
+    /// same post-placement `f64`.
     fn by_load(a: &(f64, u64, usize), b: &(f64, u64, usize)) -> std::cmp::Ordering {
         a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
     }
 
     /// Whether **some** active board could admit one more job of
     /// `job_weight` bytes right now — the mempool's per-model-bucket
-    /// drain probe. Walks each profile group's open slots until one
-    /// passes the memory check, so the common case is O(profiles); the
-    /// predicate is exactly "[`Fleet::place`] would succeed" (every
-    /// policy places iff an admissible board exists), which is what
-    /// makes bucket-skipping in the mempool behaviour-preserving.
+    /// drain probe. The predicate is exactly "[`Fleet::place`] would
+    /// succeed" (every policy places iff an admissible board exists),
+    /// which is what makes bucket-skipping in the mempool
+    /// behaviour-preserving.
     pub fn can_admit(&self, job_weight: u64) -> bool {
-        let admits = self.index.groups.iter().any(|group| {
-            group.open.iter().any(|&(_, i)| {
-                let slot = &self.slots[i];
-                slot.board
-                    .admit_totals(slot.jobs.len() + 1, slot.resident_weight_bytes + job_weight)
-                    .is_ok()
-            })
-        });
-        debug_assert_eq!(
-            admits,
-            self.slots.iter().any(|slot| {
-                slot.active
-                    && slot
-                        .board
-                        .admit_totals(slot.jobs.len() + 1, slot.resident_weight_bytes + job_weight)
-                        .is_ok()
-            }),
-            "indexed admissibility probe diverged from the linear scan"
-        );
-        admits
-    }
-
-    /// The linear-scan reference for one placement decision — the
-    /// pre-index implementation, kept as the debug-mode oracle the
-    /// indexed fast path is asserted against on every placement.
-    #[cfg(debug_assertions)]
-    fn place_linear(
-        &self,
-        tenant: u32,
-        job_flops: u64,
-        job_weight: u64,
-        floor: Option<f64>,
-    ) -> Option<usize> {
-        let admissible = |slot: &BoardSlot<M>| -> bool {
-            slot.active
-                && slot
-                    .board
-                    .admit_totals(slot.jobs.len() + 1, slot.resident_weight_bytes + job_weight)
-                    .is_ok()
-        };
-        let loaded = |slot: &BoardSlot<M>| -> (f64, u64, usize) {
-            (
-                slot.board.load_score_flops(slot.resident_flops + job_flops),
-                slot.load_score().to_bits(),
-                slot.index,
-            )
-        };
-        // Guaranteed floor: when the globally least-loaded admissible
-        // board's projected load honors the floor, it wins regardless
-        // of policy (mirrors the indexed fast path in `place`).
-        if let Some(min_tps) = floor {
-            if let Some(best) = self
-                .slots
-                .iter()
-                .filter(|s| admissible(s))
-                .map(loaded)
-                .min_by(Self::by_load)
-            {
-                if best.0 <= 1.0 / min_tps {
-                    return Some(best.2);
-                }
-            }
-        }
-        match self.policy {
-            PlacementPolicy::RoundRobin => {
-                let n = self.slots.len();
-                (0..n)
-                    .map(|k| (self.rr_cursor + k) % n)
-                    .find(|&i| admissible(&self.slots[i]))
-            }
-            PlacementPolicy::LeastLoaded => self
-                .slots
-                .iter()
-                .filter(|s| admissible(s))
-                .map(loaded)
-                .min_by(Self::by_load)
-                .map(|(_, _, i)| i),
-            PlacementPolicy::FairShare => {
-                let mut candidates: Vec<(f64, u64, usize)> = self
-                    .slots
-                    .iter()
-                    .filter(|s| admissible(s))
-                    .map(loaded)
-                    .collect();
-                candidates.sort_by(Self::by_load);
-                let skip_reserved = candidates.len() >= 2 && self.over_fair_share(tenant);
-                candidates.get(usize::from(skip_reserved)).map(|c| c.2)
-            }
-        }
-    }
-
-    /// The best (and, for fair share, second-best) placement candidates
-    /// under the load index: per profile group, walk the open slots in
-    /// load order and keep the first `per_group` that also pass the
-    /// memory check. Within a group the walk order *is* post-placement
-    /// order (same peak, same added FLOPs), so the survivors are the
-    /// group's true top candidates; merging the handful of groups costs
-    /// O(groups), not O(boards).
-    fn index_candidates(
-        &self,
-        per_group: usize,
-        job_flops: u64,
-        job_weight: u64,
-    ) -> Vec<(f64, u64, usize)> {
-        let mut candidates: Vec<(f64, u64, usize)> = Vec::new();
-        for group in &self.index.groups {
-            let mut taken = 0usize;
-            for &(key, i) in &group.open {
-                let slot = &self.slots[i];
-                if slot
-                    .board
-                    .admit_totals(slot.jobs.len() + 1, slot.resident_weight_bytes + job_weight)
-                    .is_err()
-                {
-                    continue;
-                }
-                candidates.push((
-                    slot.board.load_score_flops(slot.resident_flops + job_flops),
-                    key,
-                    i,
-                ));
-                taken += 1;
-                if taken == per_group {
-                    break;
-                }
-            }
-        }
-        candidates.sort_by(Self::by_load);
-        candidates
+        self.slots
+            .iter()
+            .any(|slot| slot.active && slot.admits_weight(job_weight))
     }
 
     /// Picks a board for `job` under the placement policy and assigns
@@ -1000,9 +622,8 @@ impl<M: ThroughputModel> Fleet<M> {
     /// caller queues it). **Admission is a hard gate for every policy**:
     /// a board whose limits (concurrent-DNN cap, memory budget) the job
     /// would break is never chosen, and neither is a deactivated board.
-    /// Candidate selection reads the load index (O(log n) per
-    /// decision); debug builds re-derive the choice with the historical
-    /// linear scan and assert both agree.
+    /// Admission and load are probed off the slots' running totals — no
+    /// hypothetical workload (and no model clone) per candidate.
     ///
     /// **Guaranteed-class jobs** ([`omniboost_models::SloClass`])
     /// additionally get a floor check: when the least-loaded admissible
@@ -1015,81 +636,55 @@ impl<M: ThroughputModel> Fleet<M> {
     pub fn place(&mut self, job: JobSpec) -> Option<usize> {
         let model = zoo::build(job.model);
         let (job_flops, job_weight) = (model.total_flops(), model.total_weight_bytes());
-        let floor = job.slo.min_tps();
-        // Admission and load probing work off the slots' running totals
-        // — no hypothetical workload (and no model clone) per candidate.
-        let floor_chosen = floor.and_then(|min_tps| {
-            self.index_candidates(1, job_flops, job_weight)
-                .first()
-                .filter(|c| c.0 <= 1.0 / min_tps)
-                .map(|c| c.2)
-        });
-        let chosen = if floor_chosen.is_some() {
-            floor_chosen
-        } else {
-            match self.policy {
-                PlacementPolicy::RoundRobin => {
-                    // First open slot in cyclic index order from the cursor
-                    // that also passes the memory check.
-                    let admits = |i: &usize| -> bool {
-                        let slot = &self.slots[*i];
-                        slot.board
-                            .admit_totals(
-                                slot.jobs.len() + 1,
-                                slot.resident_weight_bytes + job_weight,
-                            )
-                            .is_ok()
-                    };
-                    let cursor = self.rr_cursor;
-                    self.index
-                        .open_by_index
-                        .range(cursor..)
-                        .chain(self.index.open_by_index.range(..cursor))
-                        .copied()
-                        .find(admits)
-                }
-                PlacementPolicy::LeastLoaded => self
-                    .index_candidates(1, job_flops, job_weight)
-                    .first()
-                    .map(|c| c.2),
-                PlacementPolicy::FairShare => {
-                    // Reserve the emptiest admissible board for tenants at
-                    // or below fair share; an over-served tenant takes the
-                    // next-best board when one exists.
-                    let candidates = self.index_candidates(2, job_flops, job_weight);
-                    let skip_reserved = candidates.len() >= 2 && self.over_fair_share(job.tenant);
-                    candidates.get(usize::from(skip_reserved)).map(|c| c.2)
-                }
-            }
+        let candidates = || {
+            self.slots
+                .iter()
+                .filter(|slot| slot.active && slot.admits_weight(job_weight))
+                .map(|slot| {
+                    (
+                        slot.board.load_score_flops(slot.resident_flops + job_flops),
+                        slot.load_score().to_bits(),
+                        slot.index,
+                    )
+                })
         };
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            chosen,
-            self.place_linear(job.tenant, job_flops, job_weight, floor),
-            "load-index placement diverged from the linear scan ({})",
-            self.policy
-        );
+        let floor_chosen = job.slo.min_tps().and_then(|min_tps| {
+            candidates()
+                .min_by(Self::by_load)
+                .filter(|best| best.0 <= 1.0 / min_tps)
+                .map(|best| best.2)
+        });
+        let chosen = floor_chosen.or_else(|| match self.policy {
+            PlacementPolicy::RoundRobin => {
+                let n = self.slots.len();
+                (0..n)
+                    .map(|k| (self.rr_cursor + k) % n)
+                    .find(|&i| self.slots[i].active && self.slots[i].admits_weight(job_weight))
+            }
+            PlacementPolicy::LeastLoaded => candidates().min_by(Self::by_load).map(|c| c.2),
+            PlacementPolicy::FairShare => {
+                // Reserve the emptiest admissible board for tenants at
+                // or below fair share; an over-served tenant takes the
+                // next-best board when one exists.
+                let mut ranked: Vec<(f64, u64, usize)> = candidates().collect();
+                ranked.sort_by(Self::by_load);
+                let skip_reserved = ranked.len() >= 2 && self.over_fair_share(job.tenant);
+                ranked.get(usize::from(skip_reserved)).map(|c| c.2)
+            }
+        });
         let index = chosen?;
         if self.policy == PlacementPolicy::RoundRobin {
             self.rr_cursor = (index + 1) % self.slots.len();
         }
         self.slots[index].push_job(job, model);
-        self.job_slots.insert(job.id, index);
-        self.reindex(index);
         Some(index)
     }
 
-    /// Finds the board hosting `job_id` (an O(1) map lookup).
+    /// Finds the board hosting `job_id`.
     pub fn board_of(&self, job_id: u64) -> Option<usize> {
-        let board = self.job_slots.get(&job_id).copied();
-        debug_assert_eq!(
-            board,
-            self.slots
-                .iter()
-                .position(|s| s.jobs.iter().any(|j| j.id == job_id)),
-            "job map out of sync for job {job_id}"
-        );
-        board
+        self.slots
+            .iter()
+            .position(|s| s.jobs.iter().any(|j| j.id == job_id))
     }
 
     /// Reschedules every dirty board, one after another, and returns the
@@ -1154,10 +749,5 @@ impl<M: ThroughputModel> Fleet<M> {
             slot.evacuate();
         }
         self.rr_cursor = 0;
-        self.job_slots.clear();
-        self.index = LoadIndex::default();
-        for slot in &self.slots {
-            self.index.insert(slot);
-        }
     }
 }

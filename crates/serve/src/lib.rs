@@ -41,9 +41,9 @@
 //!   latency by kind, queue depth, migration churn, per-board
 //!   utilization and time-weighted aggregate throughput.
 //! * **Cache persistence** — the cross-decision evaluation cache
-//!   survives process restarts (`BoardScopedCache` snapshots keyed on
-//!   the board fingerprint), wired into the daemon's startup/shutdown
-//!   via [`ServingConfig::cache_path`].
+//!   survives process restarts (a `CacheArchive` file, one segment per
+//!   board fingerprint), wired into the daemon's startup/shutdown via
+//!   [`ServingConfig::cache_path`].
 //!
 //! See `examples/serving_sim.rs` for a runnable walkthrough and
 //! `crates/bench/benches/serving.rs` for the cold-vs-warm measurement.

@@ -438,9 +438,8 @@ impl Mempool {
 
     /// Exhaustively validates the id index, the model buckets, the
     /// tenant depths and the conservation counters against the entry
-    /// spine — the linear cross-check mirroring `Fleet::index_check`,
-    /// asserted after every drain under debug assertions and driven
-    /// directly by the mempool proptests.
+    /// spine — a linear cross-check, asserted after every drain under
+    /// debug assertions and driven directly by the mempool proptests.
     pub fn index_check(&self) -> Result<(), String> {
         if self.by_id.len() != self.entries.len() {
             return Err(format!(

@@ -187,7 +187,8 @@ impl<M: ThroughputModel> OnlineScheduler<M> {
     }
 
     /// Replaces the evaluation cache — the serving daemon's startup hook
-    /// for a persisted snapshot ([`BoardScopedCache::load`]).
+    /// for a persisted snapshot (a [`omniboost_estimator::CacheArchive`]
+    /// segment).
     pub fn preload_cache(&mut self, cache: BoardScopedCache) {
         self.cache = cache;
     }

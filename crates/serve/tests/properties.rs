@@ -352,13 +352,13 @@ fn serving_daemon_persists_eval_cache_across_processes() {
     std::fs::remove_file(&path).ok();
 }
 
-/// One random step against the placement load index: the op mix covers
-/// every path that mutates it — placements, departures, board failures,
-/// board joins and the rebalancer's external take/push surgery followed
-/// by [`Fleet::reindex`]. Decoded from parallel draw vectors (`kind`
-/// picks the op, `a`/`b` its operands).
+/// One random step against the fleet: the op mix covers every path that
+/// changes a slot's job set — placements, departures, board failures,
+/// board joins, profile swaps and the rebalancer's external take/push
+/// surgery through [`Fleet::slots_mut`]. Decoded from parallel draw
+/// vectors (`kind` picks the op, `a`/`b` its operands).
 #[derive(Debug, Clone)]
-enum IndexOp {
+enum FleetOp {
     Place {
         model: u8,
         tenant: u32,
@@ -384,22 +384,22 @@ enum IndexOp {
     },
 }
 
-fn decode_index_op(kind: u8, a: u8, b: u8) -> IndexOp {
+fn decode_fleet_op(kind: u8, a: u8, b: u8) -> FleetOp {
     match kind {
         // Placements dominate so the fleet actually fills up.
-        0..=3 => IndexOp::Place {
+        0..=3 => FleetOp::Place {
             model: a,
             tenant: u32::from(b) % 3,
         },
-        4..=5 => IndexOp::Depart { sel: a },
-        6 => IndexOp::Fail { sel: a },
-        7 => IndexOp::Join { lite: a & 1 == 1 },
-        8 => IndexOp::MoveJob { donor: a, recv: b },
-        _ => IndexOp::Degrade { sel: a, profile: b },
+        4..=5 => FleetOp::Depart { sel: a },
+        6 => FleetOp::Fail { sel: a },
+        7 => FleetOp::Join { lite: a & 1 == 1 },
+        8 => FleetOp::MoveJob { donor: a, recv: b },
+        _ => FleetOp::Degrade { sel: a, profile: b },
     }
 }
 
-fn index_scheduler(board: &Board) -> OnlineScheduler<AnalyticModel> {
+fn fleet_scheduler(board: &Board) -> OnlineScheduler<AnalyticModel> {
     OnlineScheduler::new(
         AnalyticModel::new(board.clone()),
         ReschedulePolicy::WarmStart,
@@ -407,19 +407,58 @@ fn index_scheduler(board: &Board) -> OnlineScheduler<AnalyticModel> {
     )
 }
 
+/// The fleet's bookkeeping contracts, re-derived from its slots: every
+/// `live` job is found by [`Fleet::board_of`] on a slot that holds it,
+/// no `gone` job is found at all, and nothing else is resident; every
+/// occupied active slot admits its residents and inactive slots hold
+/// none; each slot's running totals equal the sums over its models.
+fn fleet_contracts(fleet: &Fleet<AnalyticModel>, live: &[u64], gone: &[u64]) -> Result<(), String> {
+    for &id in live {
+        match fleet.board_of(id) {
+            Some(b) if fleet.slots()[b].jobs.iter().any(|j| j.id == id) => {}
+            other => return Err(format!("live job {id} found on {other:?}")),
+        }
+    }
+    if let Some(&id) = gone.iter().find(|&&id| fleet.board_of(id).is_some()) {
+        return Err(format!("departed or evacuated job {id} still resident"));
+    }
+    let resident: usize = fleet.slots().iter().map(|s| s.jobs.len()).sum();
+    if resident != live.len() {
+        return Err(format!("{resident} resident jobs, {} live", live.len()));
+    }
+    for slot in fleet.slots() {
+        if !slot.active && !slot.jobs.is_empty() {
+            return Err(format!("inactive slot {} holds jobs", slot.index));
+        }
+        if slot.active && !slot.jobs.is_empty() {
+            slot.board
+                .admit_totals(slot.jobs.len(), slot.resident_weight_bytes())
+                .map_err(|e| format!("slot {} over its limits: {e:?}", slot.index))?;
+        }
+        let flops: u64 = slot.models.iter().map(|m| m.total_flops()).sum();
+        let weight: u64 = slot.models.iter().map(|m| m.total_weight_bytes()).sum();
+        if slot.models.len() != slot.jobs.len()
+            || flops != slot.resident_flops()
+            || weight != slot.resident_weight_bytes()
+        {
+            return Err(format!(
+                "slot {} totals drifted from its models",
+                slot.index
+            ));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// (iv) The load index agrees with a linear rescan after arbitrary
-    /// arrive/depart/fail/join/rebalance sequences: after every op the
-    /// full [`Fleet::index_check`] audit passes (index entries, open
-    /// sets, active counter and job→board map all re-derived linearly),
-    /// and the indexed donor/receiver selections match a linear sort of
-    /// the live slots. Placement agreement is checked inside
-    /// [`Fleet::place`] itself by a debug assertion, which this test
-    /// exercises on every `Place` op.
+    /// (iv) The fleet's slots stay self-consistent under arbitrary
+    /// place/depart/fail/join/degrade/hand-move sequences: after every
+    /// op [`fleet_contracts`] holds against the test's own record of
+    /// which jobs are live.
     #[test]
-    fn load_index_agrees_with_linear_rescan(
+    fn fleet_contracts_hold_under_arbitrary_ops(
         kinds in proptest::collection::vec(0u8..10, 48),
         operands_a in proptest::collection::vec(0u8..=255, 48),
         operands_b in proptest::collection::vec(0u8..=255, 48),
@@ -430,13 +469,13 @@ proptest! {
         ]),
     ) {
         let boards = vec![Board::hikey970(), Board::hikey970(), Board::hikey970_lite()];
-        let mut fleet = Fleet::new(boards, placement, false, index_scheduler);
+        let mut fleet = Fleet::new(boards, placement, false, fleet_scheduler);
         let mut live: Vec<u64> = Vec::new();
         let mut next_id = 1u64;
         for i in 0..kinds.len() {
-            let op = decode_index_op(kinds[i], operands_a[i], operands_b[i]);
+            let op = decode_fleet_op(kinds[i], operands_a[i], operands_b[i]);
             match op {
-                IndexOp::Place { model, tenant } => {
+                FleetOp::Place { model, tenant } => {
                     let spec = JobSpec::new(
                         next_id,
                         ModelId::ALL[model as usize % ModelId::ALL.len()],
@@ -447,27 +486,27 @@ proptest! {
                         live.push(spec.id);
                     }
                 }
-                IndexOp::Depart { sel } => {
+                FleetOp::Depart { sel } => {
                     if !live.is_empty() {
                         let id = live.swap_remove(sel as usize % live.len());
                         let board = fleet.board_of(id).expect("live job is resident");
                         prop_assert!(fleet.remove_job(board, id));
                     }
                 }
-                IndexOp::Fail { sel } => {
+                FleetOp::Fail { sel } => {
                     let evacuated = fleet.deactivate(sel as usize % fleet.len());
                     live.retain(|id| !evacuated.iter().any(|j| j.id == *id));
                 }
-                IndexOp::Join { lite } => {
+                FleetOp::Join { lite } => {
                     let board = if lite {
                         Board::hikey970_lite()
                     } else {
                         Board::hikey970()
                     };
-                    let scheduler = index_scheduler(&board);
+                    let scheduler = fleet_scheduler(&board);
                     fleet.add_board(board, scheduler);
                 }
-                IndexOp::MoveJob { donor, recv } => {
+                FleetOp::MoveJob { donor, recv } => {
                     let n = fleet.len();
                     let donor = (0..n)
                         .map(|o| (donor as usize + o) % n)
@@ -486,17 +525,15 @@ proptest! {
                     } else {
                         fleet.slots_mut()[d].push_job(job, model);
                     }
-                    fleet.reindex(d);
-                    fleet.reindex(r);
                 }
-                IndexOp::Degrade { sel, profile } => {
+                FleetOp::Degrade { sel, profile } => {
                     let index = sel as usize % fleet.len();
                     let board = match profile % 3 {
                         0 => Board::hikey970(),
                         1 => Board::hikey970_lite(),
                         _ => Board::hikey970_gpu_down(),
                     };
-                    let scheduler = index_scheduler(&board);
+                    let scheduler = fleet_scheduler(&board);
                     let (evicted, _) = fleet.swap_board(index, board, scheduler);
                     live.retain(|id| !evicted.iter().any(|j| j.id == *id));
                     let slot = &fleet.slots()[index];
@@ -506,38 +543,9 @@ proptest! {
                     );
                 }
             }
-            let audit = fleet.index_check();
-            prop_assert!(audit.is_ok(), "index diverged after {op:?}: {audit:?}");
-            // Donor/receiver selection off the index vs a linear sort.
-            // `least_loaded` ties are index-exact; `most_loaded` ties on
-            // equal scores may pick different (equally loaded) slots per
-            // profile group, so donors compare on the score sequence.
-            let mut linear_recv: Vec<(usize, f64)> = fleet
-                .slots()
-                .iter()
-                .filter(|s| s.active)
-                .map(|s| (s.index, s.load_score()))
-                .collect();
-            linear_recv.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            linear_recv.truncate(3);
-            prop_assert_eq!(fleet.least_loaded(3, &[]), linear_recv);
-            let mut linear_donors: Vec<(usize, f64)> = fleet
-                .slots()
-                .iter()
-                .filter(|s| s.active && !s.jobs.is_empty())
-                .map(|s| (s.index, s.load_score()))
-                .collect();
-            linear_donors.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            linear_donors.truncate(3);
-            let indexed_donors = fleet.most_loaded(3);
-            prop_assert_eq!(
-                indexed_donors.iter().map(|(_, s)| s.to_bits()).collect::<Vec<_>>(),
-                linear_donors.iter().map(|(_, s)| s.to_bits()).collect::<Vec<_>>()
-            );
-            for (i, score) in &indexed_donors {
-                prop_assert!(!fleet.slots()[*i].jobs.is_empty());
-                prop_assert_eq!(score.to_bits(), fleet.slots()[*i].load_score().to_bits());
-            }
+            let gone: Vec<u64> = (1..next_id).filter(|id| !live.contains(id)).collect();
+            let audit = fleet_contracts(&fleet, &live, &gone);
+            prop_assert!(audit.is_ok(), "contract broken after {op:?}: {audit:?}");
         }
     }
 }
@@ -545,7 +553,7 @@ proptest! {
 /// Degrade-in-place: swapping a slot to a weaker profile keeps its
 /// stable index, evicts residents **newest-first** only until the new
 /// profile admits the rest, drops the stale deployment (it was priced
-/// on the old hardware), and leaves every fleet index consistent.
+/// on the old hardware), and leaves the fleet's bookkeeping consistent.
 #[test]
 fn swap_board_evicts_newest_until_the_weaker_profile_admits() {
     let full = Board::hikey970();
@@ -553,7 +561,7 @@ fn swap_board_evicts_newest_until_the_weaker_profile_admits() {
         vec![full.clone()],
         PlacementPolicy::LeastLoaded,
         false,
-        index_scheduler,
+        fleet_scheduler,
     );
     for id in 1..=full.max_concurrent_dnns as u64 {
         assert!(fleet
@@ -563,7 +571,7 @@ fn swap_board_evicts_newest_until_the_weaker_profile_admits() {
     assert_eq!(fleet.flush_dirty().len(), 1);
     let degraded = Board::hikey970_gpu_down();
     assert!(degraded.max_concurrent_dnns < full.max_concurrent_dnns);
-    let (evicted, replaced) = fleet.swap_board(0, degraded.clone(), index_scheduler(&degraded));
+    let (evicted, replaced) = fleet.swap_board(0, degraded.clone(), fleet_scheduler(&degraded));
     assert_eq!(
         replaced.board_cache().board_fingerprint(),
         Some(full.fingerprint()),
@@ -584,7 +592,9 @@ fn swap_board_evicts_newest_until_the_weaker_profile_admits() {
     }
     assert_eq!(fleet.slots()[0].jobs.len(), degraded.max_concurrent_dnns);
     assert!(fleet.slots()[0].mapping.is_none(), "old deployment dropped");
-    fleet.index_check().expect("indexes survive the swap");
+    let survivors: Vec<u64> = (1..=degraded.max_concurrent_dnns as u64).collect();
+    let evicted_ids: Vec<u64> = evicted.iter().map(|j| j.id).collect();
+    fleet_contracts(&fleet, &survivors, &evicted_ids).expect("bookkeeping survives the swap");
     // Survivors re-price on the degraded board at the next flush: a
     // fresh cold decision, live throughput, no memo/warm leakage.
     let decisions = fleet.flush_dirty();
@@ -592,12 +602,13 @@ fn swap_board_evicts_newest_until_the_weaker_profile_admits() {
     assert!(decisions[0].throughput > 0.0);
     assert!(!decisions[0].single_job_delta);
     // A recover swap restores the original profile and capacity.
-    let (recovered, _) = fleet.swap_board(0, full.clone(), index_scheduler(&full));
+    let (recovered, _) = fleet.swap_board(0, full.clone(), fleet_scheduler(&full));
     assert!(recovered.is_empty(), "recovery never evicts");
     assert!(fleet
         .place(JobSpec::new(100, ModelId::MobileNet, 0))
         .is_some());
-    fleet.index_check().expect("indexes survive the recovery");
+    let live: Vec<u64> = survivors.iter().copied().chain([100]).collect();
+    fleet_contracts(&fleet, &live, &evicted_ids).expect("bookkeeping survives the recovery");
 }
 
 /// A tick that dirties several boards flushes them one after another in
@@ -610,7 +621,7 @@ fn multi_board_flush_decides_in_slot_order_into_an_exact_vector() {
         vec![Board::hikey970(); 4],
         PlacementPolicy::RoundRobin,
         false,
-        index_scheduler,
+        fleet_scheduler,
     );
     // Two jobs a board: 1..=4 land on boards 0..=3, then 5..=8.
     for id in 1..=8u64 {
@@ -839,7 +850,7 @@ fn guaranteed_class_jumps_the_queue_on_drain() {
         vec![board],
         PlacementPolicy::LeastLoaded,
         false,
-        index_scheduler,
+        fleet_scheduler,
     );
     let mut pool = Mempool::new(AdmissionPolicy::default());
     for id in 1..=cap {
@@ -1035,7 +1046,7 @@ proptest! {
             ..AdmissionPolicy::default()
         };
         let boards = vec![Board::hikey970_lite()];
-        let mut fleet = Fleet::new(boards, PlacementPolicy::LeastLoaded, false, index_scheduler);
+        let mut fleet = Fleet::new(boards, PlacementPolicy::LeastLoaded, false, fleet_scheduler);
         let mut pool = Mempool::new(policy);
         let acc = TenantAccumulator::new();
         let mut now = 0u64;
