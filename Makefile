@@ -8,15 +8,16 @@ verify:
 	cargo build --release
 	cargo test -q --no-fail-fast
 
-# The tensor, estimator and board-model suites again, optimized: their
-# bitwise contracts (plan == graph, Conv3x3 == the naive mul_add loop,
-# pinned prediction bits, GEMM == naive, the fixed-point early exits ==
-# the full damped loops, the DES's flat event loop == the nested-list
-# reference loop) must hold in the profile every benchmark runs, not
-# only in debug.
+# The tensor, estimator, board-model and search suites again,
+# optimized: their bitwise contracts (plan == graph, Conv3x3 == the
+# naive mul_add loop, pinned prediction bits, GEMM == naive, the
+# fixed-point early exits == the full damped loops, the DES's flat event
+# loop == the nested-list reference loop, the keyed reward memo == the
+# SipHash reference path) must hold in the profile every benchmark runs,
+# not only in debug.
 .PHONY: kernels-release
 kernels-release:
-	cargo test --release -q -p omniboost-tensor -p omniboost-estimator -p omniboost-hw
+	cargo test --release -q -p omniboost-tensor -p omniboost-estimator -p omniboost-hw -p omniboost-mcts
 
 # The repo's benchmark (BENCHMARK.json, perfbench/) must not rot: its
 # own tests, then a ~17 s smoke of every workload. perfbench is a

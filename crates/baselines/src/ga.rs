@@ -92,9 +92,9 @@ pub struct Genetic {
 }
 
 impl Clone for Genetic {
-    /// Clones get a *fresh* cache: sharing one would let concurrent
-    /// clones corrupt each other's `last_evaluations` accounting (and
-    /// the cache refills on first decision anyway).
+    /// Clones get a *fresh*, empty cache: a cache belongs to the one
+    /// scheduler that fills it, and it refills on the clone's first
+    /// decision anyway.
     fn clone(&self) -> Self {
         Self::new(self.config)
     }

@@ -5,9 +5,8 @@ use omniboost_hw::{
     ThroughputReport, Workload,
 };
 use omniboost_telemetry::Telemetry;
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Cumulative decision-memo statistics of a [`Runtime`].
@@ -94,14 +93,14 @@ pub struct RunOutcome {
 /// println!("{:.1} inf/s in {:?}", outcome.report.average, outcome.decision_time);
 /// # Ok::<(), omniboost_hw::HwError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Runtime {
     board: Board,
     simulator: DesSimulator,
     memo_enabled: bool,
-    memo: Mutex<HashMap<MemoKey, Deployment>>,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
+    memo: RefCell<HashMap<MemoKey, Deployment>>,
+    memo_hits: Cell<u64>,
+    memo_misses: Cell<u64>,
     telemetry: Telemetry,
 }
 
@@ -138,20 +137,6 @@ type MemoKey = (String, u64, Vec<(String, usize, u64)>);
 /// succeeded, so a mapping the board rejects is never replayed.
 type Deployment = (Mapping, ThroughputReport);
 
-impl Clone for Runtime {
-    fn clone(&self) -> Self {
-        Self {
-            board: self.board.clone(),
-            simulator: self.simulator.clone(),
-            memo_enabled: self.memo_enabled,
-            memo: Mutex::new(self.memo.lock().clone()),
-            memo_hits: AtomicU64::new(self.memo_hits.load(Ordering::Relaxed)),
-            memo_misses: AtomicU64::new(self.memo_misses.load(Ordering::Relaxed)),
-            telemetry: self.telemetry.clone(),
-        }
-    }
-}
-
 impl Runtime {
     /// Creates a runtime over a board with default simulator fidelity.
     /// The decision memo starts disabled; see [`Runtime::with_memo`].
@@ -161,9 +146,9 @@ impl Runtime {
             board,
             simulator,
             memo_enabled: false,
-            memo: Mutex::new(HashMap::new()),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
+            memo: RefCell::new(HashMap::new()),
+            memo_hits: Cell::new(0),
+            memo_misses: Cell::new(0),
             telemetry: Telemetry::noop(),
         }
     }
@@ -208,15 +193,15 @@ impl Runtime {
     /// Cumulative decision-memo counters.
     pub fn memo_stats(&self) -> MemoStats {
         MemoStats {
-            hits: self.memo_hits.load(Ordering::Relaxed),
-            misses: self.memo_misses.load(Ordering::Relaxed),
+            hits: self.memo_hits.get(),
+            misses: self.memo_misses.get(),
         }
     }
 
     /// Drops all memoized decisions (counters are preserved). Call after
     /// retraining or reconfiguring a scheduler whose name stays the same.
     pub fn clear_memo(&self) {
-        self.memo.lock().clear();
+        self.memo.borrow_mut().clear();
     }
 
     fn memo_key(scheduler: &dyn Scheduler, workload: &Workload) -> MemoKey {
@@ -319,19 +304,20 @@ impl Runtime {
         let start = Instant::now();
         let memoized = if memo_mode == MemoMode::ReadWrite {
             let _span = self.telemetry.span("core.decide.memo_lookup");
-            key.as_ref().and_then(|k| self.memo.lock().get(k).cloned())
+            key.as_ref()
+                .and_then(|k| self.memo.borrow().get(k).cloned())
         } else {
             None
         };
         let memo_hit = memoized.is_some();
         let (mapping, memoized_report) = match memoized {
             Some((mapping, report)) => {
-                self.memo_hits.fetch_add(1, Ordering::Relaxed);
+                self.memo_hits.set(self.memo_hits.get() + 1);
                 self.telemetry.incr("core.decide.memo_hits", 1);
                 (mapping, Some(report))
             }
             None => {
-                self.memo_misses.fetch_add(1, Ordering::Relaxed);
+                self.memo_misses.set(self.memo_misses.get() + 1);
                 self.telemetry.incr("core.decide.memo_misses", 1);
                 // Rescheduling context means the scheduler can warm-start
                 // from the previous deployment; without it the search is
@@ -377,7 +363,7 @@ impl Runtime {
                 };
                 if let Some(k) = key {
                     self.memo
-                        .lock()
+                        .borrow_mut()
                         .insert(k, (mapping.clone(), report.clone()));
                 }
                 report

@@ -194,6 +194,26 @@ mod tests {
     use super::*;
     use omniboost_hw::{Device, ThroughputModel as _};
     use omniboost_models::ModelId;
+    use std::sync::OnceLock;
+
+    /// [`OmniBoost::design_time`] on the HiKey970 under
+    /// [`OmniBoostConfig::quick`], trained once per test binary and
+    /// rebuilt from the estimator's blob for each caller's `config`.
+    /// Only the dataset and training halves of a config reach training,
+    /// and every caller keeps `quick()`'s.
+    fn quick_design_time(config: OmniBoostConfig) -> (OmniBoost, TrainHistory) {
+        static TRAINED: OnceLock<(Vec<u8>, TrainHistory)> = OnceLock::new();
+        let (blob, history) = TRAINED.get_or_init(|| {
+            let (sched, history) =
+                OmniBoost::design_time(&Board::hikey970(), OmniBoostConfig::quick());
+            (sched.estimator().to_bytes().to_vec(), history)
+        });
+        let estimator = CnnEstimator::from_bytes(blob.clone().into()).expect("own blob loads");
+        (
+            OmniBoost::from_estimator(estimator, config),
+            history.clone(),
+        )
+    }
 
     #[test]
     fn oracle_omniboost_beats_baseline_on_heavy_mix() {
@@ -219,7 +239,7 @@ mod tests {
     #[test]
     fn estimator_omniboost_end_to_end_quick() {
         let board = Board::hikey970();
-        let (mut sched, history) = OmniBoost::design_time(&board, OmniBoostConfig::quick());
+        let (mut sched, history) = quick_design_time(OmniBoostConfig::quick());
         assert!(history.final_train_loss().is_finite());
         let w = Workload::from_ids([ModelId::Vgg19, ModelId::ResNet50, ModelId::AlexNet]);
         let mapping = sched.decide(&board, &w).unwrap();
@@ -242,7 +262,7 @@ mod tests {
     #[test]
     fn repeat_decisions_amortize_through_the_eval_cache() {
         let board = Board::hikey970();
-        let (mut sched, _) = OmniBoost::design_time(&board, OmniBoostConfig::quick());
+        let (mut sched, _) = quick_design_time(OmniBoostConfig::quick());
         let w = Workload::from_ids([ModelId::AlexNet, ModelId::SqueezeNet]);
 
         sched.decide(&board, &w).unwrap();
@@ -274,7 +294,7 @@ mod tests {
     fn zero_capacity_disables_the_eval_cache() {
         let board = Board::hikey970();
         let (mut sched, _) =
-            OmniBoost::design_time(&board, OmniBoostConfig::quick().with_eval_cache_capacity(0));
+            quick_design_time(OmniBoostConfig::quick().with_eval_cache_capacity(0));
         let w = Workload::from_ids([ModelId::AlexNet]);
         sched.decide(&board, &w).unwrap();
         assert_eq!(sched.eval_cache_stats(), None);

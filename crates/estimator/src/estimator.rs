@@ -17,7 +17,7 @@ use crate::plan::InferencePlan;
 use crate::preprocess::TargetTransform;
 use crate::train::{train, TrainConfig, TrainHistory};
 use omniboost_hw::{Board, HwError, Mapping, ThroughputModel, ThroughputReport, Workload};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A trained throughput estimator: embedding tensor + compiled CNN +
 /// target transform.
@@ -26,7 +26,11 @@ use parking_lot::Mutex;
 /// queried through `&self`, matching the [`ThroughputModel`] trait that
 /// oracles also implement; the lock guards the plan's scratch — its
 /// staged input, activation buffers and lowered tiles — not weights,
-/// which never change after construction.
+/// which never change after construction. Unlike the caches and memos
+/// on the decision path, which each have one owner, one estimator is
+/// shared by reference: every board of a daemon scores through it, and
+/// the daemon's engine moves between worker threads. That sharing is
+/// real, so this lock stays and the estimator stays `Sync`.
 pub struct CnnEstimator {
     embedding: EmbeddingTensor,
     plan: Mutex<InferencePlan>,
@@ -65,6 +69,14 @@ impl CnnEstimator {
         }
     }
 
+    /// The locked plan. A poisoned lock is recovered: the lock guards
+    /// scratch only, and every query re-stages a zeroed input before
+    /// its forward, so a panic mid-forward leaves nothing a later query
+    /// reads.
+    fn plan(&self) -> MutexGuard<'_, InferencePlan> {
+        self.plan.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enables or disables the feasibility clamp (enabled by default).
     #[must_use]
     pub fn with_feasibility_clamp(mut self, enabled: bool) -> Self {
@@ -79,12 +91,12 @@ impl CnnEstimator {
 
     /// The CNN's activation family.
     pub fn activation(&self) -> crate::model::ActivationKind {
-        self.plan.lock().activation()
+        self.plan().activation()
     }
 
     /// Snapshot of the CNN's parameter tensors (persistence support).
     pub(crate) fn export_net_params(&self) -> Vec<omniboost_tensor::Tensor> {
-        self.plan.lock().params().to_vec()
+        self.plan().params().to_vec()
     }
 
     /// The fitted transform's flat representation (persistence support).
@@ -237,7 +249,7 @@ impl CnnEstimator {
             .map(|mapping| mapping.validate(workload))
             .collect();
         let live = checked.iter().filter(|c| c.is_ok()).count();
-        let mut plan = self.plan.lock();
+        let mut plan = self.plan();
         let input = plan.input_mut(live);
         let valid = mappings.iter().zip(&checked).filter(|(_, c)| c.is_ok());
         for (slot, (mapping, _)) in valid.enumerate() {
@@ -479,7 +491,7 @@ mod tests {
             // The sample does not retain its mapping, so run the network
             // directly on the stored masked input.
             let out: [f32; 3] = {
-                let mut plan = est.plan.lock();
+                let mut plan = est.plan();
                 plan.stage_nchw(&s.input);
                 plan.forward().try_into().unwrap()
             };

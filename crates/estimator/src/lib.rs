@@ -26,7 +26,7 @@
 //! fused forward".
 //!
 //! For serving recurring traffic, [`EvalCache`]/[`CachedEstimator`]
-//! (module [`cache`]) add a bounded, sharded, cross-decision LRU over
+//! (module [`cache`]) add a bounded, cross-decision LRU over
 //! evaluator reports keyed on `(workload fingerprint, mapping)`, so
 //! repeat queries skip the CNN forward entirely.
 //!

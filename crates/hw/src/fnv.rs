@@ -1,5 +1,5 @@
 //! Stable 64-bit FNV-1a hashing, shared by workload fingerprints and
-//! cache-shard selection.
+//! the evaluation cache's keys.
 //!
 //! Unlike `std`'s default `RandomState`, this hash is fixed across
 //! processes and runs, so values derived from it (cache keys, persisted

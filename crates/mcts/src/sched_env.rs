@@ -3,10 +3,9 @@
 use crate::env::Environment;
 use omniboost_hw::{Device, HwError, Mapping, ThroughputModel, Workload};
 use rand::Rng;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Partial layer-to-device assignment under construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,9 +205,9 @@ impl RewardMemo {
         self.buckets.get(&key)?.get(devices)
     }
 
-    /// Memoizes `reward` for `devices` under `key`. Idempotent: an
-    /// assignment already held (two trees raced to score it) keeps its
-    /// one entry.
+    /// Memoizes `reward` for `devices` under `key`. The assignment must
+    /// not be held yet: callers insert only assignments that missed the
+    /// memo, once each, so an occupied key is a collision.
     fn insert(&mut self, key: u64, devices: &[Device], reward: f64) {
         match self.buckets.entry(key) {
             Entry::Vacant(slot) => {
@@ -219,9 +218,8 @@ impl RewardMemo {
             }
             Entry::Occupied(slot) => {
                 let bucket = slot.into_mut();
-                if bucket.get(devices).is_none() {
-                    bucket.collided.push((devices.to_vec(), reward));
-                }
+                debug_assert!(bucket.get(devices).is_none(), "assignment memoized twice");
+                bucket.collided.push((devices.to_vec(), reward));
             }
         }
     }
@@ -263,16 +261,16 @@ pub struct SchedulingEnv<'a, M: ThroughputModel> {
     /// held, each with its own reward. The key lives and dies with this
     /// memo, never leaving the process, so it needs no stability — only
     /// speed.
-    reward_memo: Mutex<RewardMemo>,
+    reward_memo: RefCell<RewardMemo>,
     /// Reward queries answered from the memo (a previous round scored
     /// the same assignment).
-    memo_hits: AtomicUsize,
+    memo_hits: Cell<usize>,
     /// Reward queries answered by deduplication *within* one batch (two
     /// pending rollouts of the same round completed identically). Kept
     /// separate from `memo_hits` so cache-effectiveness numbers don't
     /// conflate "the memo worked" with "the round duplicated itself".
-    batch_dedup_hits: AtomicUsize,
-    memo_misses: AtomicUsize,
+    batch_dedup_hits: Cell<usize>,
+    memo_misses: Cell<usize>,
 }
 
 impl<'a, M: ThroughputModel> SchedulingEnv<'a, M> {
@@ -312,10 +310,10 @@ impl<'a, M: ThroughputModel> SchedulingEnv<'a, M> {
             reference,
             win_bonus: 0.1,
             floors: Vec::new(),
-            reward_memo: Mutex::new(RewardMemo::default()),
-            memo_hits: AtomicUsize::new(0),
-            batch_dedup_hits: AtomicUsize::new(0),
-            memo_misses: AtomicUsize::new(0),
+            reward_memo: RefCell::new(RewardMemo::default()),
+            memo_hits: Cell::new(0),
+            batch_dedup_hits: Cell::new(0),
+            memo_misses: Cell::new(0),
         })
     }
 
@@ -367,19 +365,19 @@ impl<'a, M: ThroughputModel> SchedulingEnv<'a, M> {
     /// Batched-pipeline reward queries answered from the cross-round
     /// memo (repeat visits of an assignment scored in an earlier round).
     pub fn memo_hits(&self) -> usize {
-        self.memo_hits.load(Ordering::Relaxed)
+        self.memo_hits.get()
     }
 
     /// Batched-pipeline reward queries answered by within-batch
     /// deduplication (two rollouts of the *same* round completed the
     /// same assignment — not a memo hit).
     pub fn batch_dedup_hits(&self) -> usize {
-        self.batch_dedup_hits.load(Ordering::Relaxed)
+        self.batch_dedup_hits.get()
     }
 
     /// Batched-pipeline reward queries that reached the evaluator.
     pub fn memo_misses(&self) -> usize {
-        self.memo_misses.load(Ordering::Relaxed)
+        self.memo_misses.get()
     }
 
     /// Number of decisions needed to complete a mapping (= total layers).
@@ -456,10 +454,8 @@ impl<'a, M: ThroughputModel> SchedulingEnv<'a, M> {
         let mut duplicates: Vec<(usize, usize)> = Vec::new();
         let mut memo_hits = 0usize;
         {
-            // Memo lookups under the lock; the guard is dropped before
-            // the evaluator runs so the expensive batch call is never
-            // made while holding it.
-            let memo = self.reward_memo.lock().unwrap_or_else(|e| e.into_inner());
+            // The memo's borrow ends before the evaluator runs.
+            let memo = self.reward_memo.borrow();
             for (i, state) in states.iter().enumerate() {
                 debug_assert!(self.is_terminal(state), "reward on non-terminal state");
                 if state.dead {
@@ -485,18 +481,15 @@ impl<'a, M: ThroughputModel> SchedulingEnv<'a, M> {
                 }
             }
         }
-        self.memo_hits.fetch_add(memo_hits, Ordering::Relaxed);
+        self.memo_hits.set(self.memo_hits.get() + memo_hits);
         self.batch_dedup_hits
-            .fetch_add(duplicates.len(), Ordering::Relaxed);
-        self.memo_misses.fetch_add(fresh.len(), Ordering::Relaxed);
+            .set(self.batch_dedup_hits.get() + duplicates.len());
+        self.memo_misses.set(self.memo_misses.get() + fresh.len());
         if fresh.is_empty() {
             return (out, 0);
         }
-        // Unlocked: two trees may race to evaluate the same assignment,
-        // but the evaluator is deterministic, so both insert the same
-        // reward — wasted work at worst, never wrong answers.
         let reports = self.evaluator.evaluate_batch(self.workload, &mappings);
-        let mut memo = self.reward_memo.lock().unwrap_or_else(|e| e.into_inner());
+        let mut memo = self.reward_memo.borrow_mut();
         for (&(key, first), report) in fresh.iter().zip(reports) {
             let reward = match report {
                 Ok(r) => self.score(&r),
@@ -599,8 +592,8 @@ impl<M: ThroughputModel> Environment for SchedulingEnv<'_, M> {
     /// The batched evaluation pipeline: dead states score 0 immediately,
     /// repeat assignments are answered from the reward memo, and the
     /// remaining unique mappings go to the evaluator as **one**
-    /// `evaluate_batch` call (minibatched CNN forward / parallel
-    /// simulation). Element `i` equals `self.reward(&states[i])` because
+    /// `evaluate_batch` call (one minibatched CNN forward for the
+    /// estimator). Element `i` equals `self.reward(&states[i])` because
     /// the evaluator is deterministic.
     fn reward_batch(&self, states: &[SchedState]) -> Vec<f64> {
         self.reward_batch_counted(states).0
@@ -1076,7 +1069,7 @@ mod tests {
     /// Counts every mapping that reaches the evaluator.
     struct CountingModel {
         inner: AnalyticModel,
-        queries: AtomicUsize,
+        queries: Cell<usize>,
     }
 
     impl ThroughputModel for CountingModel {
@@ -1085,7 +1078,7 @@ mod tests {
             workload: &Workload,
             mapping: &Mapping,
         ) -> Result<omniboost_hw::ThroughputReport, HwError> {
-            self.queries.fetch_add(1, Ordering::Relaxed);
+            self.queries.set(self.queries.get() + 1);
             self.inner.evaluate(workload, mapping)
         }
 
@@ -1094,7 +1087,7 @@ mod tests {
             workload: &Workload,
             mappings: &[Mapping],
         ) -> Vec<Result<omniboost_hw::ThroughputReport, HwError>> {
-            self.queries.fetch_add(mappings.len(), Ordering::Relaxed);
+            self.queries.set(self.queries.get() + mappings.len());
             self.inner.evaluate_batch(workload, mappings)
         }
     }
@@ -1108,14 +1101,14 @@ mod tests {
         let w = Workload::from_ids([ModelId::AlexNet, ModelId::SqueezeNet]);
         let counting = CountingModel {
             inner: AnalyticModel::new(board),
-            queries: AtomicUsize::new(0),
+            queries: Cell::new(0),
         };
         for batch in [1usize, 16] {
             let env = SchedulingEnv::new(&w, &counting, 3).unwrap();
-            let before = counting.queries.load(Ordering::Relaxed);
+            let before = counting.queries.get();
             let result =
                 Mcts::new(SearchBudget::with_iterations(200).with_batch_size(batch)).run(&env, 9);
-            let actual = counting.queries.load(Ordering::Relaxed) - before;
+            let actual = counting.queries.get() - before;
             assert_eq!(
                 result.evaluations, actual,
                 "batch {batch}: reported {} vs actual {actual}",
@@ -1161,9 +1154,6 @@ mod tests {
         assert_eq!(memo.get(7, &a), Some(1.25));
         assert_eq!(memo.get(7, &b), Some(2.5));
         assert_eq!(memo.get(8, &a), None, "the key is looked up first");
-        // Racing trees insert again: still one entry each.
-        memo.insert(7, &a, 1.25);
-        memo.insert(7, &b, 2.5);
         let held: usize = memo.buckets.values().map(|b| 1 + b.collided.len()).sum();
         assert_eq!((memo.buckets.len(), held), (1, 2));
     }
@@ -1172,19 +1162,19 @@ mod tests {
     /// batch it is handed.
     struct Recording {
         inner: AnalyticModel,
-        batches: Mutex<Vec<Vec<Mapping>>>,
+        batches: RefCell<Vec<Vec<Mapping>>>,
     }
 
     impl Recording {
         fn new() -> Self {
             Self {
                 inner: AnalyticModel::new(Board::hikey970()),
-                batches: Mutex::new(Vec::new()),
+                batches: RefCell::new(Vec::new()),
             }
         }
 
         fn batches(&self) -> Vec<Vec<Mapping>> {
-            self.batches.lock().unwrap().clone()
+            self.batches.borrow().clone()
         }
     }
 
@@ -1202,7 +1192,7 @@ mod tests {
             workload: &Workload,
             mappings: &[Mapping],
         ) -> Vec<Result<omniboost_hw::ThroughputReport, HwError>> {
-            self.batches.lock().unwrap().push(mappings.to_vec());
+            self.batches.borrow_mut().push(mappings.to_vec());
             self.inner.evaluate_batch(workload, mappings)
         }
     }

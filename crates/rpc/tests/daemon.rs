@@ -2,13 +2,14 @@
 //! graceful shutdown with cache archiving, warm reboot, and the
 //! wire-vs-in-process digest parity pin.
 
+use omniboost_estimator::CnnEstimator;
 use omniboost_hw::{AnalyticModel, Board};
 use omniboost_models::{ArrivalProcess, ArrivalTrace, ModelId, TraceConfig};
 use omniboost_rpc::api::{DepartRequest, ShutdownRequest, SubmitRequest};
 use omniboost_rpc::client::{ClientConfig, RpcClient};
 use omniboost_rpc::loadgen::replay_trace;
 use omniboost_rpc::servers::{RpcServer, ServerConfig};
-use omniboost_serve::{OnlineConfig, SearchBudget, ServingConfig, ServingSim};
+use omniboost_serve::{OnlineConfig, SearchBudget, ServingConfig, ServingEngine, ServingSim};
 use std::path::PathBuf;
 
 const HORIZON_MS: u64 = 30_000;
@@ -40,6 +41,24 @@ fn boot(cache_path: Option<PathBuf>, boards: usize) -> (RpcServer<AnalyticModel>
     let client =
         RpcClient::connect(ClientConfig::new(server.addr().to_string())).expect("dial daemon");
     (server, client)
+}
+
+fn assert_send<T: Send>() {}
+fn assert_sync<T: Sync>() {}
+
+/// The threading contract a daemon over the CNN estimator needs, checked
+/// at compile time: every board scores through one estimator shared by
+/// reference, so the estimator must be `Sync` (its plan lock is what
+/// makes it so), and the engine holding those references moves between
+/// worker threads, so it must be `Send`. The caches and memos the
+/// engine owns are single-owner (`RefCell`, `!Sync`), which `Send`
+/// allows. The tests below boot the daemon over `AnalyticModel` only;
+/// this keeps the CNN daemon's bounds inside the workspace build.
+#[test]
+fn the_cnn_estimator_can_serve_a_daemon() {
+    assert_send::<CnnEstimator>();
+    assert_sync::<CnnEstimator>();
+    assert_send::<ServingEngine<&'static CnnEstimator>>();
 }
 
 /// The daemon closes a keep-alive connection that idles past its read

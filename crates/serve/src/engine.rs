@@ -389,8 +389,8 @@ impl<M: ThroughputModel> ServingEngine<M> {
         }
     }
 
-    /// Reschedules every board whose job set changed (concurrent across
-    /// boards) and feeds the run's decision counters and histograms.
+    /// Reschedules every board whose job set changed (one board after
+    /// another) and feeds the run's decision counters and histograms.
     fn flush(&mut self) -> Vec<BoardDecision> {
         let span = self.telemetry.span("serve.tick.flush");
         let decisions = self.fleet.flush_dirty();
