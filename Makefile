@@ -34,9 +34,11 @@ bench-quick:
 # one per-stage profile of the estimator forward (stage times, the
 # multiply's GFLOP/s, which of fma / avx512f the build has), one
 # breakdown of cold analytic searches (evaluator vs the search's own
-# time per iteration) and the ablation bin (its plateau sweep is the
+# time per iteration), the ablation bin (its plateau sweep is the
 # evidence for SearchBudget's default patience, so it must keep
-# running). Latency itself is perfbench's job: see bench-quick.
+# running) and the serving_sim and rpc_daemon walkthroughs (their
+# assertions run nowhere else). Latency itself is perfbench's job: see
+# bench-quick.
 .PHONY: perf-smoke
 perf-smoke:
 	SMOKE=1 cargo bench --bench serving
@@ -48,6 +50,8 @@ perf-smoke:
 	cargo run --release --example profile_forward -- 20
 	cargo run --release --example profile_search -- 3
 	cargo run --release -p omniboost-bench --bin ablation -- --quick
+	cargo run --release --example serving_sim
+	cargo run --release --example rpc_daemon
 
 # Full perf snapshots: rewrites BENCH_serving.json, BENCH_fleet.json,
 # BENCH_fleet_scale.json, BENCH_admission.json, BENCH_chaos.json and

@@ -102,7 +102,6 @@ fn run(
         placement: PlacementPolicy::LeastLoaded,
         online,
         use_memo: policy == ReschedulePolicy::WarmStart,
-        cache_path: None,
         admission: AdmissionPolicy::default(),
     };
     let mut sim = ServingSim::new(vec![Board::hikey970(); boards], config, AnalyticModel::new);

@@ -100,11 +100,13 @@ impl Scheduler for OmniBoost {
         let cached = scope.wrap(&self.estimator);
         let env = SchedulingEnv::new(workload, &cached, self.config.stage_cap)?;
         let result = Mcts::new(self.config.budget).run(&env, self.config.seed);
-        // `result.evaluations` counts queries that reached the *cached*
-        // evaluator; with the cache enabled, only its misses actually ran
-        // a CNN forward — report those so "evaluations per decision"
-        // stays truthful on the recurring-traffic path too.
-        self.last_evaluations = scope.fresh_evaluations(result.evaluations);
+        // `result.evaluations` counts the search's queries that reached
+        // the *cached* evaluator (the env's reference query comes on
+        // top); with the cache enabled, only its misses actually ran a
+        // CNN forward — report those so "evaluations per decision" stays
+        // truthful on the recurring-traffic path too.
+        self.last_evaluations =
+            scope.fresh_evaluations(env.reference_queries() + result.evaluations);
         self.last_effort = SearchEffort::default();
         self.last_effort
             .add(result.iterations, result.stopped_on_plateau);

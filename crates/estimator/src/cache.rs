@@ -310,8 +310,9 @@ impl EvalCache {
 
     /// Snapshot of every cached entry, **least-recently-used first** —
     /// replaying the snapshot through [`EvalCache::insert`] reproduces
-    /// the recency order, which is what persistence
-    /// ([`crate::BoardScopedCache::to_bytes`]) relies on.
+    /// the recency order, which is what the tests of
+    /// [`EvalCache::absorb`] check against.
+    #[cfg(test)]
     pub fn entries_lru_first(&self) -> Vec<(u64, Mapping, ThroughputReport)> {
         self.lru
             .borrow()
@@ -320,13 +321,11 @@ impl EvalCache {
             .collect()
     }
 
-    /// Copies every entry of `other` into this cache, in
-    /// [`EvalCache::entries_lru_first`] order (recency preserved,
-    /// capacity bound enforced by normal eviction) — the in-memory warm
-    /// boot of a scheduler coming up next to a cache of its profile, and
-    /// the per-profile merge before persisting. Every entry is cloned
-    /// once, straight from slab to slab. Absorbing a cache into itself
-    /// is a no-op.
+    /// Copies every entry of `other` into this cache, least recently
+    /// used first (recency preserved, capacity bound enforced by normal
+    /// eviction) — the in-memory warm boot of a scheduler coming up next
+    /// to a cache of its profile. Every entry is cloned once, straight
+    /// from slab to slab. Absorbing a cache into itself is a no-op.
     pub fn absorb(&self, other: &EvalCache) {
         if self.is_disabled() || std::ptr::eq(self, other) {
             return;

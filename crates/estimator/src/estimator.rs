@@ -314,34 +314,41 @@ impl ThroughputModel for CnnEstimator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dataset::DatasetConfig;
     use crate::metrics::mean_absolute_error;
     use omniboost_hw::Device;
     use omniboost_models::ModelId;
     use rand::SeedableRng;
+    use std::sync::OnceLock;
 
-    fn trained() -> (Board, CnnEstimator) {
-        let board = Board::hikey970();
-        let dataset = DatasetConfig {
-            num_workloads: 40,
-            threads: 4,
-            ..DatasetConfig::default()
-        }
-        .generate(&board);
-        let config = TrainConfig {
-            epochs: 12,
-            batch_size: 8,
-            ..TrainConfig::default()
-        };
-        let (est, _) = CnnEstimator::train(&board, &dataset, &config);
-        (board, est)
+    /// The unit tests' trained estimator (40 workloads, 12 epochs on the
+    /// hikey970), trained once per test binary and shared: every test
+    /// that needs a trained estimator, here and in `io`, reads this one.
+    /// Training is deterministic, so sharing changes no prediction.
+    pub(crate) fn trained() -> &'static CnnEstimator {
+        static TRAINED: OnceLock<CnnEstimator> = OnceLock::new();
+        TRAINED.get_or_init(|| {
+            let board = Board::hikey970();
+            let dataset = DatasetConfig {
+                num_workloads: 40,
+                threads: 4,
+                ..DatasetConfig::default()
+            }
+            .generate(&board);
+            let config = TrainConfig {
+                epochs: 12,
+                batch_size: 8,
+                ..TrainConfig::default()
+            };
+            CnnEstimator::train(&board, &dataset, &config).0
+        })
     }
 
     #[test]
     fn predicts_nonnegative_finite_throughput() {
-        let (_, est) = trained();
+        let est = trained();
         let w = Workload::from_ids([ModelId::AlexNet, ModelId::MobileNet]);
         let m = Mapping::all_on(&w, Device::Gpu);
         let p = est.predict(&w, &m).unwrap();
@@ -355,7 +362,7 @@ mod tests {
         // Batched-vs-scalar equivalence: a scalar evaluation is a batch
         // of one through the same plan, and the plan treats batch rows
         // independently, so the reports are equal bit for bit.
-        let (_, est) = trained();
+        let est = trained();
         let w = Workload::from_ids([ModelId::Vgg19, ModelId::ResNet50, ModelId::AlexNet]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let mut mappings: Vec<Mapping> =
@@ -394,7 +401,7 @@ mod tests {
             [0x3fe61f8436ccfc74, 0x3fc37e1f9b9c2064, 0x3fb0c03d7a6e7b6d],
             [0x3ff2d6007f79172a, 0x3fdf6e9408e5c78d, 0x3fc29771fb51b90b],
         ];
-        let (_, est) = trained();
+        let est = trained();
         let w = Workload::from_ids([ModelId::Vgg19, ModelId::ResNet50, ModelId::AlexNet]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let mut mappings = vec![
@@ -409,7 +416,12 @@ mod tests {
             .map(|p| p.unwrap().map(f64::to_bits))
             .collect();
         assert_eq!(blended, BLENDED);
-        let est = est.with_feasibility_clamp(false);
+        // The shared fixture stays clamped; its unclamped twin is loaded
+        // from its own blob, which round-trips bit for bit
+        // (`io::tests::roundtrip_preserves_predictions`).
+        let est = CnnEstimator::from_bytes(est.to_bytes())
+            .expect("own blob loads")
+            .with_feasibility_clamp(false);
         let raw: Vec<[u32; 3]> = mappings
             .iter()
             .map(|m| est.predict(&w, m).unwrap().map(|v| (v as f32).to_bits()))
@@ -419,7 +431,7 @@ mod tests {
 
     #[test]
     fn evaluate_batch_reports_errors_individually() {
-        let (_, est) = trained();
+        let est = trained();
         let known = Workload::from_ids([ModelId::AlexNet, ModelId::MobileNet]);
         let good = Mapping::all_on(&known, Device::Gpu);
         // A mapping with the wrong shape errors without sinking the batch.
@@ -432,14 +444,14 @@ mod tests {
 
     #[test]
     fn predict_batch_empty_is_empty() {
-        let (_, est) = trained();
+        let est = trained();
         let w = Workload::from_ids([ModelId::AlexNet]);
         assert!(est.predict_batch(&w, &[]).is_empty());
     }
 
     #[test]
     fn unknown_model_is_reported() {
-        let (_, est) = trained();
+        let est = trained();
         let custom =
             omniboost_models::DnnModelBuilder::new(omniboost_models::TensorShape::new(3, 32, 32))
                 .conv("c", 8, 3, 1, 1)

@@ -17,8 +17,7 @@ use std::path::Path;
 const MAGIC: u32 = 0x0B00_57E5;
 const VERSION: u16 = 1;
 
-/// Errors produced while loading a persisted design-time artefact (an
-/// estimator blob or an evaluation-cache snapshot).
+/// Errors produced while loading a persisted estimator blob.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum LoadError {
@@ -28,16 +27,6 @@ pub enum LoadError {
     Corrupt(&'static str),
     /// The blob was written by an incompatible format version.
     Version(u16),
-    /// A persisted evaluation cache belongs to different hardware: its
-    /// recorded board fingerprint does not match the board it is being
-    /// loaded for. Serving daemons treat this as "start cold", not as
-    /// corruption.
-    BoardMismatch {
-        /// Fingerprint of the board the cache is being loaded for.
-        expected: u64,
-        /// Fingerprint recorded in the snapshot.
-        found: u64,
-    },
 }
 
 impl fmt::Display for LoadError {
@@ -46,11 +35,6 @@ impl fmt::Display for LoadError {
             LoadError::Io(e) => write!(f, "i/o error reading estimator: {e}"),
             LoadError::Corrupt(what) => write!(f, "corrupt estimator blob: {what}"),
             LoadError::Version(v) => write!(f, "unsupported estimator format version {v}"),
-            LoadError::BoardMismatch { expected, found } => write!(
-                f,
-                "persisted cache was collected on different hardware \
-                 (board fingerprint {found:#018x}, expected {expected:#018x})"
-            ),
         }
     }
 }
@@ -265,36 +249,16 @@ pub(crate) fn activation_from_tag(tag: u8) -> Result<ActivationKind, LoadError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::DatasetConfig;
     use crate::embedding::EmbeddingTensor;
+    use crate::estimator::tests::trained;
     use crate::model::EstimatorNet;
     use crate::preprocess::TargetTransform;
-    use crate::train::TrainConfig;
     use omniboost_hw::{Board, Device, Mapping, NoiseModel, Workload};
     use omniboost_models::{zoo, ModelId};
 
-    fn trained() -> (Board, CnnEstimator) {
-        let board = Board::hikey970();
-        let dataset = DatasetConfig {
-            num_workloads: 24,
-            threads: 4,
-            ..DatasetConfig::default()
-        }
-        .generate(&board);
-        let (est, _) = CnnEstimator::train(
-            &board,
-            &dataset,
-            &TrainConfig {
-                epochs: 4,
-                ..TrainConfig::default()
-            },
-        );
-        (board, est)
-    }
-
     #[test]
     fn roundtrip_preserves_predictions() {
-        let (_, est) = trained();
+        let est = trained();
         let blob = est.to_bytes();
         let restored = CnnEstimator::from_bytes(blob).expect("roundtrip");
         let w = Workload::from_ids([ModelId::AlexNet, ModelId::Vgg16]);
@@ -306,7 +270,7 @@ mod tests {
 
     #[test]
     fn save_load_via_filesystem() {
-        let (_, est) = trained();
+        let est = trained();
         let dir = std::env::temp_dir().join("omniboost-io-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("estimator.bin");
@@ -338,9 +302,9 @@ mod tests {
         // A persisted blob whose target transform lost one value used to
         // reach `copy_from_slice` on a ragged chunk and panic; it must
         // round-trip to `LoadError::Corrupt` instead.
-        let (_, est) = trained();
+        let est = trained();
         let blob = est.to_bytes().to_vec();
-        let off = transform_offset(&est);
+        let off = transform_offset(est);
         let len = u64::from_le_bytes(blob[off..off + 8].try_into().unwrap());
         assert_eq!(len, 12, "blob layout drifted; fix transform_offset");
         let mut bad = blob.clone();
@@ -357,9 +321,9 @@ mod tests {
         // 9 values chunk evenly into 3×3, which the old rebuild accepted
         // and silently zero-filled the fourth row with — corrupting
         // predictions instead of failing the load.
-        let (_, est) = trained();
+        let est = trained();
         let blob = est.to_bytes().to_vec();
-        let off = transform_offset(&est);
+        let off = transform_offset(est);
         let mut bad = blob.clone();
         bad[off..off + 8].copy_from_slice(&9u64.to_le_bytes());
         bad.drain(off + 8..off + 8 + 12); // drop three f32s
@@ -379,7 +343,7 @@ mod tests {
 
     #[test]
     fn corrupt_blobs_are_rejected() {
-        let (_, est) = trained();
+        let est = trained();
         let blob = est.to_bytes();
         // Wrong magic.
         let mut bad = blob.to_vec();

@@ -68,7 +68,7 @@ mod plan;
 mod preprocess;
 mod train;
 
-pub use board_cache::{BoardScopedCache, CacheArchive, DecisionScope};
+pub use board_cache::{BoardScopedCache, DecisionScope};
 pub use bound::FeasibilityBound;
 pub use cache::{CachedEstimator, EvalCache};
 pub use dataset::{Dataset, DatasetConfig, Sample};

@@ -316,8 +316,8 @@ impl Board {
     /// Stable 64-bit fingerprint of the full hardware description —
     /// every device spec, the bus, the saturation model and the board
     /// limits. Process-independent (FNV-1a over a canonical byte
-    /// encoding), so persisted caches keyed on it can be validated
-    /// against the board they were collected on across process restarts.
+    /// encoding): equal hardware gets an equal fingerprint, which is
+    /// what an evaluation cache binds its reports to.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = crate::Fnv1a::default();
@@ -342,8 +342,7 @@ impl Board {
         h.write(&self.memory_budget_bytes.to_le_bytes());
         h.write(&(self.max_concurrent_dnns as u64).to_le_bytes());
         // Only an active mask contributes bytes: unmasked boards keep
-        // the fingerprints (and cache-archive segments) they had before
-        // device masking existed.
+        // the fingerprints they had before device masking existed.
         if self.disabled.iter().any(|d| *d) {
             h.write(b"disabled");
             for off in &self.disabled {

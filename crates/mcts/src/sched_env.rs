@@ -375,6 +375,14 @@ impl<'a, M: ThroughputModel> SchedulingEnv<'a, M> {
         self.batch_dedup_hits.get()
     }
 
+    /// Evaluator queries [`SchedulingEnv::new`] spent scoring the
+    /// GPU-only reference mapping. No search's
+    /// [`crate::SearchResult::evaluations`] counts them, so a decision's
+    /// query tally adds them once.
+    pub fn reference_queries(&self) -> usize {
+        1
+    }
+
     /// Batched-pipeline reward queries that reached the evaluator.
     pub fn memo_misses(&self) -> usize {
         self.memo_misses.get()

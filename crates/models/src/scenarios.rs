@@ -290,8 +290,8 @@ pub struct FleetScriptConfig {
     /// Mean time between flap sequences (exponential; 0 disables): a
     /// flap fails an alive board and schedules its rejoin
     /// [`FleetScriptConfig::flap_down_ms`] later — the warm-reboot
-    /// scenario (the orchestrator preloads the rejoining profile's
-    /// cache-archive segment by fingerprint).
+    /// scenario (the orchestrator's warm pool hands the rejoining board
+    /// the evaluation cache its profile left behind).
     pub mean_flap_interval_ms: f64,
     /// Downtime between a flap's fail and its rejoin. Rejoin stamps
     /// past the horizon are dropped (the board stays down).

@@ -16,8 +16,9 @@
 //!   full and degraded board profiles (e.g. [`omniboost_hw::Board::hikey970`]
 //!   next to [`omniboost_hw::Board::hikey970_lite`]); placement compares
 //!   true throughput headroom because load scores normalize by each
-//!   board's own peak compute, and evaluation caches persist **per
-//!   profile** (`CacheArchive` segments keyed on the board fingerprint).
+//!   board's own peak compute, and evaluation caches are keyed **per
+//!   profile** (a cache is flushed when its board's fingerprint
+//!   changes, and the warm pool hands caches on only within a profile).
 //! * **Lifecycle events** ([`omniboost_models::FleetEvent`]) — seeded
 //!   scripts of board failures, graceful drains and joins interleave
 //!   with the arrival trace. On fail/drain every resident job is

@@ -31,7 +31,6 @@ use omniboost_serve::{
 use omniboost_telemetry::{LogHistogram, Telemetry};
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::path::PathBuf;
 
 /// Full orchestrator configuration.
 #[derive(Debug, Clone)]
@@ -44,10 +43,6 @@ pub struct OrchestratorConfig {
     pub online: OnlineConfig,
     /// Whether per-board runtimes memoize decisions per workload mix.
     pub use_memo: bool,
-    /// Persisted evaluation-cache archive: each board warm-loads its
-    /// hardware profile's segment at startup; every profile's merged
-    /// cache is written back at shutdown.
-    pub cache_path: Option<PathBuf>,
     /// Periodic migration-costed rebalancing (`None` disables — the
     /// PR-4 behaviour where jobs stay pinned to their admission board).
     pub rebalance: Option<RebalanceConfig>,
@@ -71,7 +66,6 @@ impl OrchestratorConfig {
             placement: PlacementPolicy::FairShare,
             online: OnlineConfig::default(),
             use_memo: true,
-            cache_path: None,
             rebalance: Some(RebalanceConfig::default()),
             cells: None,
             admission: AdmissionPolicy::default(),
@@ -95,7 +89,6 @@ impl OrchestratorConfig {
             placement: self.placement,
             online: self.online,
             use_memo: self.use_memo,
-            cache_path: self.cache_path.clone(),
             admission: self.admission,
         }
     }
@@ -261,8 +254,6 @@ pub struct OrchestratorSummary {
     pub tenants: Vec<TenantSummary>,
     /// Merged evaluation-cache counters across boards.
     pub eval_cache: EvalCacheStats,
-    /// Entries warm-loaded from the cache archive at startup.
-    pub cache_preloaded_entries: usize,
 }
 
 /// The record of one orchestrated run: per-tick detail plus aggregates.
@@ -384,9 +375,8 @@ impl OrchestratorReport {
 ///
 /// Each [`OrchestratorSim::run`] rebuilds the engine (and so the fleet)
 /// from the spec — lifecycle events mutate fleet structure, so replays
-/// always start from the scripted initial fleet (evaluation caches
-/// still persist across *processes* via
-/// [`OrchestratorConfig::cache_path`]).
+/// always start from the scripted initial fleet, every evaluation cache
+/// cold.
 pub struct OrchestratorSim<M, F> {
     spec: FleetSpec,
     config: OrchestratorConfig,
@@ -950,7 +940,6 @@ where
             board_utilization: s.board_utilization,
             tenants: s.tenants,
             eval_cache: s.eval_cache,
-            cache_preloaded_entries: s.cache_preloaded_entries,
         };
         // Applied events (a no-op's record carries no slot) and accepted
         // moves, tallied off the tick records.

@@ -369,9 +369,6 @@ pub struct StatusReply {
     pub arrivals: usize,
     /// Placements this run.
     pub placements: usize,
-    /// Evaluation-cache entries warm-loaded from the archive at boot —
-    /// a rebooted daemon reports its warm preloads here.
-    pub cache_preloaded_entries: usize,
 }
 
 impl StatusReply {
@@ -380,7 +377,7 @@ impl StatusReply {
         format!(
             "{{\"clock_ms\": {}, \"boards\": {}, \"resident_jobs\": {}, \
              \"queue_depth\": {}, \"draining\": {}, \"arrivals\": {}, \
-             \"placements\": {}, \"cache_preloaded_entries\": {}}}",
+             \"placements\": {}}}",
             self.clock_ms,
             self.boards,
             self.resident_jobs,
@@ -388,7 +385,6 @@ impl StatusReply {
             self.draining,
             self.arrivals,
             self.placements,
-            self.cache_preloaded_entries,
         )
     }
 
@@ -410,7 +406,6 @@ impl StatusReply {
                 .ok_or_else(|| ApiError::new(ErrorCode::BadRequest, "missing `draining`"))?,
             arrivals: require_u64(&value, "arrivals")? as usize,
             placements: require_u64(&value, "placements")? as usize,
-            cache_preloaded_entries: require_u64(&value, "cache_preloaded_entries")? as usize,
         })
     }
 }
@@ -502,9 +497,6 @@ pub struct ShutdownReply {
     pub left_in_queue: usize,
     /// Time-weighted mean fleet throughput over the horizon.
     pub mean_aggregate_tps: f64,
-    /// Per-profile `CacheArchive` segments on disk after the shutdown
-    /// archive pass (0 when no cache path is configured).
-    pub cache_archived_segments: usize,
 }
 
 impl ShutdownReply {
@@ -513,14 +505,12 @@ impl ShutdownReply {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"digest\": {}, \"events\": {}, \"placements\": {}, \
-             \"left_in_queue\": {}, \"mean_aggregate_tps\": {:?}, \
-             \"cache_archived_segments\": {}}}",
+             \"left_in_queue\": {}, \"mean_aggregate_tps\": {:?}}}",
             json::quote(&format!("{:#018x}", self.digest)),
             self.events,
             self.placements,
             self.left_in_queue,
             self.mean_aggregate_tps,
-            self.cache_archived_segments,
         )
     }
 
@@ -548,7 +538,6 @@ impl ShutdownReply {
                 .ok_or_else(|| {
                     ApiError::new(ErrorCode::BadRequest, "missing `mean_aggregate_tps`")
                 })?,
-            cache_archived_segments: require_u64(&value, "cache_archived_segments")? as usize,
         })
     }
 }

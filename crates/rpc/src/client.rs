@@ -353,8 +353,7 @@ impl RpcClient {
         Ok(DrainReply::from_json(&body)?)
     }
 
-    /// `POST /v1/shutdown` — finish the run (archiving caches) and stop
-    /// the daemon.
+    /// `POST /v1/shutdown` — finish the run and stop the daemon.
     ///
     /// # Errors
     ///

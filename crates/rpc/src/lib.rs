@@ -15,8 +15,7 @@
 //!   engine exactly as trace replay would, `status`/`summary`/`metrics`
 //!   are non-disturbing snapshots, `drain` closes the admission gate
 //!   (submits answer `503 draining` while residents finish), `shutdown`
-//!   finishes the run, archives evaluation caches by board fingerprint
-//!   and reports the run digest.
+//!   finishes the run and reports the run digest.
 //! * [`client`] — a blocking keep-alive client with layered config
 //!   (code defaults < environment) and typed errors.
 //! * [`loadgen`] — seeded closed-loop trace replay over the wire,

@@ -20,9 +20,8 @@
 //!   answer `503 {"code": "draining"}` while residents keep serving,
 //!   departures still land, and freed capacity still drains the queue.
 //! * **Shutdown** — `POST /v1/shutdown` drains, finishes the run
-//!   ([`ServingEngine::finish`] archives evaluation caches per board
-//!   fingerprint), replies with the run digest, and stops the pool —
-//!   parked accept calls are woken by loopback connections.
+//!   ([`ServingEngine::finish`]), replies with the run digest, and stops
+//!   the pool — parked accept calls are woken by loopback connections.
 
 use crate::api::{
     ApiError, DepartReply, DepartRequest, DrainReply, ErrorCode, ShutdownReply, ShutdownRequest,
@@ -30,7 +29,6 @@ use crate::api::{
 };
 use crate::http::{render_response, FrameDecoder, FrameLimits, Request};
 use crate::json;
-use omniboost_estimator::CacheArchive;
 use omniboost_hw::{Board, ThroughputModel};
 use omniboost_serve::{
     LatencyStats, RejectReason, ServingConfig, ServingEngine, ServingReport, ServingSummary,
@@ -116,9 +114,9 @@ pub struct RpcServer<M> {
 }
 
 impl<M: ThroughputModel + Send + 'static> RpcServer<M> {
-    /// Boots the daemon: builds the engine (loading any persisted cache
-    /// archive — [`ServingConfig::cache_path`]), binds, and spawns the
-    /// worker pool. The engine starts with a fresh run already open.
+    /// Boots the daemon: builds the engine (every evaluation cache cold),
+    /// binds, and spawns the worker pool. The engine starts with a fresh
+    /// run already open.
     ///
     /// # Errors
     ///
@@ -174,9 +172,9 @@ impl<M: ThroughputModel + Send + 'static> RpcServer<M> {
         self.shared.draining.load(Ordering::SeqCst)
     }
 
-    /// Stops the worker pool **without** finishing the run (no cache
-    /// archive, no report) — the abrupt-kill path. Prefer a client
-    /// `POST /v1/shutdown` for a graceful exit.
+    /// Stops the worker pool **without** finishing the run (no report)
+    /// — the abrupt-kill path. Prefer a client `POST /v1/shutdown` for a
+    /// graceful exit.
     pub fn stop(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.stopping.store(true, Ordering::SeqCst);
@@ -463,19 +461,12 @@ fn handle_shutdown<M: ThroughputModel + Send>(
         format!("finishing run at horizon_ms={horizon_ms}"),
     );
     let report = engine.finish(horizon_ms);
-    let cache_archived_segments = engine
-        .config()
-        .cache_path
-        .as_ref()
-        .and_then(|path| CacheArchive::load(path).ok())
-        .map_or(0, |archive| archive.len());
     let reply = ShutdownReply {
         digest: report.digest(),
         events: report.summary.events,
         placements: report.summary.placements,
         left_in_queue: report.summary.left_in_queue,
         mean_aggregate_tps: report.summary.mean_aggregate_tps,
-        cache_archived_segments,
     };
     *shared
         .final_report
@@ -501,7 +492,6 @@ fn status_reply<M: ThroughputModel + Send>(shared: &Shared<M>) -> StatusReply {
         draining: shared.draining.load(Ordering::SeqCst),
         arrivals: engine.arrivals(),
         placements: engine.placements(),
-        cache_preloaded_entries: engine.cache_preloaded_entries(),
     }
 }
 
@@ -552,7 +542,7 @@ pub(crate) fn summary_json(s: &ServingSummary) -> String {
          \"decisions\": {}, \"cold\": {}, \"warm\": {}, \"memo\": {}, \"single_job_delta\": {}, \
          \"migrated_layers\": {}, \"mean_aggregate_tps\": {:?}, \"board_utilization\": [{}], \
          \"eval_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}, \
-         \"cache_preloaded_entries\": {}, \"tenants\": [{}]}}",
+         \"tenants\": [{}]}}",
         s.events,
         s.arrivals,
         s.departures,
@@ -585,7 +575,6 @@ pub(crate) fn summary_json(s: &ServingSummary) -> String {
         s.eval_cache.hits,
         s.eval_cache.misses,
         s.eval_cache.evictions,
-        s.cache_preloaded_entries,
         tenants.join(", "),
     )
 }
@@ -648,10 +637,6 @@ fn metrics_text<M: ThroughputModel + Send>(shared: &Shared<M>) -> String {
     line("eval_cache_hits", s.eval_cache.hits.to_string());
     line("eval_cache_misses", s.eval_cache.misses.to_string());
     line("eval_cache_evictions", s.eval_cache.evictions.to_string());
-    line(
-        "cache_preloaded_entries",
-        s.cache_preloaded_entries.to_string(),
-    );
     line("slo_guaranteed_jobs", s.slo.guaranteed_jobs.to_string());
     line("slo_guaranteed_met", s.slo.guaranteed_met.to_string());
     line(

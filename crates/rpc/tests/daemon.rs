@@ -1,6 +1,5 @@
 //! Loopback integration tests over a live daemon: drain semantics,
-//! graceful shutdown with cache archiving, warm reboot, and the
-//! wire-vs-in-process digest parity pin.
+//! graceful shutdown, and the wire-vs-in-process digest parity pin.
 
 use omniboost_estimator::CnnEstimator;
 use omniboost_hw::{AnalyticModel, Board};
@@ -10,7 +9,6 @@ use omniboost_rpc::client::{ClientConfig, RpcClient};
 use omniboost_rpc::loadgen::replay_trace;
 use omniboost_rpc::servers::{RpcServer, ServerConfig};
 use omniboost_serve::{OnlineConfig, SearchBudget, ServingConfig, ServingEngine, ServingSim};
-use std::path::PathBuf;
 
 const HORIZON_MS: u64 = 30_000;
 
@@ -22,19 +20,18 @@ fn quick_online() -> OnlineConfig {
     }
 }
 
-fn serving_config(cache_path: Option<PathBuf>) -> ServingConfig {
+fn serving_config() -> ServingConfig {
     ServingConfig {
         online: quick_online(),
-        cache_path,
         ..ServingConfig::warm()
     }
 }
 
-fn boot(cache_path: Option<PathBuf>, boards: usize) -> (RpcServer<AnalyticModel>, RpcClient) {
+fn boot(boards: usize) -> (RpcServer<AnalyticModel>, RpcClient) {
     let server = RpcServer::start(
         ServerConfig::default(),
         vec![Board::hikey970(); boards],
-        serving_config(cache_path),
+        serving_config(),
         AnalyticModel::new,
     )
     .expect("bind loopback");
@@ -71,7 +68,7 @@ fn client_redials_a_connection_the_daemon_closed_while_idle() {
             ..ServerConfig::default()
         },
         vec![Board::hikey970()],
-        serving_config(None),
+        serving_config(),
         AnalyticModel::new,
     )
     .expect("bind loopback");
@@ -87,16 +84,11 @@ fn client_redials_a_connection_the_daemon_closed_while_idle() {
 }
 
 /// Drain mode refuses new submits with the distinct `draining` code
-/// while in-flight jobs keep completing; graceful shutdown archives the
-/// evaluation cache, and a rebooted daemon reports the warm preloads.
+/// while in-flight jobs keep completing; graceful shutdown reports the
+/// finished run.
 #[test]
-fn drain_refuses_submits_then_shutdown_archives_and_reboot_preloads() {
-    let dir = std::env::temp_dir().join(format!("omniboost-rpc-drain-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let cache = dir.join("daemon-cache.bin");
-    let _ = std::fs::remove_file(&cache);
-
-    let (server, mut client) = boot(Some(cache.clone()), 1);
+fn drain_refuses_submits_then_shutdown_reports_the_run() {
+    let (server, mut client) = boot(1);
 
     // Two residents, virtual-stamped so the run is deterministic.
     for (id, at_ms) in [(1u64, 0u64), (2, 100)] {
@@ -158,26 +150,9 @@ fn drain_refuses_submits_then_shutdown_archives_and_reboot_preloads() {
     assert_eq!(reply.events, 3, "2 submits + 1 depart");
     assert_eq!(reply.placements, 2);
     assert_eq!(reply.left_in_queue, 0);
-    assert!(reply.cache_archived_segments >= 1, "cache archived on exit");
-    assert!(cache.exists(), "archive written to the configured path");
 
     let report = server.join().expect("finished run parked for join");
     assert_eq!(report.digest(), reply.digest);
-
-    // Warm reboot: the fresh daemon preloads the archived segments and
-    // says so over the wire.
-    let (server2, mut client2) = boot(Some(cache.clone()), 1);
-    let status = client2.status().expect("status after reboot");
-    assert!(
-        status.cache_preloaded_entries > 0,
-        "rebooted daemon must report warm preloads"
-    );
-    client2
-        .shutdown(&ShutdownRequest::default())
-        .expect("shutdown reboot");
-    server2.join();
-    let _ = std::fs::remove_file(&cache);
-    let _ = std::fs::remove_dir(&dir);
 }
 
 /// The same seeded trace produces the **same digest** through the
@@ -198,13 +173,13 @@ fn wire_replay_matches_in_process_digest() {
     // In-process reference.
     let mut sim = ServingSim::new(
         vec![Board::hikey970(); 2],
-        serving_config(None),
+        serving_config(),
         AnalyticModel::new,
     );
     let reference = sim.run(&trace, HORIZON_MS);
 
     // Wire path: same trace, virtual stamps, same horizon.
-    let (server, mut client) = boot(None, 2);
+    let (server, mut client) = boot(2);
     let loadgen = replay_trace(&mut client, &trace).expect("replay");
     assert_eq!(loadgen.requests, trace.len());
     assert_eq!(
@@ -240,7 +215,7 @@ fn wire_replay_matches_in_process_digest() {
 /// least the core, serve and rpc layers.
 #[test]
 fn metrics_histograms_and_trace_export() {
-    let (server, mut client) = boot(None, 1);
+    let (server, mut client) = boot(1);
 
     // Enough virtual-stamped traffic that decisions actually happen
     // (the second submit closes the first tick and flushes the board).
@@ -334,7 +309,7 @@ fn metrics_histograms_and_trace_export() {
 /// errors without disturbing the daemon.
 #[test]
 fn error_paths_answer_typed_codes() {
-    let (server, mut client) = boot(None, 1);
+    let (server, mut client) = boot(1);
 
     let err = client
         .submit(&SubmitRequest {

@@ -190,7 +190,6 @@ proptest! {
             placements: 4,
             left_in_queue: 2,
             mean_aggregate_tps: 5.125,
-            cache_archived_segments: 1,
         };
         prop_assert_eq!(
             ShutdownReply::from_json(shutdown.to_json().as_bytes()).expect("roundtrip"),
@@ -274,7 +273,6 @@ fn status_and_shutdown_request_parse_edge_cases() {
         draining: true,
         arrivals: 9,
         placements: 6,
-        cache_preloaded_entries: 4,
     };
     assert_eq!(
         StatusReply::from_json(status.to_json().as_bytes()).expect("roundtrip"),

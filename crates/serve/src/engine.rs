@@ -6,8 +6,8 @@
 //! wall-clocked requests — feeds stamped inputs to a [`ServingEngine`]
 //! and reads the same [`TickRecord`]s and [`ServingSummary`] back. The
 //! engine owns the fleet, the admission [`Mempool`], the time integrals,
-//! the evacuation and conservation bookkeeping and the evaluation-cache
-//! archive; drivers own only where their inputs come from.
+//! the evacuation and conservation bookkeeping; drivers own only where
+//! their inputs come from.
 //!
 //! **The tick.** Inputs sharing a timestamp accumulate into one open
 //! tick. Opening it integrates throughput/utilization over the interval
@@ -36,7 +36,6 @@ use crate::sim::{BoardDecision, LatencyStats, ServingConfig, ServingReport, Serv
 use crate::slo::SloAccumulator;
 use crate::tenants::TenantAccumulator;
 use crate::TickRecord;
-use omniboost_estimator::CacheArchive;
 use omniboost_hw::{Board, EvalCacheStats, ThroughputModel};
 use omniboost_models::{JobEvent, JobSpec};
 use omniboost_telemetry::{LogHistogram, Telemetry};
@@ -142,14 +141,13 @@ pub struct ServingEngine<M> {
     fleet: Fleet<M>,
     config: ServingConfig,
     pool: Mempool,
-    cache_preloaded: usize,
     run: RunState,
     telemetry: Telemetry,
 }
 
 impl<M: ThroughputModel> ServingEngine<M> {
-    /// Builds a fleet of `boards` with one evaluator per board and loads
-    /// any persisted cache archive ([`ServingConfig::cache_path`]).
+    /// Builds a fleet of `boards` with one evaluator per board; every
+    /// board's evaluation cache starts empty.
     pub fn new(
         boards: Vec<Board>,
         config: ServingConfig,
@@ -162,65 +160,18 @@ impl<M: ThroughputModel> ServingEngine<M> {
             OnlineScheduler::new(make_evaluator(board.clone()), policy, online)
         });
         let pool = Mempool::new(config.admission);
-        let mut engine = Self {
+        Self {
             fleet,
             config,
             pool,
-            cache_preloaded: 0,
             run: RunState::default(),
             telemetry: Telemetry::noop(),
-        };
-        engine.load_caches();
-        engine
-    }
-
-    /// Startup half of cache persistence: warm every board's scheduler
-    /// from its profile's segment of the configured [`CacheArchive`]
-    /// snapshot. Profiles without a segment, mismatched or unreadable
-    /// snapshots start cold (a daemon must boot regardless); corrupt
-    /// files are reported by
-    /// [`ServingSummary::cache_preloaded_entries`] staying 0. (The
-    /// archive replaced the pre-PR-5 single-segment format; an old
-    /// snapshot reads as unreadable — one cold boot — and the next
-    /// shutdown rewrites it as an archive.)
-    fn load_caches(&mut self) {
-        let Some(path) = self.config.cache_path.clone() else {
-            return;
-        };
-        if !path.exists() {
-            return;
         }
-        let Ok(archive) = CacheArchive::load(&path) else {
-            return;
-        };
-        let capacity = self.config.online.eval_cache_capacity;
-        self.cache_preloaded += self.fleet.preload_caches(&archive, capacity);
-    }
-
-    /// Shutdown half of cache persistence: merge the boards' caches
-    /// **per hardware profile** (recency preserved within a profile)
-    /// and rewrite the archive — segments of profiles this fleet does
-    /// not run survive untouched, so heterogeneous deployments never
-    /// clobber each other's warm state.
-    fn save_caches(&mut self) {
-        let Some(path) = self.config.cache_path.clone() else {
-            return;
-        };
-        let capacity = self.config.online.eval_cache_capacity;
-        if capacity == 0 {
-            return;
-        }
-        // Start from the persisted archive when readable so foreign
-        // profiles' segments carry forward.
-        let mut archive = CacheArchive::load(&path).unwrap_or_default();
-        self.fleet.archive_caches(&mut archive, capacity);
-        // Persistence failure must not take the daemon down with it.
-        let _ = archive.save(&path);
     }
 
     /// Attaches a telemetry handle: engine phases (submit, depart,
-    /// queue drain, tick flush, cache flush) emit scoped spans, and the
-    /// fleet propagates the handle into every board runtime so decision
+    /// queue drain, tick flush) emit scoped spans, and the fleet
+    /// propagates the handle into every board runtime so decision
     /// phases are covered too. Telemetry is observational only — the
     /// replay digest is bit-for-bit identical whether the handle
     /// records or not.
@@ -244,11 +195,6 @@ impl<M: ThroughputModel> ServingEngine<M> {
     /// Number of boards in the fleet.
     pub fn num_boards(&self) -> usize {
         self.fleet.len()
-    }
-
-    /// Entries warm-loaded from the persisted cache archive at startup.
-    pub fn cache_preloaded_entries(&self) -> usize {
-        self.cache_preloaded
     }
 
     /// The engine's configuration.
@@ -606,17 +552,13 @@ impl<M: ThroughputModel> ServingEngine<M> {
         self.run.acc.advance_to(&self.fleet, at_ms);
     }
 
-    /// Ends the run: closes the open tick, archives evaluation caches
-    /// (when configured) and returns the full [`ServingReport`], its
-    /// summary integrated out to `horizon_ms`. The engine survives —
-    /// [`ServingEngine::begin_run`] starts the next run warm.
+    /// Ends the run: closes the open tick and returns the full
+    /// [`ServingReport`], its summary integrated out to `horizon_ms`.
+    /// The engine survives — [`ServingEngine::begin_run`] starts the
+    /// next run warm.
     pub fn finish(&mut self, horizon_ms: u64) -> ServingReport {
         if let Some(open) = self.run.open.take() {
             self.close(open, |_, _| false);
-        }
-        {
-            let _span = self.telemetry.span("serve.cache.flush");
-            self.save_caches();
         }
         let summary = self.snapshot(horizon_ms);
         let run = std::mem::take(&mut self.run);
@@ -667,7 +609,6 @@ impl<M: ThroughputModel> ServingEngine<M> {
             mean_aggregate_tps: acc.tps_integral / horizon,
             board_utilization: acc.busy_ms.iter().map(|ms| *ms as f64 / horizon).collect(),
             eval_cache,
-            cache_preloaded_entries: self.cache_preloaded,
             tenants: acc.tenant_acc.finish(horizon_ms, &self.pool.queued_jobs()),
             evacuation_wait: LatencyStats::from_histogram(&run.evac_waits),
             evacuees_still_queued: run.evac_pending.len(),

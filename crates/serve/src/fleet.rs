@@ -15,15 +15,11 @@
 //! down, and it hands the replaced one back so the caller can retire
 //! its cache by move — the orchestrator's in-memory warm pool is built
 //! from exactly these two cases and never asks the fleet to merge
-//! anything. [`Fleet::archive_caches`] / [`Fleet::preload_caches`]
-//! (merge per profile into a [`CacheArchive`], reload from one) serve
-//! the one caller that needs bytes: persistence across processes under
-//! `ServingConfig::cache_path`.
+//! anything. No cache outlives the process.
 
 use crate::scheduler::{DecisionKind, OnlineScheduler, WarmHint};
 use crate::sim::BoardDecision;
 use omniboost::{PreviousDeployment, Runtime};
-use omniboost_estimator::CacheArchive;
 use omniboost_hw::{Board, Mapping, ThroughputModel, ThroughputReport, Workload};
 use omniboost_models::{zoo, DnnModel, JobSpec};
 use omniboost_telemetry::Telemetry;
@@ -697,46 +693,6 @@ impl<M: ThroughputModel> Fleet<M> {
         // of the run (an idle dirty board decides nothing).
         decisions.shrink_to_fit();
         decisions
-    }
-
-    /// Warm-loads every slot whose hardware profile has a segment in
-    /// `archive`; returns the number of preloaded cache entries.
-    pub fn preload_caches(&mut self, archive: &CacheArchive, capacity: usize) -> usize {
-        let mut preloaded = 0usize;
-        for slot in &mut self.slots {
-            if let Some(cache) = archive.segment(capacity, &slot.board) {
-                preloaded += cache.cache().len();
-                slot.scheduler.preload_cache(cache);
-            }
-        }
-        preloaded
-    }
-
-    /// Merges every slot's evaluation cache into `archive`, one segment
-    /// per hardware profile (recency preserved within a profile;
-    /// segments of profiles absent from this fleet are left alone).
-    pub fn archive_caches(&self, archive: &mut CacheArchive, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
-        let mut fingerprints: Vec<u64> = self.slots.iter().map(|s| s.board.fingerprint()).collect();
-        fingerprints.sort_unstable();
-        fingerprints.dedup();
-        for fp in fingerprints {
-            let mut merged = omniboost_estimator::BoardScopedCache::new(capacity);
-            let mut seen = false;
-            for slot in &self.slots {
-                if slot.board.fingerprint() != fp {
-                    continue;
-                }
-                if !seen {
-                    merged.begin(&slot.board);
-                    seen = true;
-                }
-                merged.cache().absorb(slot.scheduler.eval_cache());
-            }
-            archive.upsert(&merged);
-        }
     }
 
     /// Returns every board to its empty pre-trace state: resident jobs,

@@ -12,8 +12,8 @@
 //!   into an open tick; closing it drains freed capacity, reschedules
 //!   dirty boards and records the tick. Trace replay ([`ServingSim`]),
 //!   the orchestrator's trace + fleet-script replay and the RPC daemon
-//!   are drivers of this one machine, so they share every admission,
-//!   accounting and persistence behaviour by construction.
+//!   are drivers of this one machine, so they share every admission
+//!   and accounting behaviour by construction.
 //! * **Arrival traces** — seeded, reproducible event sequences from
 //!   Poisson / bursty / diurnal-ramp generators
 //!   ([`omniboost_models::scenarios`]), replayed by a deterministic
@@ -40,10 +40,10 @@
 //! * **Serving metrics** ([`ServingReport`]) — per-event decision
 //!   latency by kind, queue depth, migration churn, per-board
 //!   utilization and time-weighted aggregate throughput.
-//! * **Cache persistence** — the cross-decision evaluation cache
-//!   survives process restarts (a `CacheArchive` file, one segment per
-//!   board fingerprint), wired into the daemon's startup/shutdown via
-//!   [`ServingConfig::cache_path`].
+//! * **Evaluation caches** — each board's scheduler memoizes evaluator
+//!   answers per mapping across decisions for as long as it lives. No
+//!   cache outlives the process: what persists is the trained estimator
+//!   (`CnnEstimator::save`), and a restarted daemon boots cold.
 //!
 //! See `examples/serving_sim.rs` for a runnable walkthrough and
 //! `crates/bench/benches/serving.rs` for the cold-vs-warm measurement.

@@ -181,16 +181,10 @@ impl<M: ThroughputModel> OnlineScheduler<M> {
         self.cache.cache()
     }
 
-    /// The board-scoped cache wrapper (for persistence).
+    /// The board-scoped cache wrapper (the orchestrator's warm pool
+    /// warm-boots other boards from it).
     pub fn board_cache(&self) -> &BoardScopedCache {
         &self.cache
-    }
-
-    /// Replaces the evaluation cache — the serving daemon's startup hook
-    /// for a persisted snapshot (a [`omniboost_estimator::CacheArchive`]
-    /// segment).
-    pub fn preload_cache(&mut self, cache: BoardScopedCache) {
-        self.cache = cache;
     }
 
     /// Warm-boots this scheduler in memory from a cache of its hardware
@@ -484,7 +478,7 @@ impl<M: ThroughputModel> Scheduler for OnlineScheduler<M> {
         };
         self.last_kind = kind;
         self.last_effort = effort;
-        self.last_evaluations = scope.fresh_evaluations(evaluations);
+        self.last_evaluations = scope.fresh_evaluations(env.reference_queries() + evaluations);
         mapping.validate(workload)?;
         Ok(mapping)
     }

@@ -17,7 +17,6 @@ use omniboost_hw::{Board, EvalCacheStats, Fnv1a, ThroughputModel};
 use omniboost_models::{ArrivalTrace, JobEvent};
 use omniboost_telemetry::LogHistogram;
 use std::hash::Hasher;
-use std::path::PathBuf;
 
 /// Full serving-runtime configuration.
 #[derive(Debug, Clone)]
@@ -31,10 +30,6 @@ pub struct ServingConfig {
     /// Whether per-board runtimes memoize decisions per workload mix
     /// (the "unchanged mix answers instantly" serving behaviour).
     pub use_memo: bool,
-    /// Persisted evaluation-cache snapshot: loaded into every board's
-    /// scheduler at startup (boards whose fingerprint mismatches start
-    /// cold), merged and rewritten at shutdown.
-    pub cache_path: Option<PathBuf>,
     /// Admission-mempool knobs (validation, quotas, TTL, backoff,
     /// drain order). The default is the historical permissive FIFO.
     pub admission: AdmissionPolicy,
@@ -49,7 +44,6 @@ impl ServingConfig {
             placement: PlacementPolicy::LeastLoaded,
             online: OnlineConfig::default(),
             use_memo: true,
-            cache_path: None,
             admission: AdmissionPolicy::default(),
         }
     }
@@ -205,8 +199,6 @@ pub struct ServingSummary {
     pub board_utilization: Vec<f64>,
     /// Merged evaluation-cache counters across boards.
     pub eval_cache: EvalCacheStats,
-    /// Entries warm-loaded from a persisted cache snapshot at startup.
-    pub cache_preloaded_entries: usize,
     /// Per-tenant throughput / placement / queue-wait aggregates,
     /// sorted by tenant id — the measurement side of multi-tenant
     /// fairness (see [`crate::tenant_tps_ratio`]).
@@ -282,8 +274,11 @@ impl ServingReport {
                 h.write(d.kind.label().as_bytes());
                 h.write(&[u8::from(d.single_job_delta)]);
                 h.write(&(d.migrated_layers as u64).to_le_bytes());
-                // `evaluations` is deliberately excluded: a persisted
-                // cache warms it away without changing any decision.
+                // `evaluations` is deliberately excluded: it counts the
+                // queries the evaluation cache missed, and within one
+                // process a cache hit returns the report the evaluator
+                // would, so the cache's size moves this count and no
+                // decision (`serving_digest_does_not_depend_on_the_eval_cache`).
                 h.write(&(d.jobs as u64).to_le_bytes());
                 f(&mut h, d.throughput);
             }

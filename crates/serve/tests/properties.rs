@@ -56,11 +56,40 @@ fn run_once(
         placement,
         online: quick_online(),
         use_memo: policy == ReschedulePolicy::WarmStart,
-        cache_path: None,
         admission: AdmissionPolicy::default(),
     };
     let mut sim = ServingSim::new(vec![Board::hikey970(); boards], config, AnalyticModel::new);
     sim.run(&trace, HORIZON_MS)
+}
+
+/// A warm replay whose boards' evaluation caches hold at most
+/// `eval_cache_capacity` reports (0 disables them).
+fn run_with_eval_cache(
+    process: ArrivalProcess,
+    seed: u64,
+    boards: usize,
+    eval_cache_capacity: usize,
+) -> omniboost_serve::ServingReport {
+    let trace = ArrivalTrace::generate(process, &trace_config(), seed);
+    let config = ServingConfig {
+        online: OnlineConfig {
+            eval_cache_capacity,
+            ..quick_online()
+        },
+        ..ServingConfig::warm()
+    };
+    let mut sim = ServingSim::new(vec![Board::hikey970(); boards], config, AnalyticModel::new);
+    sim.run(&trace, HORIZON_MS)
+}
+
+/// Evaluator queries a run's decisions actually paid for.
+fn evaluations(report: &omniboost_serve::ServingReport) -> usize {
+    report
+        .ticks
+        .iter()
+        .flat_map(|t| &t.decisions)
+        .map(|d| d.evaluations)
+        .sum()
 }
 
 proptest! {
@@ -156,6 +185,45 @@ proptest! {
             }
         }
     }
+
+    /// (iv) **The evaluation cache is transparent**: a hit returns the
+    /// report the evaluator would have, so the cache's size changes how
+    /// many evaluator queries the decisions cost, never their outcome.
+    /// This is why `ServingReport::digest` leaves
+    /// `BoardDecision::evaluations` out. The uncached replay pays for
+    /// exactly the queries the cached one paid for plus its hits, so the
+    /// cached sum is never the larger.
+    #[test]
+    fn serving_digest_does_not_depend_on_the_eval_cache(
+        process in arb_process(),
+        seed in 0u64..500,
+        boards in 1usize..3,
+    ) {
+        let uncached = run_with_eval_cache(process, seed, boards, 0);
+        let cached = run_with_eval_cache(process, seed, boards, 8192);
+        prop_assert_eq!(uncached.digest(), cached.digest());
+        prop_assert_eq!(
+            evaluations(&uncached),
+            evaluations(&cached) + cached.summary.eval_cache.hits as usize
+        );
+    }
+}
+
+/// The fixed-seed witness that (iv) compares a working cache: on this
+/// trace the cached replay pays for strictly fewer evaluator queries,
+/// and its digest still equals the uncached one.
+#[test]
+fn eval_cache_saves_queries_without_changing_the_digest() {
+    let process = ArrivalProcess::Poisson { rate_per_s: 0.8 };
+    let uncached = run_with_eval_cache(process, 7, 2, 0);
+    let cached = run_with_eval_cache(process, 7, 2, 8192);
+    assert_eq!(uncached.digest(), cached.digest());
+    assert!(
+        evaluations(&cached) < evaluations(&uncached),
+        "the cache saved nothing: {} cached against {} uncached",
+        evaluations(&cached),
+        evaluations(&uncached)
+    );
 }
 
 /// Per-tenant aggregation is internally consistent: every arrival and
@@ -296,60 +364,6 @@ fn rerunning_a_sim_replays_from_an_empty_fleet() {
     assert_eq!(second.summary.arrivals, expected.summary.arrivals);
     assert_eq!(second.summary.departures, expected.summary.departures);
     assert_eq!(second.summary.placements, expected.summary.placements);
-}
-
-/// Cache persistence end to end: a second daemon boot warm-loads the
-/// snapshot the first run saved, and mismatching hardware starts cold.
-#[test]
-fn serving_daemon_persists_eval_cache_across_processes() {
-    let process = ArrivalProcess::Poisson { rate_per_s: 0.6 };
-    let trace = ArrivalTrace::generate(process, &trace_config(), 3);
-    let dir = std::env::temp_dir().join("omniboost-serve-cache-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("serving-cache.bin");
-    std::fs::remove_file(&path).ok();
-
-    let config = |cache_path| ServingConfig {
-        online: quick_online(),
-        cache_path,
-        ..ServingConfig::warm()
-    };
-    // First boot: cold cache, snapshot written at shutdown.
-    let mut first = ServingSim::new(
-        vec![Board::hikey970(); 2],
-        config(Some(path.clone())),
-        AnalyticModel::new,
-    );
-    let r1 = first.run(&trace, HORIZON_MS);
-    assert_eq!(r1.summary.cache_preloaded_entries, 0);
-    assert!(path.exists(), "shutdown must write the snapshot");
-
-    // Second boot: the snapshot warms every board's cache.
-    let mut second = ServingSim::new(
-        vec![Board::hikey970(); 2],
-        config(Some(path.clone())),
-        AnalyticModel::new,
-    );
-    let r2 = second.run(&trace, HORIZON_MS);
-    assert!(
-        r2.summary.cache_preloaded_entries > 0,
-        "second boot must preload the persisted cache"
-    );
-    // The replay itself is identical — persistence must not change
-    // decisions, only warm them.
-    assert_eq!(r1.digest(), r2.digest());
-
-    // Different hardware: the snapshot is rejected, the daemon boots cold.
-    let mut other_board = Board::hikey970();
-    other_board.max_concurrent_dnns += 1;
-    let mut third = ServingSim::new(
-        vec![other_board],
-        config(Some(path.clone())),
-        AnalyticModel::new,
-    );
-    let r3 = third.run(&trace, HORIZON_MS);
-    assert_eq!(r3.summary.cache_preloaded_entries, 0);
-    std::fs::remove_file(&path).ok();
 }
 
 /// One random step against the fleet: the op mix covers every path that
@@ -741,7 +755,6 @@ fn recording_telemetry_is_digest_neutral() {
         placement: PlacementPolicy::LeastLoaded,
         online: quick_online(),
         use_memo: true,
-        cache_path: None,
         admission: AdmissionPolicy::default(),
     };
     let mut sim = ServingSim::new(vec![Board::hikey970(); 2], config, AnalyticModel::new);

@@ -32,7 +32,7 @@ fn orchestrate(
 ) -> OrchestratorReport {
     // Two full boards + one thermally capped "lite" board: placement
     // compares true headroom (load normalized by each board's own peak
-    // compute), and each profile keeps its own persisted cache segment.
+    // compute), and each profile keeps its own evaluation cache.
     let spec = FleetSpec::heterogeneous(vec![
         BoardProfile::hikey970(),
         BoardProfile::hikey970(),

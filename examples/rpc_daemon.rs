@@ -6,10 +6,8 @@
 //! sims replay traces through: `submit`/`depart` requests tick the
 //! engine, `/metrics` and `/v1/summary` snapshot the run without
 //! disturbing it, `drain` closes the admission gate while residents
-//! keep serving, and `shutdown` finishes the run — archiving the
-//! evaluation cache per board fingerprint — and answers with the run's
-//! determinism digest. A second boot against the same cache path then
-//! reports its warm preloads.
+//! keep serving, and `shutdown` finishes the run and answers with its
+//! determinism digest.
 //!
 //! Run with:
 //! ```sh
@@ -25,37 +23,25 @@ use omniboost_serve::{OnlineConfig, SearchBudget, ServingConfig};
 
 const BOARDS: usize = 2;
 
-fn config(cache: &std::path::Path) -> ServingConfig {
-    ServingConfig {
+fn main() {
+    let config = ServingConfig {
         online: OnlineConfig {
             cold_budget: SearchBudget::with_iterations(120),
             warm_budget: SearchBudget::with_iterations(48),
             ..OnlineConfig::default()
         },
-        cache_path: Some(cache.to_path_buf()),
         ..ServingConfig::warm()
-    }
-}
-
-fn boot(cache: &std::path::Path) -> (RpcServer<AnalyticModel>, RpcClient) {
+    };
     let server = RpcServer::start(
         ServerConfig::default(),
         vec![Board::hikey970(); BOARDS],
-        config(cache),
+        config,
         AnalyticModel::new,
     )
     .expect("bind loopback");
     println!("daemon up on http://{}", server.addr());
-    let client =
+    let mut client =
         RpcClient::connect(ClientConfig::from_env(server.addr().to_string())).expect("dial");
-    (server, client)
-}
-
-fn main() {
-    let cache = std::env::temp_dir().join("omniboost-rpc-example-cache.bin");
-    let _ = std::fs::remove_file(&cache);
-
-    let (server, mut client) = boot(&cache);
 
     // A small workload: four models in, one out.
     for model in [
@@ -104,26 +90,13 @@ fn main() {
         other => println!("unexpected: {other:?}"),
     }
 
-    // Graceful shutdown: run finished, caches archived, digest answered.
+    // Graceful shutdown: run finished, digest answered.
     let reply = client
         .shutdown(&ShutdownRequest::default())
         .expect("shutdown");
     println!(
-        "shutdown: {} events, {} placements, digest {:#018x}, {} cache segment(s) archived",
-        reply.events, reply.placements, reply.digest, reply.cache_archived_segments
+        "shutdown: {} events, {} placements, digest {:#018x}",
+        reply.events, reply.placements, reply.digest
     );
     server.join();
-
-    // Reboot: the fresh daemon warm-loads the archived cache.
-    let (server, mut client) = boot(&cache);
-    let status = client.status().expect("status");
-    println!(
-        "rebooted daemon preloaded {} cache entries",
-        status.cache_preloaded_entries
-    );
-    client
-        .shutdown(&ShutdownRequest::default())
-        .expect("shutdown");
-    server.join();
-    let _ = std::fs::remove_file(&cache);
 }

@@ -2,9 +2,7 @@
 //!
 //! Generates a seeded bursty arrival trace, serves it twice — cold
 //! restarts vs warm-started rescheduling — and prints the per-event
-//! story plus the serving summary of each run. Also demonstrates
-//! evaluation-cache persistence: the warm daemon saves its cache on
-//! shutdown and a "rebooted" daemon warm-loads it.
+//! story plus the serving summary of each run.
 //!
 //! Run with:
 //! ```sh
@@ -80,13 +78,12 @@ fn print_summary(name: &str, report: &ServingReport) {
         s.mean_aggregate_tps, s.migrated_layers
     );
     println!(
-        "  board utilization {:?}, eval-cache hit rate {:.1}% ({} preloaded)",
+        "  board utilization {:?}, eval-cache hit rate {:.1}%",
         s.board_utilization
             .iter()
             .map(|u| format!("{:.0}%", u * 100.0))
             .collect::<Vec<_>>(),
         s.eval_cache.hit_rate() * 100.0,
-        s.cache_preloaded_entries,
     );
 }
 
@@ -128,31 +125,20 @@ fn main() {
         },
     );
 
-    // Production path: memo + warm starts + persisted cache.
-    let cache_path = std::env::temp_dir().join("omniboost-serving-example.cache");
-    std::fs::remove_file(&cache_path).ok();
-    let warm_config = || ServingConfig {
-        online,
-        cache_path: Some(cache_path.clone()),
-        ..ServingConfig::warm()
-    };
-    let warm = serve(&trace, warm_config());
+    // Production path: memo + warm starts.
+    let warm = serve(
+        &trace,
+        ServingConfig {
+            online,
+            ..ServingConfig::warm()
+        },
+    );
     println!("warm-policy event story:");
     print_story(&warm);
     println!();
 
     print_summary("cold restarts", &cold);
     print_summary("warm starts", &warm);
-
-    // "Reboot the daemon": the persisted cache answers immediately.
-    let rebooted = serve(&trace, warm_config());
-    print_summary("warm starts, rebooted with persisted cache", &rebooted);
-    assert!(rebooted.summary.cache_preloaded_entries > 0);
-    assert_eq!(
-        warm.digest(),
-        rebooted.digest(),
-        "persistence changes cost, not decisions"
-    );
 
     let speedup =
         cold.summary.single_job_delta.median_ms / warm.summary.single_job_delta.median_ms.max(1e-9);
@@ -163,5 +149,4 @@ fn main() {
         warm.summary.migrated_layers,
         cold.summary.migrated_layers,
     );
-    std::fs::remove_file(&cache_path).ok();
 }
