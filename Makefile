@@ -36,9 +36,10 @@ bench-quick:
 # breakdown of cold analytic searches (evaluator vs the search's own
 # time per iteration), the ablation bin (its plateau sweep is the
 # evidence for SearchBudget's default patience, so it must keep
-# running) and the serving_sim and rpc_daemon walkthroughs (their
-# assertions run nowhere else). Latency itself is perfbench's job: see
-# bench-quick.
+# running), the paper bin (Fig. 1, Fig. 4, §V-B and Fig. 5 from one
+# design-time pass; the paper's figure code runs nowhere else) and the
+# serving_sim and rpc_daemon walkthroughs (their assertions run nowhere
+# else). Latency itself is perfbench's job: see bench-quick.
 .PHONY: perf-smoke
 perf-smoke:
 	SMOKE=1 cargo bench --bench serving
@@ -50,6 +51,7 @@ perf-smoke:
 	cargo run --release --example profile_forward -- 20
 	cargo run --release --example profile_search -- 3
 	cargo run --release -p omniboost-bench --bin ablation -- --quick
+	cargo run --release -p omniboost-bench --bin paper -- --quick
 	cargo run --release --example serving_sim
 	cargo run --release --example rpc_daemon
 

@@ -1,9 +1,11 @@
-//! Ablations of OmniBoost's design choices (DESIGN.md §6):
+//! Ablations of OmniBoost's design choices:
 //!
 //! 1. **MCTS budget** — throughput vs decision latency at 50…1000
 //!    iterations (the paper fixes 500 and notes the budget is tunable).
 //! 2. **Estimator vs oracle guidance** — how much the CNN's approximation
-//!    error costs against MCTS guided by the board itself.
+//!    error costs against MCTS guided by the board itself; each CNN arm
+//!    prints the T it predicted for its chosen mapping beside the T the
+//!    board measures.
 //! 3. **Stage cap `x`** — validates the losing-state rule (`x` = device
 //!    count) against tighter/looser caps.
 //! 4. **GELU vs ReLU** and **L1 vs L2** — the estimator training choices
@@ -17,7 +19,7 @@
 
 use omniboost::estimator::{ActivationKind, CnnEstimator, DatasetConfig, LossKind, TrainConfig};
 use omniboost::mcts::{Mcts, SchedulingEnv, SearchBudget};
-use omniboost::{OmniBoost, OmniBoostConfig, OracleOmniBoost, Runtime};
+use omniboost::{OmniBoost, OmniBoostConfig, OracleOmniBoost, RunOutcome, Runtime};
 use omniboost_bench::{
     all_paper_mixes, paper_mixes, parse_quick, plateau_cell, random_mixes, PlateauCell,
 };
@@ -294,13 +296,23 @@ fn main() {
             budget: SearchBudget::with_iterations(250),
             ..OmniBoostConfig::quick()
         };
+        // A CNN arm's predicted T is its own score of the mapping it
+        // chose; the oracle's is the board itself, so only measured T.
+        let predicted = |sched: &OmniBoost, out: &RunOutcome| {
+            sched
+                .estimator()
+                .predict_average(&workload, &out.mapping)
+                .expect("predict")
+        };
         let mut est_sched = OmniBoost::from_estimator(estimator, cfg.clone());
         let out = runtime
             .run(&mut est_sched, &workload)
             .expect("estimator run");
         println!(
-            "cnn+clamp:     T = {:.3} inf/s ({:?})",
-            out.report.average, out.decision_time
+            "cnn+clamp:     T = {:.3} inf/s, predicted {:.3} ({:?})",
+            out.report.average,
+            predicted(&est_sched, &out),
+            out.decision_time
         );
         // Pure CNN (no clamp): retrain the same variant and disable it.
         let (pure, _) = CnnEstimator::train(
@@ -315,8 +327,10 @@ fn main() {
         let mut pure_sched = OmniBoost::from_estimator(pure, cfg);
         let out = runtime.run(&mut pure_sched, &workload).expect("pure run");
         println!(
-            "cnn (no clamp): T = {:.3} inf/s ({:?})",
-            out.report.average, out.decision_time
+            "cnn (no clamp): T = {:.3} inf/s, predicted {:.3} ({:?})",
+            out.report.average,
+            predicted(&pure_sched, &out),
+            out.decision_time
         );
         let mut oracle = OracleOmniBoost::new(SearchBudget::with_iterations(250), 3, 7);
         let out = runtime.run(&mut oracle, &workload).expect("oracle run");

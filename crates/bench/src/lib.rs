@@ -1,16 +1,15 @@
 //! # omniboost-bench
 //!
 //! Shared harness utilities for regenerating every table and figure of
-//! the OmniBoost paper (DAC 2023). The binaries in `src/bin/` print the
-//! same rows/series the paper reports:
+//! the OmniBoost paper (DAC 2023). `paper` prints the same rows/series
+//! the paper reports; the other two binaries in `src/bin/` measure this
+//! reproduction's own design choices and training cost:
 //!
 //! | binary | artefact |
 //! |---|---|
-//! | `fig1` | §II motivational study (200 random splits vs GPU-only) |
-//! | `fig4` | estimator training/validation loss curves |
-//! | `fig5` | normalized throughput, 5 mixes × {3,4,5} DNNs × 4 methods |
-//! | `runtime_table` | §V-B decision-latency comparison |
+//! | `paper` | Fig. 1 (200 random splits vs GPU-only), Fig. 4 (estimator loss curves), §V-B (decision-latency table) and Fig. 5 (5 mixes × {3,4,5} DNNs × 4 methods), from one design-time pass |
 //! | `ablation` | budget / plateau / stage-cap / oracle / activation ablations |
+//! | `probe_train` | per-phase timing of one estimator training step |
 //!
 //! The targets in `benches/` are the policy benches: each carries a pass
 //! bar on a behaviour (warm-vs-cold speedup, zero lost jobs, rebalance

@@ -61,19 +61,6 @@ impl OmniBoostConfig {
         }
     }
 
-    /// Run-time leaf-evaluation batch size (rollouts scored per estimator
-    /// round trip); `1` reproduces the paper's scalar query loop.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.budget = self.budget.with_batch_size(batch_size);
-        self
-    }
-
-    /// Run-time evaluation batch size currently configured.
-    pub fn batch_size(&self) -> usize {
-        self.budget.batch_size
-    }
-
     /// Bounds (or, with 0, disables) the cross-decision evaluation cache.
     #[must_use]
     pub fn with_eval_cache_capacity(mut self, capacity: usize) -> Self {
@@ -94,13 +81,6 @@ mod tests {
         assert_eq!(c.budget.iterations, 500);
         assert_eq!(c.budget.max_depth, 100);
         assert_eq!(c.stage_cap, 3);
-    }
-
-    #[test]
-    fn batching_knobs_flow_into_the_budget() {
-        let c = OmniBoostConfig::quick().with_batch_size(32);
-        assert_eq!(c.batch_size(), 32);
-        assert_eq!(c.budget.batch_size, 32);
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! paper highlights against the per-workload-retrained GA.
 //!
 //! The physical HiKey970 of the paper is replaced by a calibrated
-//! simulator ([`omniboost_hw`]); see `DESIGN.md` for the substitution
-//! argument.
+//! simulator ([`omniboost_hw`]).
 //!
 //! ```no_run
 //! use omniboost::{OmniBoost, OmniBoostConfig, Runtime};

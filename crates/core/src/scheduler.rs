@@ -128,12 +128,12 @@ impl Scheduler for OmniBoost {
 /// (the board simulator itself) instead of the CNN estimator.
 ///
 /// Comparing [`OmniBoost`] against this quantifies how much throughput
-/// the estimator's approximation error costs — one of the design-choice
-/// ablations listed in `DESIGN.md`.
+/// the estimator's approximation error costs; the guidance section of
+/// `omniboost-bench`'s `ablation` binary prints that comparison.
 ///
 /// Oracle queries flow through the same cross-decision [`EvalCache`] as
-/// the estimator path (capacity matches [`OmniBoostConfig`]'s default;
-/// 0 disables), so decision-latency comparisons between the two are
+/// the estimator path (capacity matches [`OmniBoostConfig`]'s default),
+/// so decision-latency comparisons between the two are
 /// cache-for-cache fair. Cached reports are valid for exactly one
 /// board; deciding against a different board flushes the cache.
 pub struct OracleOmniBoost {
@@ -152,14 +152,6 @@ impl OracleOmniBoost {
             seed,
             eval_cache: BoardScopedCache::new(OmniBoostConfig::default().eval_cache_capacity),
         }
-    }
-
-    /// Replaces the cross-decision cache capacity (0 disables; any
-    /// cached reports are dropped).
-    #[must_use]
-    pub fn with_eval_cache_capacity(mut self, capacity: usize) -> Self {
-        self.eval_cache = BoardScopedCache::new(capacity);
-        self
     }
 
     /// The cross-decision evaluation cache.
@@ -208,9 +200,9 @@ mod tests {
         let (blob, history) = TRAINED.get_or_init(|| {
             let (sched, history) =
                 OmniBoost::design_time(&Board::hikey970(), OmniBoostConfig::quick());
-            (sched.estimator().to_bytes().to_vec(), history)
+            (sched.estimator().to_bytes(), history)
         });
-        let estimator = CnnEstimator::from_bytes(blob.clone().into()).expect("own blob loads");
+        let estimator = CnnEstimator::from_bytes(blob).expect("own blob loads");
         (
             OmniBoost::from_estimator(estimator, config),
             history.clone(),
@@ -318,11 +310,6 @@ mod tests {
         let warm = sched.eval_cache_stats().unwrap();
         assert_eq!(warm.misses, cold.misses, "warm decision ran no oracle");
         assert!(warm.hits > cold.hits);
-        // Opting out still works.
-        let mut uncached = OracleOmniBoost::new(SearchBudget::with_iterations(10), 3, 9)
-            .with_eval_cache_capacity(0);
-        uncached.decide(&board, &w).unwrap();
-        assert_eq!(uncached.eval_cache_stats(), None);
     }
 
     /// Cached oracle reports are valid for exactly one board: deciding

@@ -8,7 +8,6 @@
 
 use crate::estimator::CnnEstimator;
 use crate::model::ActivationKind;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -54,59 +53,94 @@ impl From<std::io::Error> for LoadError {
     }
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// A little-endian read cursor over a blob. Every read names the field
+/// it fails on when the blob runs out.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], LoadError> {
+        if self.0.len() < n {
+            return Err(LoadError::Corrupt(what));
+        }
+        let (head, tail) = self.0.split_at(n);
+        self.0 = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], LoadError> {
+        Ok(self.take(N, what)?.try_into().expect("took N bytes"))
+    }
+
+    fn u8(&mut self, what: &'static str) -> Result<u8, LoadError> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    fn u16(&mut self, what: &'static str) -> Result<u16, LoadError> {
+        self.array(what).map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self, what: &'static str) -> Result<u32, LoadError> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self, what: &'static str) -> Result<u64, LoadError> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self, what: &'static str) -> Result<f64, LoadError> {
+        self.array(what).map(f64::from_le_bytes)
+    }
 }
 
-fn get_string(buf: &mut Bytes) -> Result<String, LoadError> {
-    if buf.remaining() < 4 {
-        return Err(LoadError::Corrupt("string length"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(LoadError::Corrupt("string body"));
-    }
-    let raw = buf.copy_to_bytes(len);
+fn put_string(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
+}
+
+fn get_string(buf: &mut Reader) -> Result<String, LoadError> {
+    let len = buf.u32("string length")? as usize;
+    let raw = buf.take(len, "string body")?;
     String::from_utf8(raw.to_vec()).map_err(|_| LoadError::Corrupt("string utf-8"))
 }
 
-fn put_f32s(buf: &mut BytesMut, values: &[f32]) {
-    buf.put_u64_le(values.len() as u64);
+fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
+    buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
     for v in values {
-        buf.put_f32_le(*v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
 }
 
-fn get_f32s(buf: &mut Bytes) -> Result<Vec<f32>, LoadError> {
-    if buf.remaining() < 8 {
-        return Err(LoadError::Corrupt("f32 array length"));
-    }
-    let len = buf.get_u64_le() as usize;
-    if len
+fn get_f32s(buf: &mut Reader) -> Result<Vec<f32>, LoadError> {
+    let len = buf.u64("f32 array length")? as usize;
+    let bytes = len
         .checked_mul(4)
-        .is_none_or(|bytes| buf.remaining() < bytes)
-    {
-        return Err(LoadError::Corrupt("f32 array body"));
-    }
-    Ok((0..len).map(|_| buf.get_f32_le()).collect())
+        .ok_or(LoadError::Corrupt("f32 array body"))?;
+    let body = buf.take(bytes, "f32 array body")?;
+    Ok(body
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+        .collect())
 }
 
 impl CnnEstimator {
     /// Serializes the estimator into a binary blob.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(256 * 1024);
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(VERSION);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(256 * 1024);
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.extend_from_slice(&VERSION.to_le_bytes());
 
         // Embedding tensor.
         let emb = self.embedding();
-        buf.put_u32_le(emb.num_models() as u32);
-        buf.put_u32_le(emb.max_layers() as u32);
-        buf.put_f64_le(emb.scale_ms());
+        buf.extend_from_slice(&(emb.num_models() as u32).to_le_bytes());
+        buf.extend_from_slice(&(emb.max_layers() as u32).to_le_bytes());
+        buf.extend_from_slice(&emb.scale_ms().to_le_bytes());
         for row in 0..emb.num_models() {
             put_string(&mut buf, emb.model_name_of(row));
-            buf.put_u32_le(emb.layer_count(row) as u32);
+            buf.extend_from_slice(&(emb.layer_count(row) as u32).to_le_bytes());
         }
         put_f32s(&mut buf, emb.raw_values());
 
@@ -114,17 +148,17 @@ impl CnnEstimator {
         put_f32s(&mut buf, &self.transform_arrays().concat());
 
         // Network: activation tag + parameter snapshot.
-        buf.put_u8(activation_tag(self.activation()));
+        buf.push(activation_tag(self.activation()));
         let snapshot = self.export_net_params();
-        buf.put_u32_le(snapshot.len() as u32);
+        buf.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
         for t in &snapshot {
-            buf.put_u32_le(t.shape().len() as u32);
+            buf.extend_from_slice(&(t.shape().len() as u32).to_le_bytes());
             for d in t.shape() {
-                buf.put_u32_le(*d as u32);
+                buf.extend_from_slice(&(*d as u32).to_le_bytes());
             }
             put_f32s(&mut buf, t.data());
         }
-        buf.freeze()
+        buf
     }
 
     /// Reconstructs an estimator from [`CnnEstimator::to_bytes`] output.
@@ -132,24 +166,24 @@ impl CnnEstimator {
     /// # Errors
     ///
     /// Returns [`LoadError`] on corrupt or version-mismatched blobs.
-    pub fn from_bytes(mut blob: Bytes) -> Result<Self, LoadError> {
-        if blob.remaining() < 6 {
+    pub fn from_bytes(blob: impl AsRef<[u8]>) -> Result<Self, LoadError> {
+        let buf = &mut Reader(blob.as_ref());
+        if buf.remaining() < 6 {
             return Err(LoadError::Corrupt("header"));
         }
-        if blob.get_u32_le() != MAGIC {
+        if buf.u32("header")? != MAGIC {
             return Err(LoadError::Corrupt("magic"));
         }
-        let version = blob.get_u16_le();
+        let version = buf.u16("header")?;
         if version != VERSION {
             return Err(LoadError::Version(version));
         }
-        let buf = &mut blob;
         if buf.remaining() < 16 {
             return Err(LoadError::Corrupt("embedding header"));
         }
-        let num_models = buf.get_u32_le() as usize;
-        let max_layers = buf.get_u32_le() as usize;
-        let scale_ms = buf.get_f64_le();
+        let num_models = buf.u32("embedding header")? as usize;
+        let max_layers = buf.u32("embedding header")? as usize;
+        let scale_ms = buf.f64("embedding header")?;
         // Pre-allocate no more than the remaining bytes can hold: a model
         // takes at least 8 (name length + layer count), a tensor at least
         // 12 (rank + data length). A hostile count then fails on the
@@ -159,10 +193,7 @@ impl CnnEstimator {
         let mut counts = Vec::with_capacity(models_cap);
         for _ in 0..num_models {
             names.push(get_string(buf)?);
-            if buf.remaining() < 4 {
-                return Err(LoadError::Corrupt("layer count"));
-            }
-            counts.push(buf.get_u32_le() as usize);
+            counts.push(buf.u32("layer count")? as usize);
         }
         let values = get_f32s(buf)?;
         if values.len() != 3 * num_models * max_layers {
@@ -177,18 +208,17 @@ impl CnnEstimator {
         if buf.remaining() < 5 {
             return Err(LoadError::Corrupt("network header"));
         }
-        let activation = activation_from_tag(buf.get_u8())?;
-        let n_params = buf.get_u32_le() as usize;
+        let activation = activation_from_tag(buf.u8("network header")?)?;
+        let n_params = buf.u32("network header")? as usize;
         let mut snapshot = Vec::with_capacity(n_params.min(buf.remaining() / 12));
         for _ in 0..n_params {
-            if buf.remaining() < 4 {
-                return Err(LoadError::Corrupt("tensor rank"));
-            }
-            let rank = buf.get_u32_le() as usize;
+            let rank = buf.u32("tensor rank")? as usize;
             if buf.remaining() < rank * 4 {
                 return Err(LoadError::Corrupt("tensor shape"));
             }
-            let shape: Vec<usize> = (0..rank).map(|_| buf.get_u32_le() as usize).collect();
+            let shape = (0..rank)
+                .map(|_| buf.u32("tensor shape").map(|d| d as usize))
+                .collect::<Result<Vec<usize>, _>>()?;
             let data = get_f32s(buf)?;
             let numel = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
             if numel != Some(data.len()) {
@@ -224,8 +254,7 @@ impl CnnEstimator {
     ///
     /// Returns [`LoadError`] for I/O, corruption or version problems.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, LoadError> {
-        let raw = fs::read(path)?;
-        Self::from_bytes(Bytes::from(raw))
+        Self::from_bytes(fs::read(path)?)
     }
 }
 
@@ -311,7 +340,7 @@ mod tests {
         bad[off..off + 8].copy_from_slice(&11u64.to_le_bytes());
         bad.drain(off + 8..off + 12); // drop one f32; rest stays aligned
         assert!(matches!(
-            CnnEstimator::from_bytes(Bytes::from(bad)),
+            CnnEstimator::from_bytes(bad),
             Err(LoadError::Corrupt("target transform"))
         ));
     }
@@ -328,7 +357,7 @@ mod tests {
         bad[off..off + 8].copy_from_slice(&9u64.to_le_bytes());
         bad.drain(off + 8..off + 8 + 12); // drop three f32s
         assert!(matches!(
-            CnnEstimator::from_bytes(Bytes::from(bad)),
+            CnnEstimator::from_bytes(bad),
             Err(LoadError::Corrupt("target transform"))
         ));
         // An oversized transform is equally corrupt: splice 4 extra bytes.
@@ -336,7 +365,7 @@ mod tests {
         long[off..off + 8].copy_from_slice(&13u64.to_le_bytes());
         long.splice(off + 8..off + 8, 0.25f32.to_le_bytes());
         assert!(matches!(
-            CnnEstimator::from_bytes(Bytes::from(long)),
+            CnnEstimator::from_bytes(long),
             Err(LoadError::Corrupt("target transform"))
         ));
     }
@@ -349,47 +378,47 @@ mod tests {
         let mut bad = blob.to_vec();
         bad[0] ^= 0xFF;
         assert!(matches!(
-            CnnEstimator::from_bytes(Bytes::from(bad)),
+            CnnEstimator::from_bytes(bad),
             Err(LoadError::Corrupt(_))
         ));
         // Truncation.
-        let short = blob.slice(0..blob.len() / 2);
+        let short = &blob[..blob.len() / 2];
         assert!(CnnEstimator::from_bytes(short).is_err());
         // Future version.
         let mut versioned = blob.to_vec();
         versioned[4] = 0xFF;
         assert!(matches!(
-            CnnEstimator::from_bytes(Bytes::from(versioned)),
+            CnnEstimator::from_bytes(versioned),
             Err(LoadError::Version(_))
         ));
     }
 
     /// A blob's header and embedding grid, the model table still to come.
-    fn header(num_models: u32, max_layers: u32, scale_ms: f64) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(1024);
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u32_le(num_models);
-        buf.put_u32_le(max_layers);
-        buf.put_f64_le(scale_ms);
+    fn header(num_models: u32, max_layers: u32, scale_ms: f64) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(1024);
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&num_models.to_le_bytes());
+        buf.extend_from_slice(&max_layers.to_le_bytes());
+        buf.extend_from_slice(&scale_ms.to_le_bytes());
         buf
     }
 
     /// A blob that is well-formed up to its parameter tensors: `models`
     /// rows of `layers` layers each in an `M × L` grid, a zero embedding,
     /// a 12-value transform, then `n_params` announced and none present.
-    fn up_to_params(grid: (u32, u32), scale_ms: f64, layers: u32, n_params: u32) -> Bytes {
+    fn up_to_params(grid: (u32, u32), scale_ms: f64, layers: u32, n_params: u32) -> Vec<u8> {
         let (models, max_layers) = grid;
         let mut buf = header(models, max_layers, scale_ms);
         for _ in 0..models {
             put_string(&mut buf, "m");
-            buf.put_u32_le(layers);
+            buf.extend_from_slice(&layers.to_le_bytes());
         }
         put_f32s(&mut buf, &vec![0.0; 3 * (models * max_layers) as usize]);
         put_f32s(&mut buf, &[1.0; 12]);
-        buf.put_u8(activation_tag(ActivationKind::Gelu));
-        buf.put_u32_le(n_params);
-        buf.freeze()
+        buf.push(activation_tag(ActivationKind::Gelu));
+        buf.extend_from_slice(&n_params.to_le_bytes());
+        buf
     }
 
     #[test]
@@ -397,9 +426,9 @@ mod tests {
         // `len * 4` on a length of 2^62 overflowed: a panic in debug, a
         // capacity overflow in release.
         let mut buf = header(0, 0, 1.0);
-        buf.put_u64_le(1 << 62);
+        buf.extend_from_slice(&(1u64 << 62).to_le_bytes());
         assert!(matches!(
-            CnnEstimator::from_bytes(buf.freeze()),
+            CnnEstimator::from_bytes(buf),
             Err(LoadError::Corrupt(_))
         ));
     }
@@ -408,7 +437,7 @@ mod tests {
     fn hostile_counts_are_corrupt_not_an_abort() {
         // `Vec::with_capacity` on a `u32::MAX` model or tensor count
         // aborted the process.
-        let models = header(u32::MAX, 4, 1.0).freeze();
+        let models = header(u32::MAX, 4, 1.0);
         let tensors = up_to_params((4, 4), 1.0, 4, u32::MAX);
         for blob in [models, tensors] {
             assert!(matches!(
@@ -477,7 +506,7 @@ mod tests {
                 || (values..transform).contains(&at)
                 || (transform + 8..transform + 56).contains(&at)
         };
-        let load = |bytes: &[u8]| CnnEstimator::from_bytes(Bytes::from(bytes.to_vec()));
+        let load = |bytes: &[u8]| CnnEstimator::from_bytes(bytes);
         assert!(load(&blob).is_ok());
         for cut in (0..=first_tensor).chain([blob.len() - 1]) {
             assert!(load(&blob[..cut]).is_err(), "a {cut}-byte prefix loaded");
@@ -489,5 +518,17 @@ mod tests {
                 assert!(is_value(at), "a flipped structural byte at {at} loaded");
             }
         }
+    }
+
+    #[test]
+    fn blob_format_is_pinned() {
+        // FNV-1a over the blob of a fixed untrained estimator: a change
+        // here is a change of the on-disk format, which needs a new
+        // `VERSION`.
+        use std::hash::Hasher;
+        let blob = small_untrained().to_bytes();
+        let mut h = omniboost_hw::Fnv1a::default();
+        h.write(&blob);
+        assert_eq!((blob.len(), h.finish()), (81_471, 0x0dfc_da1c_ca8d_3b34));
     }
 }

@@ -111,9 +111,11 @@ pub struct Board {
 impl Board {
     /// The calibrated HiKey970 stand-in used throughout the reproduction.
     ///
-    /// Calibration targets (see DESIGN.md §5): GPU ≫ big ≫ LITTLE on a
-    /// single heavy DNN; GPU collapses superlinearly past one resident
-    /// heavy stage; the board refuses more than five concurrent DNNs.
+    /// Calibration targets: GPU ≫ big ≫ LITTLE on a single heavy DNN;
+    /// GPU collapses superlinearly past one resident heavy stage; the
+    /// board refuses more than five concurrent DNNs. `omniboost-bench`'s
+    /// `paper` binary prints the shapes they are tuned against (Fig. 1's
+    /// random splits, Fig. 5's baselines).
     pub fn hikey970() -> Self {
         Self {
             devices: [

@@ -15,7 +15,7 @@
 //! superlinearly (cache/TLB/memory-controller thrash). That is why a
 //! heavy all-on-GPU mapping collapses (the paper's Fig. 5b regime, ~1.3
 //! GB resident) while the lighter Fig. 1 mix (~0.8 GB) merely fair-shares
-//! — see `DESIGN.md` §5 for the calibration argument. A mild
+//! — `omniboost-bench`'s `paper` binary prints both figures. A mild
 //! stage-count term models command-queue interference on top.
 //!
 //! ## The event loop

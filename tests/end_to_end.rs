@@ -77,8 +77,9 @@ fn omniboost_trains_once_and_beats_baseline_on_heavy_mix() {
         .run(&mut GpuOnly::new(), &heavy)
         .expect("baseline run");
     // The quick config trains a reduced estimator (60 workloads, 20
-    // epochs); it must still clearly beat the saturated baseline. The
-    // full configuration reaches ×4.6 on this mix (see EXPERIMENTS.md).
+    // epochs); it must still clearly beat the saturated baseline. This
+    // is mix-1 of Fig. 5b; `omniboost-bench`'s `paper` binary prints the
+    // full configuration's result on it.
     assert!(
         ours.report.average > base.report.average * 1.2,
         "omniboost {} vs baseline {}",
