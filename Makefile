@@ -68,7 +68,7 @@ perf-snapshots:
 	cargo bench --bench telemetry_overhead
 
 # Full fleet-scale run only: rewrites BENCH_fleet_scale.json ({16, 64,
-# 256}-board cells, ~2000-job traces each).
+# 256}-board rows, ~2000-job traces each).
 .PHONY: perf-scale
 perf-scale:
 	cargo bench --bench fleet_scale

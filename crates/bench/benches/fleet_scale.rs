@@ -1,19 +1,22 @@
 //! Fleet-scale bench: orchestrator overhead as the fleet grows.
 //!
-//! The bars: with placement scanning the slots' running totals,
-//! batched rebalancing and sharded cells, **orchestrator overhead per
-//! board per tick at 256 boards stays within 2× of the 16-board
-//! figure** (near-flat), and no job is ever lost under scripted
-//! fail/drain/join events. Both are asserted, so a run that breaks one
+//! The bars: with placement scanning the slots' running totals and
+//! batched top-k rebalancing, **orchestrator overhead per board per
+//! tick at 256 boards stays within 2× of the 16-board figure**
+//! (near-flat), and no job is ever lost under scripted fail/drain/join
+//! events. Both are asserted, so a run that breaks one
 //! fails: the lost-jobs bar in every mode (`make perf-smoke` included),
 //! the 2× bar in the full run only.
 //!
-//! Each cell runs a ~2000-job Poisson trace against {16, 64, 256}
+//! Each row runs a ~2000-job Poisson trace against {16, 64, 256}
 //! boards (3:1 hikey970 : hikey970-lite). The arrival rate is fixed so
-//! every cell replays the same traffic; the mean job lifetime scales
+//! every row replays the same traffic; the mean job lifetime scales
 //! with the board count so steady-state pressure is ~3.5 resident jobs
-//! per board in every cell — the overhead comparison then isolates the
-//! control plane, not queue blowup at the small end.
+//! per board in every row — the overhead comparison then isolates the
+//! control plane, not queue blowup at the small end. A rebalance tick
+//! re-prices at most `top_k_boards` donors and receivers and commits at
+//! most `max_moves_per_tick` moves whatever the fleet size, so its cost
+//! per board falls as the fleet grows.
 //!
 //! Overhead is wall-clock run time minus time spent inside per-board
 //! rescheduling searches (the intrinsic work that exists at any fleet
@@ -29,7 +32,7 @@ use omniboost_models::{
     ArrivalProcess, ArrivalTrace, FleetEvent, FleetScript, FleetTraceEvent, TraceConfig,
 };
 use omniboost_orchestrator::{
-    BoardProfile, CellConfig, FleetSpec, OrchestratorConfig, OrchestratorReport, OrchestratorSim,
+    BoardProfile, FleetSpec, OrchestratorConfig, OrchestratorReport, OrchestratorSim,
     PlacementPolicy, RebalanceConfig,
 };
 use omniboost_serve::{OnlineConfig, SearchBudget};
@@ -38,7 +41,6 @@ struct BenchScale {
     horizon_ms: u64,
     rate_per_s: f64,
     board_counts: &'static [usize],
-    cell_size: usize,
     cold_iterations: usize,
     warm_iterations: usize,
 }
@@ -49,7 +51,6 @@ impl BenchScale {
             horizon_ms: 120_000,
             rate_per_s: 16.7, // ~2000 arrivals over the horizon
             board_counts: &[16, 64, 256],
-            cell_size: 16,
             cold_iterations: 120,
             warm_iterations: 40,
         }
@@ -60,7 +61,6 @@ impl BenchScale {
             horizon_ms: 30_000,
             rate_per_s: 5.0, // ~150 arrivals
             board_counts: &[4, 8, 16],
-            cell_size: 4,
             cold_iterations: 40,
             warm_iterations: 16,
         }
@@ -105,10 +105,10 @@ fn script(scale: &BenchScale) -> FleetScript {
     ])
 }
 
-/// The cell's trace config — steady state ~3.5 resident jobs per board
+/// The row's trace config — steady state ~3.5 resident jobs per board
 /// at every fleet size. Shared with the Drive-As-Code digest so the
 /// stamped provenance is exactly what drove the run.
-fn cell_trace_cfg(scale: &BenchScale, boards: usize) -> TraceConfig {
+fn row_trace_cfg(scale: &BenchScale, boards: usize) -> TraceConfig {
     TraceConfig {
         horizon_ms: scale.horizon_ms,
         mean_lifetime_ms: boards as f64 * 3.5 / scale.rate_per_s * 1000.0,
@@ -117,23 +117,22 @@ fn cell_trace_cfg(scale: &BenchScale, boards: usize) -> TraceConfig {
 }
 
 /// Drive-As-Code digest over the declarative configs that shape one
-/// cell: trace, fleet size and the orchestrator knobs that vary here.
-fn cell_digest(scale: &BenchScale, boards: usize) -> u64 {
-    let mut drive = trace_config_pairs(&cell_trace_cfg(scale, boards));
+/// row: trace, fleet size and the orchestrator knobs that vary here.
+fn row_digest(scale: &BenchScale, boards: usize) -> u64 {
+    let mut drive = trace_config_pairs(&row_trace_cfg(scale, boards));
     drive.push(("boards", boards.to_string()));
-    drive.push(("cell_size", scale.cell_size.to_string()));
     drive.push(("cold_iterations", scale.cold_iterations.to_string()));
     drive.push(("rate_per_s", format!("{:?}", scale.rate_per_s)));
     drive.push(("warm_iterations", scale.warm_iterations.to_string()));
     config_digest(&drive)
 }
 
-fn run_cell(scale: &BenchScale, boards: usize) -> (OrchestratorReport, f64) {
+fn run_row(scale: &BenchScale, boards: usize) -> (OrchestratorReport, f64) {
     let trace = ArrivalTrace::generate(
         ArrivalProcess::Poisson {
             rate_per_s: scale.rate_per_s,
         },
-        &cell_trace_cfg(scale, boards),
+        &row_trace_cfg(scale, boards),
         42,
     );
     let config = OrchestratorConfig {
@@ -148,10 +147,6 @@ fn run_cell(scale: &BenchScale, boards: usize) -> (OrchestratorReport, f64) {
             top_k_boards: 8,
             max_moves_per_tick: 8,
             ..RebalanceConfig::default()
-        }),
-        cells: Some(CellConfig {
-            cell_size: scale.cell_size,
-            ..CellConfig::default()
         }),
         ..OrchestratorConfig::warm()
     };
@@ -172,9 +167,9 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut overheads = Vec::new();
-    let mut lossy_cells = Vec::new();
+    let mut lossy_rows = Vec::new();
     for &boards in scale.board_counts {
-        let (report, wall_ms) = run_cell(&scale, boards);
+        let (report, wall_ms) = run_row(&scale, boards);
         let s = &report.summary;
         let ticks = report.ticks.len().max(1);
         let decision_ms = s.decision.mean_ms * s.decision.count as f64;
@@ -183,7 +178,7 @@ fn main() {
         overheads.push(overhead_us_per_board_tick);
         let pass = s.lost_jobs == 0;
         if !pass {
-            lossy_cells.push(boards);
+            lossy_rows.push(boards);
         }
         println!(
             "{boards} boards: {} jobs, {ticks} ticks, wall {wall_ms:.0} ms \
@@ -208,7 +203,7 @@ fn main() {
                 "\"pass\": {}}}"
             ),
             boards,
-            cell_digest(&scale, boards),
+            row_digest(&scale, boards),
             s.arrivals,
             ticks,
             wall_ms,
@@ -230,7 +225,7 @@ fn main() {
     // at toy scale, so its verdict is informational only.
     let ratio = overheads.last().unwrap() / overheads.first().unwrap().max(1e-9);
     let scaling_pass = ratio <= 2.0 || smoke;
-    let all_pass = lossy_cells.is_empty() && scaling_pass;
+    let all_pass = lossy_rows.is_empty() && scaling_pass;
     println!(
         "scaling: overhead ratio {}x boards = {ratio:.2}x (bar <= 2.0) [{}]",
         scale.board_counts.last().unwrap() / scale.board_counts.first().unwrap(),
@@ -243,19 +238,19 @@ fn main() {
             "  \"benchmark\": \"fleet_scale\",\n",
             "  \"horizon_ms\": {},\n",
             "  \"rate_per_s\": {},\n",
-            "  \"cell_size\": {},\n",
             "  \"cold_iterations\": {},\n",
             "  \"warm_iterations\": {},\n",
             "  \"note\": \"Orchestrated fleets at {{16, 64, 256}} boards (3:1 hikey970 : ",
             "hikey970-lite) replaying a ~2000-job Poisson trace with lifetimes scaled so every ",
-            "cell holds ~3.5 resident jobs per board; scripted fail/drain/join events ",
+            "row holds ~3.5 resident jobs per board; scripted fail/drain/join events ",
             "mid-trace. LeastLoaded placement scanning every slot's running totals, ",
-            "batched top-k rebalancing priced speculatively as a set, sharded cells with a ",
-            "hysteresis cross-cell balancer. overhead_us_per_board_tick = (wall clock - time ",
+            "whole-fleet top-k rebalancing (top_k_boards 8, max_moves_per_tick 8) priced ",
+            "speculatively as a set. overhead_us_per_board_tick = (wall clock - time ",
             "inside per-board rescheduling searches) / (ticks x boards); scaling_pass = ",
-            "largest cell within 2x of the smallest. lost_jobs must be 0 in every cell. Cells ",
-            "run one after another; each bounds a rebalance decision to a constant-size ",
-            "neighbourhood, which is what keeps the per-board figure flat.\",\n",
+            "largest row within 2x of the smallest. lost_jobs must be 0 in every row. Rows ",
+            "run one after another; a rebalance tick re-prices at most top_k_boards donors ",
+            "and receivers whatever the fleet size, which is what keeps the per-board ",
+            "figure flat.\",\n",
             "  \"all_pass\": {},\n",
             "  \"overhead_ratio_largest_vs_smallest\": {:.3},\n",
             "  \"scaling_pass\": {},\n",
@@ -264,7 +259,6 @@ fn main() {
         ),
         scale.horizon_ms,
         scale.rate_per_s,
-        scale.cell_size,
         scale.cold_iterations,
         scale.warm_iterations,
         all_pass,
@@ -273,12 +267,12 @@ fn main() {
         rows.join(",\n"),
     );
     assert!(
-        lossy_cells.is_empty(),
-        "cells with {lossy_cells:?} boards lost jobs"
+        lossy_rows.is_empty(),
+        "rows with {lossy_rows:?} boards lost jobs"
     );
     assert!(
         scaling_pass,
-        "overhead per board per tick grew {ratio:.2}x from the smallest cell to the largest (bar <= 2.0x)"
+        "overhead per board per tick grew {ratio:.2}x from the smallest row to the largest (bar <= 2.0x)"
     );
     omniboost_bench::write_snapshot("fleet_scale", &json);
 }

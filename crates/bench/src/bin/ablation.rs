@@ -314,16 +314,10 @@ fn main() {
             predicted(&est_sched, &out),
             out.decision_time
         );
-        // Pure CNN (no clamp): retrain the same variant and disable it.
-        let (pure, _) = CnnEstimator::train(
-            &board,
-            &dataset,
-            &TrainConfig {
-                epochs,
-                ..TrainConfig::default()
-            },
-        );
-        let pure = pure.with_feasibility_clamp(false);
+        // Pure CNN (no clamp): the same network with the clamp off.
+        let pure = CnnEstimator::from_bytes(est_sched.estimator().to_bytes())
+            .expect("estimator round-trips")
+            .with_feasibility_clamp(false);
         let mut pure_sched = OmniBoost::from_estimator(pure, cfg);
         let out = runtime.run(&mut pure_sched, &workload).expect("pure run");
         println!(

@@ -392,17 +392,6 @@ impl Runtime {
     ) -> Result<ThroughputReport, HwError> {
         self.simulator.evaluate(workload, mapping)
     }
-
-    /// Measures many mappings of one workload in a single batched call.
-    ///
-    /// Element `i` equals `self.measure(workload, &mappings[i])`.
-    pub fn measure_batch(
-        &self,
-        workload: &Workload,
-        mappings: &[Mapping],
-    ) -> Vec<Result<ThroughputReport, HwError>> {
-        self.simulator.evaluate_batch(workload, mappings)
-    }
 }
 
 /// Every value of a report, as bits: the memo's exactness check.
@@ -684,20 +673,5 @@ mod tests {
             11,
             "helper agrees with the hook's arithmetic"
         );
-    }
-
-    #[test]
-    fn measure_batch_matches_scalar_measure() {
-        let rt = Runtime::new(Board::hikey970());
-        let w = Workload::from_ids([ModelId::AlexNet, ModelId::SqueezeNet]);
-        let mappings = vec![
-            Mapping::all_on(&w, Device::Gpu),
-            Mapping::all_on(&w, Device::BigCpu),
-            Mapping::all_on(&w, Device::LittleCpu),
-        ];
-        let batch = rt.measure_batch(&w, &mappings);
-        for (m, b) in mappings.iter().zip(batch) {
-            assert_eq!(rt.measure(&w, m).unwrap(), b.unwrap());
-        }
     }
 }

@@ -87,13 +87,6 @@ impl LayerTimeTable {
     }
 }
 
-/// Profiles an entire model set (the `P_α` matrices of Eq. 3).
-pub fn profile_all(board: &Board, dnns: &[DnnModel], noise: NoiseModel) -> Vec<LayerTimeTable> {
-    dnns.iter()
-        .map(|d| LayerTimeTable::profile(board, d, noise))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -393,11 +393,6 @@ impl<'a, M: ThroughputModel> SchedulingEnv<'a, M> {
         self.decisions.len()
     }
 
-    /// The baseline (GPU-only) throughput used for reward normalization.
-    pub fn reference_throughput(&self) -> f64 {
-        self.reference
-    }
-
     /// The stage cap `x` of the losing rule.
     pub fn stage_cap(&self) -> usize {
         self.stage_cap

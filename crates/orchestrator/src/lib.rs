@@ -57,13 +57,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cells;
 mod rebalance;
 mod sim;
 mod spec;
 
-pub use cells::{CellConfig, ShardedRebalancer};
-pub use rebalance::{RebalanceConfig, RebalanceMove, RebalanceTick, Rebalancer};
+pub use rebalance::{RebalanceConfig, RebalanceMove};
 pub use sim::{
     FleetEventRecord, OrchestratorConfig, OrchestratorReport, OrchestratorSim, OrchestratorSummary,
     OrchestratorTick,

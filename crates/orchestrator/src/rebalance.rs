@@ -15,12 +15,15 @@
 //! thrashing: a minimum load imbalance before anything is proposed, a
 //! per-layer gain floor, and a cooldown after every accepted set.
 //!
-//! Every rebalancer picks donors and receivers by one rule, over any
-//! slice of slots: [`donors`] are the `k` most-loaded active slots that
-//! hold jobs, [`receivers`] the `k` least-loaded active slots outside an
-//! exclusion list, ties on the lowest slot index. The whole-fleet tick,
-//! the sharded driver's per-cell and cross-cell passes (`crate::cells`)
-//! and the orchestrator's degraded-board relief all call these two.
+//! Each tick's work is bounded by `top_k_boards` and
+//! `max_moves_per_tick`, not by the fleet size: only the top-k donors
+//! and receivers are re-priced, however many boards the fleet holds.
+//!
+//! Donors and receivers are picked by one rule: [`donors`] are the `k`
+//! most-loaded active slots that hold jobs, [`receivers`] the `k`
+//! least-loaded active slots outside an exclusion list, ties on the
+//! lowest slot index. The periodic [`tick`] and the orchestrator's
+//! degraded-board relief both call these two.
 
 use omniboost::PreviousDeployment;
 use omniboost_hw::{Mapping, ThroughputModel, ThroughputReport};
@@ -88,22 +91,13 @@ pub struct RebalanceMove {
     pub migrated_layers: usize,
 }
 
-/// What one rebalance tick did.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RebalanceTick {
-    /// Moves accepted and committed.
-    pub moves: Vec<RebalanceMove>,
-    /// Proposals scored but rejected by the migration-cost gate.
-    pub rejected: usize,
-    /// Whether the tick was skipped by the cooldown guard.
-    pub cooled_down: bool,
-}
-
-/// The rebalancer's cross-tick state (cooldown counter). The sharded
-/// driver holds one per cell.
+/// What one rebalance pass did.
 #[derive(Debug, Default)]
-pub struct Rebalancer {
-    cooldown: u32,
+pub(crate) struct RebalanceTick {
+    /// Moves accepted and committed.
+    pub(crate) moves: Vec<RebalanceMove>,
+    /// Proposals scored but rejected by the migration-cost gate.
+    pub(crate) rejected: usize,
 }
 
 /// A speculative single-board verdict: the mapping/report the board
@@ -136,49 +130,20 @@ struct PricedPlan {
     recv_scores: Vec<(usize, SideScore)>,
 }
 
-impl Rebalancer {
-    /// A fresh rebalancer (no cooldown pending).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs one rebalance tick over the whole fleet. All dirty boards
-    /// must be flushed first — proposals are priced against current
-    /// deployments.
-    pub fn tick<M: ThroughputModel>(
-        &mut self,
-        fleet: &mut Fleet<M>,
-        config: &RebalanceConfig,
-        at_ms: u64,
-    ) -> RebalanceTick {
-        self.tick_cell(fleet.slots_mut(), config, at_ms)
-    }
-
-    /// Runs one rebalance tick over a slice of the fleet's slots — the
-    /// whole fleet, or one cell of the sharded driver: the top-k
-    /// [`donors`] of the slice, the top-k [`receivers`] among the rest.
-    pub fn tick_cell<M: ThroughputModel>(
-        &mut self,
-        cell: &mut [BoardSlot<M>],
-        config: &RebalanceConfig,
-        at_ms: u64,
-    ) -> RebalanceTick {
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
-            return RebalanceTick {
-                cooled_down: true,
-                ..Default::default()
-            };
-        }
-        let donors = donors(cell, config.top_k_boards);
-        let donor_positions: Vec<usize> = donors.iter().map(|d| d.0).collect();
-        let receivers = receivers(cell, config.top_k_boards, &donor_positions);
-        let out = balance_slice(cell, &donors, &receivers, config, at_ms);
-        if !out.moves.is_empty() {
-            self.cooldown = config.cooldown_periods;
-        }
-        out
-    }
+/// Runs one periodic rebalance pass over the whole fleet: the top-k
+/// [`donors`], the top-k [`receivers`] among the rest. All dirty boards
+/// must be flushed first — proposals are priced against current
+/// deployments.
+pub(crate) fn tick<M: ThroughputModel>(
+    fleet: &mut Fleet<M>,
+    config: &RebalanceConfig,
+    at_ms: u64,
+) -> RebalanceTick {
+    let slots = fleet.slots_mut();
+    let donors = donors(slots, config.top_k_boards);
+    let donor_positions: Vec<usize> = donors.iter().map(|d| d.0).collect();
+    let receivers = receivers(slots, config.top_k_boards, &donor_positions);
+    balance_slice(slots, &donors, &receivers, config, at_ms)
 }
 
 /// Rebalance donors: the `k` most-loaded active slots of `slots` that
@@ -624,7 +589,7 @@ mod tests {
         assert_eq!(positions(&receivers(slots, 3, &[1, 2])), [3, 5, 0]);
         assert_eq!(positions(&receivers(slots, 7, &[3])), [5, 0, 1, 2, 6]);
         assert_eq!(positions(&receivers(slots, 7, &[])), [3, 5, 0, 1, 2, 6]);
-        // Over a cell, positions are offsets into the slice and ties
+        // Over a sub-slice, positions are offsets into it and ties
         // still break on the slots' own indices.
         assert_eq!(positions(&donors(&slots[2..], 2)), [0, 4]);
         assert_eq!(positions(&receivers(&slots[2..], 2, &[1])), [3, 0]);

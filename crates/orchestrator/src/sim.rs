@@ -11,15 +11,11 @@
 //!   degrade/recover, joins, and the in-memory [`WarmPool`] that lets
 //!   flapped, degraded, recovered and joining boards boot warm;
 //! * the post-flush stage of every tick — targeted relief for boards
-//!   degraded this tick, then the periodic [`Rebalancer`] /
-//!   [`ShardedRebalancer`] pass;
+//!   degraded this tick, then the periodic whole-fleet rebalance pass;
 //! * the report: engine tick records joined with the fleet events and
 //!   rebalance moves of the same stamp.
 
-use crate::cells::{CellConfig, ShardedRebalancer};
-use crate::rebalance::{
-    balance_slice, receivers, RebalanceConfig, RebalanceMove, RebalanceTick, Rebalancer,
-};
+use crate::rebalance::{self, balance_slice, receivers, RebalanceConfig, RebalanceMove};
 use crate::spec::FleetSpec;
 use omniboost_estimator::BoardScopedCache;
 use omniboost_hw::{Board, EvalCacheStats, Fnv1a, ThroughputModel};
@@ -46,11 +42,6 @@ pub struct OrchestratorConfig {
     /// Periodic migration-costed rebalancing (`None` disables — the
     /// PR-4 behaviour where jobs stay pinned to their admission board).
     pub rebalance: Option<RebalanceConfig>,
-    /// Sharded-cell rebalancing (`None` runs the single whole-fleet
-    /// rebalancer; ignored when `rebalance` is `None`). At hundreds of
-    /// boards cells bound each rebalance decision to a constant-size
-    /// slice.
-    pub cells: Option<CellConfig>,
     /// Admission-mempool knobs (validation, quotas, TTL, backoff, and
     /// the queue-drain ordering that used to be the standalone
     /// `queue_order` field).
@@ -67,18 +58,7 @@ impl OrchestratorConfig {
             online: OnlineConfig::default(),
             use_memo: true,
             rebalance: Some(RebalanceConfig::default()),
-            cells: None,
             admission: AdmissionPolicy::default(),
-        }
-    }
-
-    /// [`OrchestratorConfig::warm`] with rebalancing disabled — the
-    /// jobs-stay-pinned baseline every rebalance benchmark compares
-    /// against.
-    pub fn warm_pinned() -> Self {
-        Self {
-            rebalance: None,
-            ..Self::warm()
         }
     }
 
@@ -465,31 +445,12 @@ struct ChaosState {
     degraded: Vec<usize>,
 }
 
-/// Which rebalancing driver a run uses, with the configuration it runs
-/// under: the single whole-fleet rebalancer or the sharded-cell driver.
-enum RebalanceDriver {
-    Single(Rebalancer, RebalanceConfig),
-    Sharded(ShardedRebalancer, RebalanceConfig, CellConfig),
-}
-
-impl RebalanceDriver {
-    fn config(&self) -> &RebalanceConfig {
-        match self {
-            Self::Single(_, config) | Self::Sharded(_, config, _) => config,
-        }
-    }
-
-    fn tick<M: ThroughputModel>(&mut self, fleet: &mut Fleet<M>, at_ms: u64) -> RebalanceTick {
-        match self {
-            Self::Single(rebalancer, config) => rebalancer.tick(fleet, config, at_ms),
-            Self::Sharded(sharded, config, cells) => sharded.tick(fleet, config, cells, at_ms),
-        }
-    }
-}
-
-/// Rebalancing state of one run: the driver, its next stamp and tallies.
+/// Rebalancing state of one run: its configuration, the periodic
+/// passes still to skip after an accepted move set, the next stamp and
+/// tallies.
 struct Rebalancing {
-    driver: RebalanceDriver,
+    config: RebalanceConfig,
+    cooldown: u32,
     next_ms: u64,
     ticks: usize,
     rejected: usize,
@@ -497,15 +458,11 @@ struct Rebalancing {
 
 impl Rebalancing {
     fn new(config: &OrchestratorConfig) -> Option<Self> {
-        let rebalance = config.rebalance.clone()?;
-        let next_ms = rebalance.period_ms.max(1);
-        let driver = match config.cells.clone() {
-            Some(cells) => RebalanceDriver::Sharded(ShardedRebalancer::new(), rebalance, cells),
-            None => RebalanceDriver::Single(Rebalancer::new(), rebalance),
-        };
+        let config = config.rebalance.clone()?;
         Some(Self {
-            driver,
-            next_ms,
+            next_ms: config.period_ms.max(1),
+            config,
+            cooldown: 0,
             ticks: 0,
             rejected: 0,
         })
@@ -530,7 +487,7 @@ impl Rebalancing {
         // instead of stampeding.
         if !degraded.is_empty() {
             let _span = telemetry.span("orchestrator.rebalance.relief");
-            let config = self.driver.config();
+            let config = &self.config;
             for &donor in degraded {
                 let slot = &fleet.slots()[donor];
                 if !slot.active || slot.jobs.is_empty() {
@@ -550,9 +507,13 @@ impl Rebalancing {
             return false;
         }
         self.ticks += 1;
-        self.next_ms = t + self.driver.config().period_ms.max(1);
+        self.next_ms = t + self.config.period_ms.max(1);
+        if self.cooldown > 0 {
+            self.cooldown -= 1;
+            return false;
+        }
         let span = telemetry.span("orchestrator.rebalance");
-        let outcome = self.driver.tick(fleet, t);
+        let outcome = rebalance::tick(fleet, &self.config, t);
         drop(span);
         self.rejected += outcome.rejected;
         if outcome.rejected > 0 {
@@ -569,6 +530,9 @@ impl Rebalancing {
             }
         }
         let accepted = !outcome.moves.is_empty();
+        if accepted {
+            self.cooldown = self.config.cooldown_periods;
+        }
         moves.extend(outcome.moves);
         accepted
     }

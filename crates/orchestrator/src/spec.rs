@@ -102,13 +102,6 @@ impl FleetSpec {
         }
     }
 
-    /// Replaces the brown-out profile pool (empty disables degrade
-    /// events).
-    pub fn with_degrade_profiles(mut self, degrade_profiles: Vec<BoardProfile>) -> Self {
-        self.degrade_profiles = degrade_profiles;
-        self
-    }
-
     /// Number of boards alive at t = 0.
     pub fn initial_boards(&self) -> usize {
         self.initial.len()

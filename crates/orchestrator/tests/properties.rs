@@ -6,8 +6,8 @@ use omniboost_models::{
     JobEvent, JobSpec, ModelId, TraceConfig, TraceEvent,
 };
 use omniboost_orchestrator::{
-    BoardProfile, CellConfig, FleetSpec, OrchestratorConfig, OrchestratorReport, OrchestratorSim,
-    QueueOrder, RebalanceConfig,
+    BoardProfile, FleetSpec, OrchestratorConfig, OrchestratorReport, OrchestratorSim, QueueOrder,
+    RebalanceConfig,
 };
 use omniboost_serve::{
     AdmissionPolicy, OnlineConfig, PlacementPolicy, SearchBudget, ServingConfig, ServingSim,
@@ -117,10 +117,10 @@ fn config(rebalance: bool) -> OrchestratorConfig {
 }
 
 /// The rebalancing modes the proptests sweep: `0` pins jobs (no
-/// rebalancer), `1` runs the single whole-fleet rebalancer, `2` runs
-/// batched multi-move rebalancing through sharded cells (cell size 2,
-/// so the 3-board fleet plus joins actually spans several cells and the
-/// cross-cell balancer engages).
+/// rebalancer), `1` moves at most one job per rebalance tick, `2` runs
+/// batched whole-fleet rebalancing: up to three moves per tick out of
+/// the three hottest boards into the three coldest, so one tick can
+/// touch every board of the 3-board fleet.
 fn config_mode(mode: u8) -> OrchestratorConfig {
     match mode {
         0 => config(false),
@@ -131,10 +131,6 @@ fn config_mode(mode: u8) -> OrchestratorConfig {
                 top_k_boards: 3,
                 ..config(true).rebalance.unwrap()
             }),
-            cells: Some(CellConfig {
-                cell_size: 2,
-                ..CellConfig::default()
-            }),
             ..config(false)
         },
     }
@@ -144,7 +140,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// (i) **Job conservation through failures, drains, joins and
-    /// rebalancing** (pinned, single rebalancer and sharded cells): at
+    /// rebalancing** (pinned, single-move and batched rebalancing): at
     /// every tick the resident + queued job count equals the
     /// arrived-minus-departed count (nothing lost, nothing duplicated),
     /// per-event evacuation accounting balances, and the end-of-run
@@ -191,14 +187,18 @@ proptest! {
     /// (ii) **Rebalancing never violates admission**: every board stays
     /// within its own profile's concurrent-DNN cap at every tick (the
     /// heterogeneous fleet has different caps per slot), failed boards
-    /// hold zero jobs, and every accepted move priced a positive gain.
+    /// hold zero jobs, every accepted move priced a positive gain, and
+    /// no tick commits more than `max_moves_per_tick` moves — the bound
+    /// that keeps a whole-fleet pass constant-size as the fleet grows.
     #[test]
     fn rebalancing_respects_admission_and_prices_gains(
         process in arb_process(),
         seed in 0u64..400,
         mode in 1u8..3,
     ) {
-        let report = run(process, seed, config_mode(mode));
+        let config = config_mode(mode);
+        let max_moves = config.rebalance.as_ref().unwrap().max_moves_per_tick;
+        let report = run(process, seed, config);
         // Slot caps: the three initial profiles, then joins in event
         // order resolved against the spec's join pool.
         let spec = spec();
@@ -237,6 +237,13 @@ proptest! {
                     prop_assert_eq!(*jobs, 0usize, "dead board holding jobs");
                 }
             }
+            // The non-chaos script degrades no board, so every move
+            // here is a periodic one.
+            prop_assert!(
+                tick.rebalances.len() <= max_moves,
+                "{} moves at {} ms, over max_moves_per_tick {max_moves}",
+                tick.rebalances.len(), tick.at_ms
+            );
             for mv in &tick.rebalances {
                 prop_assert!(mv.gain_tps > 0.0, "move accepted without gain");
                 prop_assert!(!dead.contains(&mv.to), "move onto a dead board");
@@ -246,7 +253,7 @@ proptest! {
     }
 
     /// (iii) **Orchestrated traces are bit-for-bit deterministic per
-    /// seed**, the sharded-cell mode included: two fresh control planes
+    /// seed**, batched rebalancing included: two fresh control planes
     /// produce identical digests, and a different seed produces
     /// different traffic.
     #[test]

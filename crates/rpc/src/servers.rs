@@ -167,11 +167,6 @@ impl<M: ThroughputModel + Send + 'static> RpcServer<M> {
         self.addr
     }
 
-    /// Whether the admission gate is closed.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
-    }
-
     /// Stops the worker pool **without** finishing the run (no report)
     /// — the abrupt-kill path. Prefer a client `POST /v1/shutdown` for a
     /// graceful exit.

@@ -48,14 +48,6 @@ pub fn render_counter(out: &mut String, name: &str, help: &str, value: u64) {
     let _ = writeln!(out, "{name} {value}");
 }
 
-/// Appends `# HELP`/`# TYPE` annotations plus the sample line for a
-/// gauge-typed metric.
-pub fn render_gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {value}");
-}
-
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

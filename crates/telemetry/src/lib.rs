@@ -136,14 +136,6 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Microseconds since this handle's epoch (0 for no-op handles).
-    pub fn now_us(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.epoch.elapsed().as_micros() as u64,
-            None => 0,
-        }
-    }
-
     /// Adds `by` to counter `name`.
     pub fn incr(&self, name: &'static str, by: u64) {
         if let Some(inner) = &self.inner {
