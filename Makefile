@@ -10,7 +10,8 @@ verify:
 
 # The tensor, estimator, board-model and search suites again,
 # optimized: their bitwise contracts (plan == graph, Conv3x3 == the
-# naive mul_add loop, pinned prediction bits, GEMM == naive, the
+# naive mul_add loop, pinned prediction bits, GEMM == naive, GEMM
+# conv/linear == the reference kernels at every batch size, the
 # fixed-point early exits == the full damped loops, the DES's flat event
 # loop == the nested-list reference loop, the keyed reward memo == the
 # SipHash reference path) must hold in the profile every benchmark runs,
@@ -37,9 +38,12 @@ bench-quick:
 # time per iteration), the ablation bin (its plateau sweep is the
 # evidence for SearchBudget's default patience, so it must keep
 # running), the paper bin (Fig. 1, Fig. 4, §V-B and Fig. 5 from one
-# design-time pass; the paper's figure code runs nowhere else) and the
-# serving_sim and rpc_daemon walkthroughs (their assertions run nowhere
-# else). Latency itself is perfbench's job: see bench-quick.
+# design-time pass; the paper's figure code runs nowhere else), the
+# probe_train bin (where a training step spends its time, and the GEMM
+# conv backward next to the reference loop: read it after any kernel
+# change) and the serving_sim and rpc_daemon walkthroughs (their
+# assertions run nowhere else). Latency itself is perfbench's job: see
+# bench-quick.
 .PHONY: perf-smoke
 perf-smoke:
 	SMOKE=1 cargo bench --bench serving
@@ -52,6 +56,7 @@ perf-smoke:
 	cargo run --release --example profile_search -- 3
 	cargo run --release -p omniboost-bench --bin ablation -- --quick
 	cargo run --release -p omniboost-bench --bin paper -- --quick
+	cargo run --release -p omniboost-bench --bin probe_train
 	cargo run --release --example serving_sim
 	cargo run --release --example rpc_daemon
 

@@ -1,12 +1,12 @@
 //! Fleet-scale bench: orchestrator overhead as the fleet grows.
 //!
 //! The bars: with placement scanning the slots' running totals and
-//! batched top-k rebalancing, **orchestrator overhead per board per
-//! tick at 256 boards stays within 2× of the 16-board figure**
-//! (near-flat), and no job is ever lost under scripted fail/drain/join
-//! events. Both are asserted, so a run that breaks one
-//! fails: the lost-jobs bar in every mode (`make perf-smoke` included),
-//! the 2× bar in the full run only.
+//! batched top-k rebalancing, **orchestrator overhead per tick at 256
+//! boards stays within 2× of the 16-board figure** — a tick's work is
+//! bounded by `top_k_boards`, whatever the fleet size — and no job is
+//! ever lost under scripted fail/drain/join events. Both are asserted,
+//! so a run that breaks one fails: the lost-jobs bar in every mode
+//! (`make perf-smoke` included), the 2× bar in the full run only.
 //!
 //! Each row runs a ~2000-job Poisson trace against {16, 64, 256}
 //! boards (3:1 hikey970 : hikey970-lite). The arrival rate is fixed so
@@ -16,12 +16,15 @@
 //! control plane, not queue blowup at the small end. A rebalance tick
 //! re-prices at most `top_k_boards` donors and receivers and commits at
 //! most `max_moves_per_tick` moves whatever the fleet size, so its cost
-//! per board falls as the fleet grows.
+//! per tick stays flat and its cost per board falls as the fleet grows.
+//! The bar is on the per-tick figure: per board, 16× more boards would
+//! hide a 16× regression.
 //!
 //! Overhead is wall-clock run time minus time spent inside per-board
 //! rescheduling searches (the intrinsic work that exists at any fleet
-//! size), divided by ticks × boards. Placement latency p99 comes from
-//! the per-decision wall clock the orchestrator records.
+//! size), divided by ticks (the barred column) and by ticks × boards
+//! (kept as information). Placement latency p99 comes from the
+//! per-decision wall clock the orchestrator records.
 //!
 //! Writes `BENCH_fleet_scale.json`. `SMOKE=1` (the CI mode) shrinks
 //! board counts and the trace and **does not** rewrite the snapshot.
@@ -173,17 +176,17 @@ fn main() {
         let s = &report.summary;
         let ticks = report.ticks.len().max(1);
         let decision_ms = s.decision.mean_ms * s.decision.count as f64;
-        let overhead_us_per_board_tick =
-            (wall_ms - decision_ms).max(0.0) * 1000.0 / (ticks * boards) as f64;
-        overheads.push(overhead_us_per_board_tick);
+        let overhead_us_per_tick = (wall_ms - decision_ms).max(0.0) * 1000.0 / ticks as f64;
+        let overhead_us_per_board_tick = overhead_us_per_tick / boards as f64;
+        overheads.push(overhead_us_per_tick);
         let pass = s.lost_jobs == 0;
         if !pass {
             lossy_rows.push(boards);
         }
         println!(
             "{boards} boards: {} jobs, {ticks} ticks, wall {wall_ms:.0} ms \
-             ({decision_ms:.0} ms in searches), overhead {overhead_us_per_board_tick:.2} \
-             us/board/tick, placement p99 {:.3} ms, agg {:.1} inf/s, {} moves, {} lost [{}]",
+             ({decision_ms:.0} ms in searches), overhead {overhead_us_per_tick:.1} us/tick \
+             ({overhead_us_per_board_tick:.2} us/board/tick), placement p99 {:.3} ms, agg {:.1} inf/s, {} moves, {} lost [{}]",
             s.arrivals,
             s.placement.p99_ms,
             s.mean_aggregate_tps,
@@ -196,7 +199,7 @@ fn main() {
                 "    {{\"boards\": {}, \"config_digest\": \"{:#018x}\", ",
                 "\"arrivals\": {}, \"ticks\": {}, ",
                 "\"wall_ms\": {:.1}, \"decision_ms\": {:.1}, ",
-                "\"overhead_us_per_board_tick\": {:.3}, ",
+                "\"overhead_us_per_tick\": {:.1}, \"overhead_us_per_board_tick\": {:.3}, ",
                 "\"placement_p99_ms\": {:.4}, \"placement_count\": {}, ",
                 "\"mean_aggregate_tps\": {:.2}, \"peak_queue_depth\": {}, ",
                 "\"rebalance_moves\": {}, \"evacuated_jobs\": {}, \"lost_jobs\": {}, ",
@@ -208,6 +211,7 @@ fn main() {
             ticks,
             wall_ms,
             decision_ms,
+            overhead_us_per_tick,
             overhead_us_per_board_tick,
             s.placement.p99_ms,
             s.placement.count,
@@ -220,14 +224,14 @@ fn main() {
         ));
     }
 
-    // The near-flat bar: largest fleet's per-board-per-tick overhead
-    // within 2x of the smallest's. The smoke run exercises the pipeline
-    // at toy scale, so its verdict is informational only.
+    // The flat-tick bar: the largest fleet's overhead per tick within 2x
+    // of the smallest's. The smoke run exercises the pipeline at toy
+    // scale, so its verdict is informational only.
     let ratio = overheads.last().unwrap() / overheads.first().unwrap().max(1e-9);
     let scaling_pass = ratio <= 2.0 || smoke;
     let all_pass = lossy_rows.is_empty() && scaling_pass;
     println!(
-        "scaling: overhead ratio {}x boards = {ratio:.2}x (bar <= 2.0) [{}]",
+        "scaling: overhead per tick at {}x boards = {ratio:.2}x (bar <= 2.0) [{}]",
         scale.board_counts.last().unwrap() / scale.board_counts.first().unwrap(),
         if scaling_pass { "pass" } else { "FAIL" },
     );
@@ -245,14 +249,15 @@ fn main() {
             "row holds ~3.5 resident jobs per board; scripted fail/drain/join events ",
             "mid-trace. LeastLoaded placement scanning every slot's running totals, ",
             "whole-fleet top-k rebalancing (top_k_boards 8, max_moves_per_tick 8) priced ",
-            "speculatively as a set. overhead_us_per_board_tick = (wall clock - time ",
-            "inside per-board rescheduling searches) / (ticks x boards); scaling_pass = ",
-            "largest row within 2x of the smallest. lost_jobs must be 0 in every row. Rows ",
-            "run one after another; a rebalance tick re-prices at most top_k_boards donors ",
-            "and receivers whatever the fleet size, which is what keeps the per-board ",
-            "figure flat.\",\n",
+            "speculatively as a set. overhead_us_per_tick = (wall clock - time inside ",
+            "per-board rescheduling searches) / ticks; overhead_us_per_board_tick is the ",
+            "same over ticks x boards, for information; scaling_pass = largest row's ",
+            "overhead_us_per_tick within 2x of the smallest's. lost_jobs must be 0 in every ",
+            "row. Rows run one after another; a rebalance tick re-prices at most ",
+            "top_k_boards donors and receivers whatever the fleet size, which is what keeps ",
+            "the per-tick figure flat.\",\n",
             "  \"all_pass\": {},\n",
-            "  \"overhead_ratio_largest_vs_smallest\": {:.3},\n",
+            "  \"tick_overhead_ratio_largest_vs_smallest\": {:.3},\n",
             "  \"scaling_pass\": {},\n",
             "  \"rows\": [\n{}\n  ]\n",
             "}}\n"
@@ -272,7 +277,7 @@ fn main() {
     );
     assert!(
         scaling_pass,
-        "overhead per board per tick grew {ratio:.2}x from the smallest row to the largest (bar <= 2.0x)"
+        "overhead per tick grew {ratio:.2}x from the smallest row to the largest (bar <= 2.0x)"
     );
     omniboost_bench::write_snapshot("fleet_scale", &json);
 }

@@ -1,12 +1,18 @@
 //! Phase-level timing probe for the estimator training hot path: where
 //! does a §V-shaped training step actually spend its time? Used to aim
 //! the GEMM-backward optimization work (and to re-check on new hosts).
-//! The "direct" rows time the reference kernels the `tensor` proptests
-//! use as their oracle (`Module::set_gemm_backward(false)`); training
-//! itself has no switch.
+//! Training runs one GEMM path per layer; the "reference" row times
+//! `tensor::reference::conv3x3_backward`, the direct loop the `tensor`
+//! proptests use as their oracle, on `conv2`'s shapes next to the GEMM
+//! backward.
+//!
+//! ```sh
+//! cargo run --release -p omniboost-bench --bin probe_train
+//! ```
 
 use omniboost::estimator::{ActivationKind, DatasetConfig, EstimatorNet, InferencePlan};
-use omniboost::tensor::{Gelu, Loss, Module, MseLoss, Tensor};
+use omniboost::tensor::infer::Activation;
+use omniboost::tensor::{export_params, reference, Act, Loss, Module, MseLoss, Tensor};
 use omniboost_hw::Board;
 use std::time::Instant;
 
@@ -70,21 +76,12 @@ fn main() {
         },
         reps,
     );
-    net.set_gemm_backward(false);
-    let bwd_direct = time_ms(
-        || {
-            net.zero_grad();
-            let _ = net.backward(&grad);
-        },
-        reps,
-    );
-    net.set_gemm_backward(true);
 
     // GELU in isolation at a training-step-representative element count
     // (sum of every activation map in the net for this batch).
     let gelu_elems = batch * (8 + 16) * m * l + batch * (16 * 3 + 24 * 3) * (m / 2) * (l / 2);
     let gx = Tensor::randn(&[gelu_elems], 2);
-    let mut gelu = Gelu::new();
+    let mut gelu = Act::new(Activation::Gelu);
     let gelu_fwd = time_ms(
         || {
             let _ = gelu.forward(&gx);
@@ -144,7 +141,7 @@ fn main() {
 
     // Per-layer-type timings at this batch's real shapes.
     use omniboost::tensor::{Conv2d, MaxPool2d};
-    let mut conv2 = Conv2d::new(8, 16, 3, 1, 1, 3);
+    let mut conv2 = Conv2d::new(8, 16, 3);
     let cx = Tensor::randn(&[batch, 8, m, l], 4);
     let conv2_fwd = time_ms(
         || {
@@ -161,7 +158,14 @@ fn main() {
         },
         reps,
     );
-    let mut pool = MaxPool2d::new(2);
+    let conv2_weight = export_params(&mut conv2).swap_remove(0);
+    let conv2_ref = time_ms(
+        || {
+            let _ = reference::conv3x3_backward(&cx, &conv2_weight, &cg);
+        },
+        reps,
+    );
+    let mut pool = MaxPool2d::new();
     let px = Tensor::randn(&[batch, 16, m, l], 6);
     let pool_fwd = time_ms(
         || {
@@ -169,20 +173,17 @@ fn main() {
         },
         reps,
     );
-    println!("  conv2 (8->16, 11x37) fwd: {conv2_fwd:.2} ms, bwd(gemm): {conv2_bwd:.2} ms");
-    println!("  maxpool (16ch, 11x37) fwd: {pool_fwd:.2} ms");
+    println!(
+        "  conv2 (8->16, {m}x{l}) fwd: {conv2_fwd:.2} ms, bwd gemm: {conv2_bwd:.2} ms, \
+         bwd reference: {conv2_ref:.2} ms ({:.1}x)",
+        conv2_ref / conv2_bwd
+    );
+    println!("  maxpool (16ch, {m}x{l}) fwd: {pool_fwd:.2} ms");
 
     println!("batch {batch} on {m}x{l} grid (median of {reps}):");
     println!("  forward (graph):      {fwd_train:.2} ms");
     println!("  forward (plan):       {fwd_plan:.2} ms");
-    println!("  backward (gemm):      {bwd_gemm:.2} ms");
-    println!("  backward (direct):    {bwd_direct:.2} ms");
+    println!("  backward (graph):     {bwd_gemm:.2} ms");
     println!("  gelu fwd over {gelu_elems} elems: {gelu_fwd:.2} ms");
     println!("  gelu bwd over {gelu_elems} elems: {gelu_bwd:.2} ms");
-    println!(
-        "  step speedup bound: direct {:.2} ms vs gemm {:.2} ms = {:.2}x",
-        fwd_train + bwd_direct,
-        fwd_train + bwd_gemm,
-        (fwd_train + bwd_direct) / (fwd_train + bwd_gemm)
-    );
 }

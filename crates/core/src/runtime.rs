@@ -198,12 +198,6 @@ impl Runtime {
         }
     }
 
-    /// Drops all memoized decisions (counters are preserved). Call after
-    /// retraining or reconfiguring a scheduler whose name stays the same.
-    pub fn clear_memo(&self) {
-        self.memo.borrow_mut().clear();
-    }
-
     fn memo_key(scheduler: &dyn Scheduler, workload: &Workload) -> MemoKey {
         (
             scheduler.name().to_owned(),
@@ -573,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_off_by_default_and_clear_memo_drops_entries() {
+    fn memo_is_off_by_default() {
         // Default runtime: no reuse, but misses are still counted.
         let rt = Runtime::new(Board::hikey970());
         let w = Workload::from_ids([ModelId::AlexNet]);
@@ -581,11 +575,6 @@ mod tests {
         assert!(!rt.run(&mut sched, &w).unwrap().memo_hit);
         assert!(!rt.run(&mut sched, &w).unwrap().memo_hit);
         assert_eq!(rt.memo_stats(), MemoStats { hits: 0, misses: 2 });
-
-        let rt = Runtime::new(Board::hikey970()).with_memo();
-        rt.run(&mut sched, &w).unwrap();
-        rt.clear_memo();
-        assert!(!rt.run(&mut sched, &w).unwrap().memo_hit);
     }
 
     #[test]

@@ -68,13 +68,6 @@ impl OmniBoost {
         &self.config
     }
 
-    /// Replaces the run-time search budget without retraining — budget is
-    /// the paper's run-time flexibility knob (§V-B), so sweeping it must
-    /// not cost another design-time pass.
-    pub fn set_budget(&mut self, budget: omniboost_mcts::SearchBudget) {
-        self.config.budget = budget;
-    }
-
     /// Estimator queries the last decision actually ran (the paper
     /// reports 500 queries dominating its ~30 s decision latency, §V-B).
     /// Queries answered by the cross-decision cache are not estimator

@@ -14,7 +14,9 @@ use std::fs;
 use std::path::Path;
 
 const MAGIC: u32 = 0x0B00_57E5;
-const VERSION: u16 = 1;
+/// 2 since a ReLU network's residual blocks are ReLU too: under 1 they
+/// were GELU, so a version-1 ReLU blob would load as another network.
+const VERSION: u16 = 2;
 
 /// Errors produced while loading a persisted estimator blob.
 #[derive(Debug)]
@@ -393,6 +395,17 @@ mod tests {
         ));
     }
 
+    /// A version-1 blob is refused, not loaded under version 2's meaning.
+    #[test]
+    fn version_1_blobs_are_refused() {
+        let mut blob = small_untrained().to_bytes();
+        blob[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            CnnEstimator::from_bytes(blob),
+            Err(LoadError::Version(1))
+        ));
+    }
+
     /// A blob's header and embedding grid, the model table still to come.
     fn header(num_models: u32, max_layers: u32, scale_ms: f64) -> Vec<u8> {
         let mut buf = Vec::with_capacity(1024);
@@ -529,6 +542,6 @@ mod tests {
         let blob = small_untrained().to_bytes();
         let mut h = omniboost_hw::Fnv1a::default();
         h.write(&blob);
-        assert_eq!((blob.len(), h.finish()), (81_471, 0x0dfc_da1c_ca8d_3b34));
+        assert_eq!((blob.len(), h.finish()), (81_471, 0x63bf_c6b4_2de7_181d));
     }
 }

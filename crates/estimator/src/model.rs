@@ -13,7 +13,7 @@
 //! fail until the other follows.
 
 use omniboost_tensor::{
-    Conv2d, Flatten, Gelu, GlobalAvgPool, Linear, MaxPool2d, Module, Param, Relu, ResidualBlock,
+    Act, Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Module, Param, ResidualBlock,
     Sequential, Tensor,
 };
 
@@ -43,31 +43,6 @@ pub struct EstimatorNet {
     activation: ActivationKind,
 }
 
-fn act(kind: ActivationKind) -> Box<dyn Module + Send> {
-    match kind {
-        ActivationKind::Gelu => Box::new(Gelu::new()),
-        ActivationKind::Relu => Box::new(Relu::new()),
-    }
-}
-
-/// Wrapper making `Box<dyn Module + Send>` pushable into [`Sequential`].
-struct Boxed(Box<dyn Module + Send>);
-
-impl Module for Boxed {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.0.forward(input)
-    }
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.0.backward(grad_output)
-    }
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.0.params_mut()
-    }
-    fn set_gemm_backward(&mut self, enabled: bool) {
-        self.0.set_gemm_backward(enabled);
-    }
-}
-
 impl EstimatorNet {
     /// Builds the network for an `M × L` embedding grid.
     ///
@@ -85,16 +60,16 @@ impl EstimatorNet {
             "embedding grid too small for the two-pool architecture"
         );
         let net = Sequential::new()
-            .push(Conv2d::new(3, 8, 3, 1, 1, seed))
-            .push(Boxed(act(activation)))
-            .push(Conv2d::new(8, 16, 3, 1, 1, seed.wrapping_add(1)))
-            .push(Boxed(act(activation)))
-            .push(MaxPool2d::new(2))
-            .push(ResidualBlock::new(16, seed.wrapping_add(2)))
-            .push(Conv2d::new(16, 24, 3, 1, 1, seed.wrapping_add(4)))
-            .push(Boxed(act(activation)))
-            .push(MaxPool2d::new(2))
-            .push(ResidualBlock::new(24, seed.wrapping_add(5)))
+            .push(Conv2d::new(3, 8, seed))
+            .push(Act::new(activation))
+            .push(Conv2d::new(8, 16, seed.wrapping_add(1)))
+            .push(Act::new(activation))
+            .push(MaxPool2d::new())
+            .push(ResidualBlock::new(16, activation, seed.wrapping_add(2)))
+            .push(Conv2d::new(16, 24, seed.wrapping_add(4)))
+            .push(Act::new(activation))
+            .push(MaxPool2d::new())
+            .push(ResidualBlock::new(24, activation, seed.wrapping_add(5)))
             .push(GlobalAvgPool::new())
             .push(Flatten::new())
             // Regression head: 3 outputs, no activation (§IV-B).
@@ -139,10 +114,6 @@ impl Module for EstimatorNet {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.net.params_mut()
-    }
-
-    fn set_gemm_backward(&mut self, enabled: bool) {
-        self.net.set_gemm_backward(enabled);
     }
 }
 

@@ -162,15 +162,13 @@ impl InferencePlan {
         probe.enter(Stage::Pool);
         max_pool2x2(c2 * n, m, l, &a[..c2 * full], &mut b[..c2 * half]);
 
-        // `ResidualBlock` is GELU whatever the network's family.
-        let gelu = ActivationKind::Gelu;
         let skip = &b[..c2 * half];
-        res1_a.forward(n, skip, None, gelu, &mut c[..c2 * half], probe);
+        res1_a.forward(n, skip, None, act, &mut c[..c2 * half], probe);
         res1_b.forward(
             n,
             &c[..c2 * half],
             Some(skip),
-            gelu,
+            act,
             &mut a[..c2 * half],
             probe,
         );
@@ -179,12 +177,12 @@ impl InferencePlan {
         max_pool2x2(c3 * n, h1, w1, &b[..c3 * half], &mut a[..c3 * quarter]);
 
         let skip = &a[..c3 * quarter];
-        res2_a.forward(n, skip, None, gelu, &mut c[..c3 * quarter], probe);
+        res2_a.forward(n, skip, None, act, &mut c[..c3 * quarter], probe);
         res2_b.forward(
             n,
             &c[..c3 * quarter],
             Some(skip),
-            gelu,
+            act,
             &mut b[..c3 * quarter],
             probe,
         );

@@ -4,7 +4,7 @@
 use crate::dataset::{Dataset, Sample};
 use crate::model::{ActivationKind, EstimatorNet};
 use crate::preprocess::TargetTransform;
-use omniboost_tensor::{Adam, L1Loss, Loss, Module, MseLoss, Optimizer, Tensor};
+use omniboost_tensor::{Adam, L1Loss, Loss, Module, MseLoss, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -276,49 +276,6 @@ mod tests {
         };
         let (_, _, history) = train(&dataset, &config);
         assert!(history.final_train_loss().is_finite());
-    }
-
-    /// The GEMM-structured backward and the direct reference kernels
-    /// (`Module::set_gemm_backward(false)`, the oracle of the `tensor`
-    /// proptests) follow numerically equivalent training trajectories.
-    #[test]
-    fn gemm_and_direct_backward_train_equivalently() {
-        let dataset = tiny_dataset();
-        let targets: Vec<[f32; 3]> = dataset.samples.iter().map(|s| s.target).collect();
-        let transform = TargetTransform::fit(&targets);
-        let refs: Vec<&Sample> = dataset.samples.iter().collect();
-        let batches: Vec<(Tensor, Tensor)> = refs
-            .chunks(8)
-            .map(|c| (stack_inputs(c), stack_targets(c, &transform)))
-            .collect();
-        let config = TrainConfig::default();
-        let new_net = || {
-            EstimatorNet::new(
-                dataset.embedding.num_models(),
-                dataset.embedding.max_layers(),
-                config.activation,
-                config.seed,
-            )
-        };
-        let mut direct = new_net();
-        direct.set_gemm_backward(false);
-        let [gemm_loss, direct_loss] = [new_net(), direct].map(|mut net| {
-            let mut opt = Adam::new(config.learning_rate);
-            let mut last = f32::NAN;
-            for _epoch in 0..6 {
-                for (x, t) in &batches {
-                    let y = net.forward(x);
-                    let (loss, grad) = L1Loss.compute(&y, t);
-                    net.zero_grad();
-                    net.backward(&grad);
-                    opt.step(&mut net.params_mut());
-                    last = loss;
-                }
-            }
-            last
-        });
-        let d = (gemm_loss - direct_loss).abs();
-        assert!(d < 1e-3, "loss diverged: {gemm_loss} vs {direct_loss}");
     }
 
     #[test]

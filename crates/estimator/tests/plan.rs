@@ -48,9 +48,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Plan output `==` the graph's forward, element for element: random
-    /// weights, both activation families, batch sizes that hit `n == 1`
-    /// (the graph's direct kernel), ragged 16-wide tails and short last
-    /// blocks.
+    /// weights, both activation families (ReLU in the residual blocks
+    /// too), batch sizes from `n == 1`, ragged 16-wide tails and short
+    /// last blocks.
     #[test]
     fn plan_equals_graph_forward(seed in 0u64..1_000_000, n in 1usize..=40, relu in 0usize..2) {
         let kind = [ActivationKind::Gelu, ActivationKind::Relu][relu];

@@ -72,11 +72,6 @@ impl LayerTimeTable {
         &self.times_ms[device.index()]
     }
 
-    /// Sum of layer times on a device (single-device whole-model latency).
-    pub fn device_total_ms(&self, device: Device) -> f64 {
-        self.times_ms[device.index()].iter().sum()
-    }
-
     /// Largest layer time anywhere in the table (normalization scale for
     /// the embeddings tensor).
     pub fn max_time_ms(&self) -> f64 {
@@ -110,7 +105,8 @@ mod tests {
         let dnn = zoo::build(ModelId::AlexNet);
         let t = LayerTimeTable::profile(&board, &dnn, NoiseModel::none());
         let direct = cost::dnn_time_ms(&board, Device::BigCpu, &dnn);
-        assert!((t.device_total_ms(Device::BigCpu) - direct).abs() < 1e-9);
+        let total: f64 = t.device_row(Device::BigCpu).iter().sum();
+        assert!((total - direct).abs() < 1e-9);
     }
 
     #[test]

@@ -144,12 +144,6 @@ impl SchedState {
     pub fn decisions_taken(&self) -> usize {
         self.decision
     }
-
-    /// Pipeline stages in the decided prefix of the DNN currently being
-    /// edited (0 before the first decision).
-    pub fn current_dnn_stages(&self) -> usize {
-        self.stages
-    }
 }
 
 /// One decision point: either place a whole DNN or re-place one layer.
@@ -850,7 +844,7 @@ mod tests {
         let mut s = env.apply(&env.initial(), Device::Gpu.index());
         s = env.apply(&s, Device::BigCpu.index());
         s = env.apply(&s, Device::LittleCpu.index());
-        assert_eq!(s.current_dnn_stages(), 3);
+        assert_eq!(s.stages, 3, "the incremental stage count of DNN 0");
         assert!(!s.is_dead());
         // Every rollout draw must now repeat the previous layer's device.
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);

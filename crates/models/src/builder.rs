@@ -41,11 +41,6 @@ impl DnnModelBuilder {
         }
     }
 
-    /// Current activation shape (output of the last appended layer).
-    pub fn current_shape(&self) -> TensorShape {
-        self.shape
-    }
-
     /// Appends a pre-constructed layer, updating the tracked shape.
     #[must_use]
     pub fn layer(mut self, layer: Layer) -> Self {
@@ -122,17 +117,7 @@ impl DnnModelBuilder {
 
     /// Max-pooling layer.
     #[must_use]
-    pub fn max_pool(self, name: &str, kernel: usize, stride: usize, pad: usize) -> Self {
-        self.pool_inner(name, kernel, stride, pad)
-    }
-
-    /// Average-pooling layer (priced identically to max pooling).
-    #[must_use]
-    pub fn avg_pool(self, name: &str, kernel: usize, stride: usize, pad: usize) -> Self {
-        self.pool_inner(name, kernel, stride, pad)
-    }
-
-    fn pool_inner(mut self, name: &str, kernel: usize, stride: usize, pad: usize) -> Self {
+    pub fn max_pool(mut self, name: &str, kernel: usize, stride: usize, pad: usize) -> Self {
         let inp = self.shape;
         let out = TensorShape::new(
             inp.channels,
@@ -506,7 +491,7 @@ mod tests {
         let b = DnnModelBuilder::new(TensorShape::new(3, 224, 224))
             .conv("c1", 64, 7, 2, 3)
             .max_pool("p1", 3, 2, 1);
-        assert_eq!(b.current_shape(), TensorShape::new(64, 56, 56));
+        assert_eq!(b.shape, TensorShape::new(64, 56, 56));
     }
 
     #[test]

@@ -150,13 +150,6 @@ impl Telemetry {
         }
     }
 
-    /// Records `value_ms` into histogram `name`.
-    pub fn observe_ms(&self, name: &'static str, value_ms: f64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.observe(name, value_ms);
-        }
-    }
-
     /// Appends a structured event to the flight recorder. Callers on
     /// hot paths should gate `format!`-built details behind
     /// [`Telemetry::is_recording`]; the events this records (degrades,
@@ -266,18 +259,11 @@ impl Telemetry {
 }
 
 /// RAII span guard returned by [`Telemetry::span`]. Records the span
-/// on drop; [`Span::cancel`] discards it instead.
+/// on drop.
 #[must_use = "a span measures the scope it is alive for"]
 #[derive(Debug)]
 pub struct Span {
     ctx: Option<(Arc<Inner>, &'static str, Instant)>,
-}
-
-impl Span {
-    /// Discards the span without recording it.
-    pub fn cancel(mut self) {
-        self.ctx = None;
-    }
 }
 
 impl Drop for Span {
@@ -306,7 +292,6 @@ mod tests {
     fn noop_handle_is_inert() {
         let t = Telemetry::noop();
         t.incr("c", 1);
-        t.observe_ms("h", 1.0);
         t.event("e", "detail".into());
         drop(t.span("s"));
         assert!(!t.is_recording());

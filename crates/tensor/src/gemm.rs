@@ -9,10 +9,10 @@
 //!   ascending order, one fused multiply-add (`acc = a.mul_add(b, acc)`,
 //!   a single rounding) per product, so with `C` pre-filled with the
 //!   bias the result is **bit-identical** to a sequential `mul_add` tap
-//!   loop — the forward contract shared with [`crate::infer`] and the
-//!   direct `N == 1` convolution. IEEE-754 specifies the fused operation
-//!   exactly, so the bits do not depend on target, profile, tile shape
-//!   or vector width.
+//!   loop — the forward contract shared with [`crate::infer`] and
+//!   [`crate::reference::conv3x3_forward`]. IEEE-754 specifies the
+//!   fused operation exactly, so the bits do not depend on target,
+//!   profile, tile shape or vector width.
 //! * [`gemm_nt`] — `C += A·Bᵀ`. The weight gradients (`dW = G·colsᵀ`,
 //!   `dW = Gᵀ·X` transposed): tiny output, huge reduction dimension.
 //!   Uses lane-blocked partial sums (deterministic, but *not* the

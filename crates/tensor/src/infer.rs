@@ -41,8 +41,8 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// The activation of one value — the same expression
-    /// [`Gelu`](crate::Gelu) / [`Relu`](crate::Relu) evaluate.
+    /// The activation of one value — the same expression the training
+    /// graph's [`Act`](crate::Act) evaluates.
     #[inline]
     pub fn apply(self, x: f32) -> f32 {
         match self {
@@ -92,12 +92,12 @@ impl Probe for () {
 ///
 /// ```
 /// use omniboost_tensor::infer::{Activation, Conv3x3};
-/// use omniboost_tensor::{Conv2d, Gelu, Module, Tensor};
+/// use omniboost_tensor::{Act, Conv2d, Module, Tensor};
 ///
 /// // One sample, one channel: channel-major and NCHW coincide.
-/// let mut graph = Conv2d::new(1, 4, 3, 1, 1, 42);
+/// let mut graph = Conv2d::new(1, 4, 42);
 /// let x = Tensor::randn(&[1, 1, 5, 6], 1);
-/// let want = Gelu::new().forward(&graph.forward(&x));
+/// let want = Act::new(Activation::Gelu).forward(&graph.forward(&x));
 ///
 /// let params = omniboost_tensor::export_params(&mut graph);
 /// let mut conv = Conv3x3::new(&params[0], &params[1], 5, 6);
@@ -397,7 +397,7 @@ pub fn dense(n: usize, weight: &Tensor, bias: &Tensor, x: &[f32], y: &mut [f32])
 mod tests {
     use super::*;
     use crate::module::export_params;
-    use crate::{Conv2d, Gelu, GlobalAvgPool, Linear, MaxPool2d, Module, Relu};
+    use crate::{Act, Conv2d, GlobalAvgPool, Linear, MaxPool2d, Module};
 
     /// NCHW `[n, c, h, w]` → channel-major `[c][n·h·w]` and back.
     fn to_channel_major(t: &Tensor) -> Vec<f32> {
@@ -433,7 +433,7 @@ mod tests {
             (2, 1, 3, 4, 1),
             (5, 2, 2, 1, 1),
         ] {
-            let mut graph = Conv2d::new(ic, oc, 3, 1, 1, 7);
+            let mut graph = Conv2d::new(ic, oc, 7);
             for p in graph.params_mut() {
                 p.value = Tensor::randn(p.value.shape(), 11);
             }
@@ -446,9 +446,13 @@ mod tests {
             let ctx = format!("n={n} ic={ic} oc={oc} {h}x{w}");
 
             conv.forward(n, &xc, None, Activation::Gelu, &mut y, &mut ());
-            assert_eq!(y, to_channel_major(&Gelu::new().forward(&pre)), "{ctx}");
+            assert_eq!(
+                y,
+                to_channel_major(&Act::new(Activation::Gelu).forward(&pre)),
+                "{ctx}"
+            );
             conv.forward(n, &xc, Some(&skipc), Activation::Relu, &mut y, &mut ());
-            let want = Relu::new().forward(&pre.add(&skip));
+            let want = Act::new(Activation::Relu).forward(&pre.add(&skip));
             assert_eq!(y, to_channel_major(&want), "{ctx} residual");
         }
     }
@@ -457,11 +461,11 @@ mod tests {
     /// correctly: stale samples and stale tail lanes are never stored.
     #[test]
     fn conv_survives_shrinking_and_regrowing_batches() {
-        let mut graph = Conv2d::new(4, 6, 3, 1, 1, 5);
+        let mut graph = Conv2d::new(4, 6, 5);
         let mut conv = compile(&mut graph, 5, 7);
         for (seed, n) in [16usize, 3, 16, 1].into_iter().enumerate() {
             let x = Tensor::randn(&[n, 4, 5, 7], seed as u64);
-            let want = Gelu::new().forward(&graph.forward(&x));
+            let want = Act::new(Activation::Gelu).forward(&graph.forward(&x));
             let mut y = vec![f32::NAN; want.len()];
             conv.forward(
                 n,
@@ -481,7 +485,7 @@ mod tests {
         let x = Tensor::randn(&[n, c, h, w], 1);
         let xc = to_channel_major(&x);
 
-        let pooled = MaxPool2d::new(2).forward(&x);
+        let pooled = MaxPool2d::new().forward(&x);
         let mut y = vec![0.0; pooled.len()];
         max_pool2x2(c * n, h, w, &xc, &mut y);
         assert_eq!(y, to_channel_major(&pooled));

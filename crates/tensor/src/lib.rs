@@ -9,27 +9,32 @@
 //! * dense [`Tensor`]s of `f32` with shape bookkeeping;
 //! * a shared packed, register-blocked GEMM core ([`gemm`]) behind the
 //!   batched convolution/linear forward *and* backward passes;
-//! * forward/backward [`Module`]s: [`Conv2d`], [`Linear`], [`Gelu`],
-//!   [`Relu`], [`MaxPool2d`], [`GlobalAvgPool`], [`Flatten`],
-//!   [`ResidualBlock`] and [`Sequential`] composition — the training
-//!   graph, and the reference every other path is tested against;
+//! * forward/backward [`Module`]s: [`Conv2d`] (3×3, stride 1, same
+//!   padding), [`Linear`], [`Act`] (GELU or ReLU, one
+//!   [`infer::Activation`] rule), [`MaxPool2d`] (2×2), [`GlobalAvgPool`],
+//!   [`Flatten`], [`ResidualBlock`] and [`Sequential`] composition —
+//!   the training graph, which runs one GEMM path per layer at every
+//!   batch size, and the reference the serving kernels are tested
+//!   against;
+//! * [`reference`]: the direct loop kernels the GEMM conv/linear passes
+//!   are tested against — an oracle nothing in training calls;
 //! * [`infer`]: the fused, allocation-free kernels a trained graph is
 //!   lowered to for serving (channel-major activations, bias-started
 //!   accumulators, residual add and activation applied as a tile is
 //!   stored) — the one inference path, `==` to the graph's `forward`;
 //! * [`L1Loss`]/[`MseLoss`] criteria (the paper trains with L1 and reports
 //!   L2 as "too aggressive");
-//! * [`Sgd`] and [`Adam`] optimizers.
+//! * the [`Adam`] optimizer.
 //!
 //! Backpropagation is implemented per-module (each module caches its
 //! forward activations — there is no eval mode; inference does not run
 //! the graph), which keeps gradients easy to verify against finite
 //! differences — the test suite does exactly that for every module, and
-//! additionally property-tests the GEMM-structured batched backward
-//! against the direct reference kernels.
+//! additionally property-tests the GEMM-structured forward and backward
+//! against the [`reference`] kernels.
 //!
 //! ```
-//! use omniboost_tensor::{Adam, L1Loss, Linear, Loss, Module, Optimizer, Tensor};
+//! use omniboost_tensor::{Adam, L1Loss, Linear, Loss, Module, Tensor};
 //!
 //! let mut layer = Linear::new(4, 2, 42);
 //! let x = Tensor::randn(&[8, 4], 1);
@@ -65,17 +70,18 @@ mod loss;
 mod module;
 pub mod ops;
 mod optim;
+pub mod reference;
 mod tensor;
 
 pub use gemm::{gemm_nn, gemm_nt, gemm_tn, GemmScratch};
 pub use init::kaiming_uniform;
 pub use loss::{L1Loss, Loss, MseLoss};
 pub use module::{export_params, import_params, Module, Param, Sequential};
-pub use ops::activation::{Gelu, Relu};
+pub use ops::activation::Act;
 pub use ops::conv::Conv2d;
 pub use ops::flatten::Flatten;
 pub use ops::linear::Linear;
 pub use ops::pool::{GlobalAvgPool, MaxPool2d};
 pub use ops::residual::ResidualBlock;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use tensor::Tensor;

@@ -52,14 +52,6 @@ pub trait Module {
         Vec::new()
     }
 
-    /// Selects between the GEMM-structured batched backward (the
-    /// default) and the direct reference kernels — the oracle selector
-    /// of the gradient-equivalence tests. Containers must propagate; modules with a single backward
-    /// can ignore it.
-    fn set_gemm_backward(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
-
     /// Zeroes all parameter gradients.
     fn zero_grad(&mut self) {
         for p in self.params_mut() {
@@ -76,12 +68,13 @@ pub trait Module {
 /// Sequential composition of modules.
 ///
 /// ```
-/// use omniboost_tensor::{Flatten, Linear, Module, Relu, Sequential, Tensor};
+/// use omniboost_tensor::infer::Activation;
+/// use omniboost_tensor::{Act, Flatten, Linear, Module, Sequential, Tensor};
 ///
 /// let mut net = Sequential::new()
 ///     .push(Flatten::new())
 ///     .push(Linear::new(12, 8, 1))
-///     .push(Relu::new())
+///     .push(Act::new(Activation::Relu))
 ///     .push(Linear::new(8, 2, 2));
 /// let y = net.forward(&Tensor::randn(&[4, 3, 2, 2], 3));
 /// assert_eq!(y.shape(), &[4, 2]);
@@ -152,12 +145,6 @@ impl Module for Sequential {
             .iter_mut()
             .flat_map(|m| m.params_mut())
             .collect()
-    }
-
-    fn set_gemm_backward(&mut self, enabled: bool) {
-        for m in self.modules.iter_mut() {
-            m.set_gemm_backward(enabled);
-        }
     }
 }
 

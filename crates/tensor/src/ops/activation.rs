@@ -1,6 +1,7 @@
 //! Element-wise activations: GELU (the paper's choice, §IV-B) and ReLU
 //! (kept for the GELU-vs-ReLU ablation).
 
+use crate::infer::Activation;
 use crate::module::Module;
 use crate::tensor::Tensor;
 
@@ -34,33 +35,6 @@ fn fast_tanh(x: f32) -> f32 {
     p / q
 }
 
-/// Gaussian Error Linear Unit, tanh approximation:
-/// `gelu(x) = 0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³)))`.
-///
-/// The paper replaces the original ResNet9 ReLUs with GELU and reports
-/// improved convergence and accuracy.
-///
-/// ```
-/// use omniboost_tensor::{Gelu, Module, Tensor};
-///
-/// let mut g = Gelu::new();
-/// let y = g.forward(&Tensor::from_vec(vec![-2.0, 0.0, 2.0], &[1, 3]));
-/// assert!(y.data()[0] < 0.0 && y.data()[0] > -0.1); // small negative tail
-/// assert_eq!(y.data()[1], 0.0);
-/// assert!((y.data()[2] - 1.954).abs() < 1e-2);
-/// ```
-#[derive(Debug, Default)]
-pub struct Gelu {
-    cached_input: Option<Tensor>,
-}
-
-impl Gelu {
-    /// Creates the activation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 pub(crate) fn gelu_scalar(x: f32) -> f32 {
     0.5 * x * (1.0 + fast_tanh(SQRT_2_OVER_PI * (x + GELU_C * x * x * x)))
 }
@@ -72,53 +46,49 @@ fn gelu_grad_scalar(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_C * x * x)
 }
 
-impl Module for Gelu {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = Some(input.clone());
-        Tensor::from_vec(
-            input.data().iter().map(|&x| gelu_scalar(x)).collect(),
-            input.shape(),
-        )
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        assert_eq!(grad_output.shape(), input.shape());
-        Tensor::from_vec(
-            input
-                .data()
-                .iter()
-                .zip(grad_output.data())
-                .map(|(&x, &g)| g * gelu_grad_scalar(x))
-                .collect(),
-            input.shape(),
-        )
-    }
-}
-
-/// Rectified linear unit, `relu(x) = max(0, x)`.
-#[derive(Debug, Default)]
-pub struct Relu {
+/// The element-wise activation of one [`Activation`] family — GELU,
+/// tanh approximation, `gelu(x) = 0.5 x (1 + tanh(√(2/π)(x + 0.044715
+/// x³)))`, which the paper puts in place of ResNet9's ReLUs for better
+/// convergence and accuracy; or ReLU, `max(0, x)`, for the ablation.
+/// Its forward evaluates the expressions of [`Activation::apply`], so
+/// the training graph and the serving plan share one rule.
+///
+/// ```
+/// use omniboost_tensor::infer::Activation;
+/// use omniboost_tensor::{Act, Module, Tensor};
+///
+/// let mut g = Act::new(Activation::Gelu);
+/// let y = g.forward(&Tensor::from_vec(vec![-2.0, 0.0, 2.0], &[1, 3]));
+/// assert!(y.data()[0] < 0.0 && y.data()[0] > -0.1); // small negative tail
+/// assert_eq!(y.data()[1], 0.0);
+/// assert!((y.data()[2] - 1.954).abs() < 1e-2);
+/// ```
+#[derive(Debug)]
+pub struct Act {
+    kind: Activation,
     cached_input: Option<Tensor>,
 }
 
-impl Relu {
+impl Act {
     /// Creates the activation.
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(kind: Activation) -> Self {
+        Self {
+            kind,
+            cached_input: None,
+        }
     }
 }
 
-impl Module for Relu {
+impl Module for Act {
     fn forward(&mut self, input: &Tensor) -> Tensor {
+        // One match per call, not per element, so each loop vectorizes.
+        let xs = input.data().iter();
+        let data = match self.kind {
+            Activation::Gelu => xs.map(|&x| gelu_scalar(x)).collect(),
+            Activation::Relu => xs.map(|&x| x.max(0.0)).collect(),
+        };
         self.cached_input = Some(input.clone());
-        Tensor::from_vec(
-            input.data().iter().map(|&x| x.max(0.0)).collect(),
-            input.shape(),
-        )
+        Tensor::from_vec(data, input.shape())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -127,15 +97,12 @@ impl Module for Relu {
             .as_ref()
             .expect("backward called before forward");
         assert_eq!(grad_output.shape(), input.shape());
-        Tensor::from_vec(
-            input
-                .data()
-                .iter()
-                .zip(grad_output.data())
-                .map(|(&x, &g)| if x > 0.0 { g } else { 0.0 })
-                .collect(),
-            input.shape(),
-        )
+        let xg = input.data().iter().zip(grad_output.data());
+        let data = match self.kind {
+            Activation::Gelu => xg.map(|(&x, &g)| g * gelu_grad_scalar(x)).collect(),
+            Activation::Relu => xg.map(|(&x, &g)| if x > 0.0 { g } else { 0.0 }).collect(),
+        };
+        Tensor::from_vec(data, input.shape())
     }
 }
 
@@ -166,7 +133,7 @@ mod tests {
 
     #[test]
     fn relu_zeroes_negative_gradient() {
-        let mut r = Relu::new();
+        let mut r = Act::new(Activation::Relu);
         let x = Tensor::from_vec(vec![-1.0, 2.0], &[1, 2]);
         let _ = r.forward(&x);
         let g = r.backward(&Tensor::from_vec(vec![5.0, 5.0], &[1, 2]));

@@ -22,7 +22,6 @@ pub struct Linear {
     /// `[out]`.
     bias: Param,
     cached_input: Option<Tensor>,
-    gemm_backward: bool,
     scratch: GemmScratch,
 }
 
@@ -39,7 +38,6 @@ impl Linear {
             )),
             bias: Param::new(Tensor::zeros(&[out_features])),
             cached_input: None,
-            gemm_backward: true,
             scratch: GemmScratch::default(),
         }
     }
@@ -52,87 +50,6 @@ impl Linear {
     /// Output width.
     pub fn out_features(&self) -> usize {
         self.out_features
-    }
-
-    /// The seed's direct backward loops — the A/B reference for
-    /// [`Module::set_gemm_backward`].
-    fn backward_direct(&mut self, n: usize, x: &[f32], g: &[f32]) -> Tensor {
-        let w = self.weight.value.data().to_vec();
-        // dW[o][i] += sum_n g[n][o] * x[n][i];  db[o] += sum_n g[n][o].
-        {
-            let dw = self.weight.grad.data_mut();
-            for s in 0..n {
-                for o in 0..self.out_features {
-                    let gv = g[s * self.out_features + o];
-                    if gv == 0.0 {
-                        continue;
-                    }
-                    let xrow = &x[s * self.in_features..(s + 1) * self.in_features];
-                    let dwrow = &mut dw[o * self.in_features..(o + 1) * self.in_features];
-                    for (d, xv) in dwrow.iter_mut().zip(xrow) {
-                        *d += gv * xv;
-                    }
-                }
-            }
-        }
-        {
-            let db = self.bias.grad.data_mut();
-            for s in 0..n {
-                for o in 0..self.out_features {
-                    db[o] += g[s * self.out_features + o];
-                }
-            }
-        }
-        // dx[n][i] = sum_o g[n][o] * W[o][i].
-        let mut grad_input = Tensor::zeros(&[n, self.in_features]);
-        let gi = grad_input.data_mut();
-        for s in 0..n {
-            for o in 0..self.out_features {
-                let gv = g[s * self.out_features + o];
-                if gv == 0.0 {
-                    continue;
-                }
-                let wrow = &w[o * self.in_features..(o + 1) * self.in_features];
-                let girow = &mut gi[s * self.in_features..(s + 1) * self.in_features];
-                for (d, wv) in girow.iter_mut().zip(wrow) {
-                    *d += gv * wv;
-                }
-            }
-        }
-        grad_input
-    }
-
-    /// GEMM-shaped backward: `dW += Gᵀ·X`, `db += column-sums of G`,
-    /// `dX = G·W` — the same three-pass structure as the convolution.
-    fn backward_gemm(&mut self, n: usize, x: &[f32], g: &[f32]) -> Tensor {
-        {
-            let db = self.bias.grad.data_mut();
-            for s in 0..n {
-                for o in 0..self.out_features {
-                    db[o] += g[s * self.out_features + o];
-                }
-            }
-        }
-        gemm_tn(
-            self.out_features,
-            n,
-            self.in_features,
-            g,
-            x,
-            self.in_features,
-            self.weight.grad.data_mut(),
-        );
-        let mut grad_input = Tensor::zeros(&[n, self.in_features]);
-        gemm_nn(
-            n,
-            self.out_features,
-            self.in_features,
-            g,
-            self.weight.value.data(),
-            grad_input.data_mut(),
-            &mut self.scratch,
-        );
-        grad_input
     }
 }
 
@@ -160,29 +77,46 @@ impl Module for Linear {
         out
     }
 
+    /// GEMM-shaped backward: `dW += Gᵀ·X`, `db += column-sums of G`,
+    /// `dX = G·W` — the same three-pass structure as the convolution.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
+        let x = self
             .cached_input
-            .take()
+            .as_ref()
             .expect("backward called before forward");
-        let n = input.shape()[0];
+        let n = x.shape()[0];
         assert_eq!(grad_output.shape(), &[n, self.out_features]);
         let g = grad_output.data();
-        let out = if self.gemm_backward {
-            self.backward_gemm(n, input.data(), g)
-        } else {
-            self.backward_direct(n, input.data(), g)
-        };
-        self.cached_input = Some(input);
-        out
+        let db = self.bias.grad.data_mut();
+        for row in g.chunks_exact(self.out_features) {
+            for (d, v) in db.iter_mut().zip(row) {
+                *d += v;
+            }
+        }
+        gemm_tn(
+            self.out_features,
+            n,
+            self.in_features,
+            g,
+            x.data(),
+            self.in_features,
+            self.weight.grad.data_mut(),
+        );
+        let mut grad_input = Tensor::zeros(&[n, self.in_features]);
+        gemm_nn(
+            n,
+            self.out_features,
+            self.in_features,
+            g,
+            self.weight.value.data(),
+            grad_input.data_mut(),
+            &mut self.scratch,
+        );
+        grad_input
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn set_gemm_backward(&mut self, enabled: bool) {
-        self.gemm_backward = enabled;
     }
 }
 
@@ -190,6 +124,7 @@ impl Module for Linear {
 mod tests {
     use super::*;
     use crate::loss::{Loss, MseLoss};
+    use crate::reference;
 
     /// Finite-difference gradient check on a tiny layer.
     #[test]
@@ -230,27 +165,26 @@ mod tests {
         assert!((numeric - gx.data()[0]).abs() < 2e-2);
     }
 
-    /// The GEMM backward matches the direct reference within 1e-5.
+    /// The GEMM backward matches the direct reference within 1e-5, at
+    /// a one-row batch and a many-row one.
     #[test]
     fn gemm_backward_matches_direct_reference() {
-        let mut a = Linear::new(7, 5, 21);
-        let mut b = Linear::new(7, 5, 21);
-        b.set_gemm_backward(false);
-        let x = Tensor::randn(&[9, 7], 1);
-        let ya = a.forward(&x);
-        let _ = b.forward(&x);
-        let grad = Tensor::randn(ya.shape(), 2);
-        a.zero_grad();
-        b.zero_grad();
-        let gxa = a.backward(&grad);
-        let gxb = b.backward(&grad);
-        for (p, q) in gxa.data().iter().zip(gxb.data()) {
-            assert!((p - q).abs() < 1e-5 * (1.0 + q.abs()), "dX {p} vs {q}");
+        for n in [1, 9] {
+            let mut layer = Linear::new(7, 5, 21);
+            let x = Tensor::randn(&[n, 7], 1);
+            let y = layer.forward(&x);
+            let grad = Tensor::randn(y.shape(), 2);
+            layer.zero_grad();
+            let gx = layer.backward(&grad);
+            let r = reference::linear_backward(&x, &layer.weight.value, &grad);
+            for (p, q) in gx.data().iter().zip(r.input.data()) {
+                assert!((p - q).abs() < 1e-5 * (1.0 + q.abs()), "dX {p} vs {q}");
+            }
+            for (p, q) in layer.weight.grad.data().iter().zip(r.weight.data()) {
+                assert!((p - q).abs() < 1e-5 * (1.0 + q.abs()), "dW {p} vs {q}");
+            }
+            assert_eq!(layer.bias.grad, r.bias, "db is order-identical");
         }
-        for (p, q) in a.weight.grad.data().iter().zip(b.weight.grad.data()) {
-            assert!((p - q).abs() < 1e-5 * (1.0 + q.abs()), "dW {p} vs {q}");
-        }
-        assert_eq!(a.bias.grad, b.bias.grad, "db is order-identical");
     }
 
     #[test]

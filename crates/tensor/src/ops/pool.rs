@@ -3,38 +3,30 @@
 use crate::module::Module;
 use crate::tensor::Tensor;
 
-/// Max pooling with square window and stride = window (non-overlapping),
-/// over `[N, C, H, W]` inputs. Trailing rows/columns that do not fill a
-/// window are dropped (floor semantics), matching PyTorch defaults.
+/// 2×2 max pooling with stride 2 over `[N, C, H, W]` inputs — the only
+/// pool the estimator builds (and the one
+/// [`max_pool2x2`](crate::infer::max_pool2x2) serves). A trailing row or
+/// column that does not fill a window is dropped (floor semantics),
+/// matching PyTorch defaults.
 ///
 /// ```
 /// use omniboost_tensor::{MaxPool2d, Module, Tensor};
 ///
-/// let mut p = MaxPool2d::new(2);
+/// let mut p = MaxPool2d::new();
 /// let y = p.forward(&Tensor::randn(&[1, 3, 11, 40], 1));
 /// assert_eq!(y.shape(), &[1, 3, 5, 20]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MaxPool2d {
-    window: usize,
     cached_input_shape: Vec<usize>,
     /// Flat input index of each output's argmax.
     cached_argmax: Vec<usize>,
 }
 
 impl MaxPool2d {
-    /// Creates a pool with the given window size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        Self {
-            window,
-            cached_input_shape: Vec::new(),
-            cached_argmax: Vec::new(),
-        }
+    /// Creates the pool.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -44,8 +36,7 @@ impl Module for MaxPool2d {
             [n, c, h, w] => [n, c, h, w],
             _ => panic!("MaxPool2d expects [N, C, H, W] input"),
         };
-        let k = self.window;
-        let (oh, ow) = (h / k, w / k);
+        let (oh, ow) = (h / 2, w / 2);
         assert!(oh > 0 && ow > 0, "input smaller than pooling window");
         let x = input.data();
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
@@ -62,10 +53,10 @@ impl Module for MaxPool2d {
                     for ox in 0..ow {
                         let mut best = f32::NEG_INFINITY;
                         let mut best_idx = 0usize;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let iy = oy * k + ky;
-                                let ix = ox * k + kx;
+                        for ky in 0..2 {
+                            for kx in 0..2 {
+                                let iy = oy * 2 + ky;
+                                let ix = ox * 2 + kx;
                                 let idx = ((ni * c + ci) * h + iy) * w + ix;
                                 if x[idx] > best {
                                     best = x[idx];
@@ -164,7 +155,7 @@ mod tests {
     #[test]
     fn maxpool_picks_maxima() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let mut p = MaxPool2d::new(2);
+        let mut p = MaxPool2d::new();
         let y = p.forward(&x);
         assert_eq!(y.data(), &[4.0]);
         let g = p.backward(&Tensor::from_vec(vec![7.0], &[1, 1, 1, 1]));
@@ -173,7 +164,7 @@ mod tests {
 
     #[test]
     fn maxpool_drops_trailing_odd_edge() {
-        let mut p = MaxPool2d::new(2);
+        let mut p = MaxPool2d::new();
         let y = p.forward(&Tensor::zeros(&[1, 1, 5, 7]));
         assert_eq!(y.shape(), &[1, 1, 2, 3]);
     }
@@ -186,11 +177,5 @@ mod tests {
         assert_eq!(y.data(), &[2.5]);
         let g = p.backward(&Tensor::from_vec(vec![4.0], &[1, 1, 1, 1]));
         assert_eq!(g.data(), &[1.0, 1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn zero_window_panics() {
-        let _ = MaxPool2d::new(0);
     }
 }

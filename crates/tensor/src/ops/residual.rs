@@ -1,40 +1,42 @@
-//! Residual block: `y = gelu(conv2(gelu(conv1(x))) + x)`.
+//! Residual block: `y = act(conv2(act(conv1(x))) + x)`.
 //!
 //! The paper's estimator is "ResNet9-based … with residual connections"
 //! (§IV-B); this block is its skip-connection unit. Channel count is
 //! preserved so the identity shortcut needs no projection.
 
+use crate::infer::Activation;
 use crate::module::{Module, Param};
-use crate::ops::activation::Gelu;
+use crate::ops::activation::Act;
 use crate::ops::conv::Conv2d;
 use crate::tensor::Tensor;
 
-/// A two-convolution identity-shortcut residual block with GELU
-/// activations and 3×3 kernels.
+/// A two-convolution identity-shortcut residual block with 3×3 kernels
+/// and the network's activation family.
 ///
 /// ```
+/// use omniboost_tensor::infer::Activation;
 /// use omniboost_tensor::{Module, ResidualBlock, Tensor};
 ///
-/// let mut block = ResidualBlock::new(8, 42);
+/// let mut block = ResidualBlock::new(8, Activation::Gelu, 42);
 /// let x = Tensor::randn(&[2, 8, 5, 10], 1);
 /// let y = block.forward(&x);
 /// assert_eq!(y.shape(), x.shape());
 /// ```
 pub struct ResidualBlock {
     conv1: Conv2d,
-    act1: Gelu,
+    act1: Act,
     conv2: Conv2d,
-    act_out: Gelu,
+    act_out: Act,
 }
 
 impl ResidualBlock {
     /// Creates a block operating on `channels`-wide feature maps.
-    pub fn new(channels: usize, seed: u64) -> Self {
+    pub fn new(channels: usize, act: Activation, seed: u64) -> Self {
         Self {
-            conv1: Conv2d::new(channels, channels, 3, 1, 1, seed),
-            act1: Gelu::new(),
-            conv2: Conv2d::new(channels, channels, 3, 1, 1, seed.wrapping_add(1)),
-            act_out: Gelu::new(),
+            conv1: Conv2d::new(channels, channels, seed),
+            act1: Act::new(act),
+            conv2: Conv2d::new(channels, channels, seed.wrapping_add(1)),
+            act_out: Act::new(act),
         }
     }
 }
@@ -62,11 +64,6 @@ impl Module for ResidualBlock {
         p.extend(self.conv2.params_mut());
         p
     }
-
-    fn set_gemm_backward(&mut self, enabled: bool) {
-        self.conv1.set_gemm_backward(enabled);
-        self.conv2.set_gemm_backward(enabled);
-    }
 }
 
 #[cfg(test)]
@@ -76,13 +73,13 @@ mod tests {
 
     #[test]
     fn param_count_is_two_convs() {
-        let mut b = ResidualBlock::new(4, 1);
+        let mut b = ResidualBlock::new(4, Activation::Gelu, 1);
         assert_eq!(b.num_params(), 2 * (4 * 4 * 9 + 4));
     }
 
     #[test]
     fn shortcut_passes_gradient_even_with_zero_weights() {
-        let mut b = ResidualBlock::new(2, 1);
+        let mut b = ResidualBlock::new(2, Activation::Gelu, 1);
         for p in b.params_mut() {
             p.value.fill_zero();
         }
@@ -95,7 +92,7 @@ mod tests {
 
     #[test]
     fn gradients_match_finite_differences() {
-        let mut b = ResidualBlock::new(2, 3);
+        let mut b = ResidualBlock::new(2, Activation::Gelu, 3);
         let x = Tensor::randn(&[1, 2, 3, 3], 5);
         let target = Tensor::randn(&[1, 2, 3, 3], 6);
         let y = b.forward(&x);

@@ -1,58 +1,6 @@
-//! First-order optimizers.
+//! The Adam optimizer the estimator trains with (§V).
 
 use crate::module::Param;
-
-/// A parameter-update rule applied after each backward pass.
-pub trait Optimizer {
-    /// Applies one update step to the given parameters.
-    ///
-    /// The same parameter list (in the same order) must be passed on every
-    /// step — stateful optimizers key their moment buffers by position.
-    fn step(&mut self, params: &mut [&mut Param]);
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0.0 disables momentum).
-    pub momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates momentum-free SGD.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Adds classical momentum.
-    #[must_use]
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.len()]).collect();
-        }
-        for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
-            let g = p.grad.data().to_vec();
-            for ((w, vi), gi) in p.value.data_mut().iter_mut().zip(v.iter_mut()).zip(&g) {
-                *vi = self.momentum * *vi + gi;
-                *w -= self.lr * *vi;
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba) with PyTorch-default hyper-parameters.
 #[derive(Debug, Clone)]
@@ -83,10 +31,12 @@ impl Adam {
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param]) {
+    /// Applies one update step to the given parameters.
+    ///
+    /// The same parameter list (in the same order) must be passed on
+    /// every step — the moment buffers are keyed by position.
+    pub fn step(&mut self, params: &mut [&mut Param]) {
         if self.m.len() != params.len() {
             self.m = params.iter().map(|p| vec![0.0; p.len()]).collect();
             self.v = params.iter().map(|p| vec![0.0; p.len()]).collect();
@@ -127,7 +77,7 @@ mod tests {
     use crate::ops::linear::Linear;
     use crate::tensor::Tensor;
 
-    fn fit<O: Optimizer>(mut opt: O, steps: usize) -> f32 {
+    fn fit(mut opt: Adam, steps: usize) -> f32 {
         // Learn y = 2x + 1 from noise-free samples.
         let mut layer = Linear::new(1, 1, 3);
         let x = Tensor::from_vec(vec![-1.0, 0.0, 1.0, 2.0], &[4, 1]);
@@ -142,16 +92,6 @@ mod tests {
             last = loss;
         }
         last
-    }
-
-    #[test]
-    fn sgd_converges_on_linear_fit() {
-        assert!(fit(Sgd::new(0.1), 400) < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        assert!(fit(Sgd::new(0.05).with_momentum(0.9), 400) < 1e-3);
     }
 
     #[test]

@@ -164,18 +164,6 @@ impl Tensor {
         }
     }
 
-    /// In-place element-wise accumulate.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "add shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// Element-wise product with a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
         Tensor {

@@ -2,8 +2,8 @@
 
 use omniboost_tensor::infer::{dense, global_avg_pool, max_pool2x2, Activation, Conv3x3};
 use omniboost_tensor::{
-    export_params, Adam, Conv2d, Flatten, Gelu, GlobalAvgPool, L1Loss, Linear, Loss, MaxPool2d,
-    Module, MseLoss, Optimizer, Sequential, Tensor,
+    export_params, reference, Act, Adam, Conv2d, Flatten, GlobalAvgPool, L1Loss, Linear, Loss,
+    MaxPool2d, Module, MseLoss, Param, Sequential, Tensor,
 };
 use proptest::prelude::*;
 
@@ -80,7 +80,7 @@ proptest! {
     /// conv(αx) = α·conv(x).
     #[test]
     fn conv_is_linear_with_zero_bias(x in arb_small_tensor(&[1, 2, 5, 5]), alpha in -2.0f32..2.0) {
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, 7);
+        let mut conv = Conv2d::new(2, 3, 7);
         for p in conv.params_mut().into_iter().skip(1) { // zero the bias
             p.value.fill_zero();
         }
@@ -96,7 +96,7 @@ proptest! {
     /// positive constant.
     #[test]
     fn maxpool_selects_existing_values(x in arb_small_tensor(&[1, 2, 4, 6])) {
-        let mut pool = MaxPool2d::new(2);
+        let mut pool = MaxPool2d::new();
         let y = pool.forward(&x);
         for v in y.data() {
             prop_assert!(x.data().contains(v));
@@ -107,7 +107,7 @@ proptest! {
     /// linear: |gelu(x)| <= |x| + 0.2 everywhere.
     #[test]
     fn gelu_is_bounded(x in arb_small_tensor(&[1, 16])) {
-        let mut g = Gelu::new();
+        let mut g = Act::new(Activation::Gelu);
         let y = g.forward(&x);
         for (xi, yi) in x.data().iter().zip(y.data()) {
             prop_assert!(yi.abs() <= xi.abs() + 0.2);
@@ -148,85 +148,73 @@ proptest! {
         }
     }
 
-    /// The GEMM-structured batched backward agrees with the direct
-    /// reference kernels on dW, dX and db within 1e-5, across batch
-    /// sizes, kernels, strides and pads.
+    /// The GEMM-structured backward agrees with the direct reference
+    /// kernels on dW, dX and db within 1e-5, across batch sizes
+    /// (`n == 1` included), channel counts and planes down to one row
+    /// or column.
     #[test]
     fn conv_backward_gemm_equals_direct(
         n in 1usize..=3,
         cin in 1usize..=3,
         cout in 1usize..=4,
-        k in 1usize..=3,
-        s in 1usize..=2,
-        p in 0usize..=1,
-        h in 4usize..=6,
-        w in 4usize..=7,
+        h in 1usize..=6,
+        w in 1usize..=7,
         seed in 0u64..1000,
     ) {
-        let mut gemm_conv = Conv2d::new(cin, cout, k, s, p, seed);
-        let mut direct_conv = Conv2d::new(cin, cout, k, s, p, seed);
-        direct_conv.set_gemm_backward(false);
+        let mut conv = Conv2d::new(cin, cout, seed);
         let x = Tensor::randn(&[n, cin, h, w], seed.wrapping_add(1));
-        let y = gemm_conv.forward(&x);
-        let _ = direct_conv.forward(&x);
+        let y = conv.forward(&x);
         let grad = Tensor::randn(y.shape(), seed.wrapping_add(2));
-        gemm_conv.zero_grad();
-        direct_conv.zero_grad();
-        let gx = gemm_conv.backward(&grad);
-        let gx_ref = direct_conv.backward(&grad);
-        let ctx = format!("n={n} cin={cin} cout={cout} k={k} s={s} p={p} h={h} w={w}");
-        for (a, b) in gx.data().iter().zip(gx_ref.data()) {
-            prop_assert!((a - b).abs() < 1e-5 * (1.0 + b.abs()), "dX {a} vs {b} [{ctx}]");
-        }
-        for (pa, pb) in gemm_conv.params_mut().iter().zip(direct_conv.params_mut()) {
-            for (a, b) in pa.grad.data().iter().zip(pb.grad.data()) {
-                prop_assert!((a - b).abs() < 1e-5 * (1.0 + b.abs()), "dW/db {a} vs {b} [{ctx}]");
+        conv.zero_grad();
+        let gx = conv.backward(&grad);
+        let r = reference::conv3x3_backward(&x, &export_params(&mut conv)[0], &grad);
+        let ctx = format!("n={n} cin={cin} cout={cout} h={h} w={w}");
+        let params = conv.params_mut();
+        for (got, want) in [(&gx, &r.input), (&params[0].grad, &r.weight), (&params[1].grad, &r.bias)] {
+            for (a, b) in got.data().iter().zip(want.data()) {
+                prop_assert!((a - b).abs() < 1e-5 * (1.0 + b.abs()), "{a} vs {b} [{ctx}]");
             }
         }
     }
 
-    /// The batched GEMM forward reproduces per-sample direct forwards
-    /// (the PR 1 contract, now carried by the shared packed kernel).
+    /// The batched GEMM forward equals, sample by sample, both the GEMM
+    /// forward of that sample alone and the direct reference loop.
     #[test]
-    fn conv_forward_batched_equals_per_sample(
-        n in 2usize..=4,
-        k in 1usize..=3,
-        s in 1usize..=2,
-        p in 0usize..=1,
-        seed in 0u64..1000,
-    ) {
-        let mut conv = Conv2d::new(2, 3, k, s, p, seed);
-        let h = 5usize;
-        let w = 6usize;
+    fn conv_forward_batched_equals_per_sample(n in 1usize..=4, seed in 0u64..1000) {
+        let mut conv = Conv2d::new(2, 3, seed);
+        let p = export_params(&mut conv);
+        let (h, w) = (5usize, 6usize);
         let x = Tensor::randn(&[n, 2, h, w], seed.wrapping_add(3));
         let yb = conv.forward(&x);
         let per = 2 * h * w;
         let oper = yb.len() / n;
         for i in 0..n {
             let xi = Tensor::from_vec(x.data()[i * per..(i + 1) * per].to_vec(), &[1, 2, h, w]);
-            let yi = conv.forward(&xi);
-            for (a, b) in yb.data()[i * oper..(i + 1) * oper].iter().zip(yi.data()) {
-                prop_assert!((a - b).abs() <= 1e-6 * (1.0 + b.abs()), "{a} vs {b}");
-            }
+            let batched = &yb.data()[i * oper..(i + 1) * oper];
+            prop_assert_eq!(batched, conv.forward(&xi).data(), "sample {} of {}", i, n);
+            prop_assert_eq!(batched, reference::conv3x3_forward(&xi, &p[0], &p[1]).data());
         }
     }
 
-    /// Training a conv one SGD step with either backward keeps the two
-    /// weight sets within 1e-5 — the gradients feed updates identically.
+    /// One Adam step from the GEMM backward's gradients and one from the
+    /// reference kernel's keep the two weight sets within 1e-5 — the
+    /// gradients feed updates identically.
     #[test]
-    fn conv_sgd_step_agrees_across_backwards(x in arb_small_tensor(&[3, 2, 5, 5])) {
-        let build = || Conv2d::new(2, 3, 3, 1, 1, 31);
-        let mut a = build();
-        let mut b = build();
-        b.set_gemm_backward(false);
-        for conv in [&mut a, &mut b] {
-            let y = conv.forward(&x);
-            let (_, grad) = MseLoss.compute(&y, &Tensor::zeros(y.shape()));
-            conv.zero_grad();
-            conv.backward(&grad);
-            Adam::new(0.01).step(&mut conv.params_mut());
-        }
-        for (pa, pb) in a.params_mut().iter().zip(b.params_mut()) {
+    fn conv_sgd_step_agrees_across_backwards(x in arb_small_tensor(&[3, 2, 5, 5]), n in 1usize..=3) {
+        let x = Tensor::from_vec(x.data()[..n * 50].to_vec(), &[n, 2, 5, 5]);
+        let mut conv = Conv2d::new(2, 3, 31);
+        let p = export_params(&mut conv);
+        let y = conv.forward(&x);
+        let (_, grad) = MseLoss.compute(&y, &Tensor::zeros(y.shape()));
+        conv.zero_grad();
+        conv.backward(&grad);
+        Adam::new(0.01).step(&mut conv.params_mut());
+
+        let r = reference::conv3x3_backward(&x, &p[0], &grad);
+        let mut weight = Param { value: p[0].clone(), grad: r.weight };
+        let mut bias = Param { value: p[1].clone(), grad: r.bias };
+        Adam::new(0.01).step(&mut [&mut weight, &mut bias]);
+        for (pa, pb) in conv.params_mut().iter().zip([&weight, &bias]) {
             for (va, vb) in pa.value.data().iter().zip(pb.value.data()) {
                 prop_assert!((va - vb).abs() < 1e-5, "{va} vs {vb}");
             }
@@ -239,8 +227,8 @@ proptest! {
     fn forward_is_batch_consistent(a in arb_small_tensor(&[1, 2, 4, 4]), b in arb_small_tensor(&[1, 2, 4, 4])) {
         let build = || {
             Sequential::new()
-                .push(Conv2d::new(2, 4, 3, 1, 1, 11))
-                .push(Gelu::new())
+                .push(Conv2d::new(2, 4, 11))
+                .push(Act::new(Activation::Gelu))
                 .push(GlobalAvgPool::new())
                 .push(Flatten::new())
                 .push(Linear::new(4, 2, 12))
@@ -302,13 +290,13 @@ proptest! {
     /// `infer` equals the graph's forward element for element.
     #[test]
     fn inference_mode_preserves_values(x in arb_small_tensor(&[2, 2, 4, 4])) {
-        let mut conv = Conv2d::new(2, 4, 3, 1, 1, 17);
+        let mut conv = Conv2d::new(2, 4, 17);
         let mut linear = Linear::new(4, 2, 18);
         let (cp, lp) = (export_params(&mut conv), export_params(&mut linear));
         let mut net = Sequential::new()
             .push(conv)
-            .push(Gelu::new())
-            .push(MaxPool2d::new(2))
+            .push(Act::new(Activation::Gelu))
+            .push(MaxPool2d::new())
             .push(GlobalAvgPool::new())
             .push(Flatten::new())
             .push(linear);
