@@ -29,7 +29,7 @@ bench-quick:
 	cargo test --offline --manifest-path perfbench/Cargo.toml
 	cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --quick
 
-# Perf smoke: the six policy benches end to end in SMOKE mode — shrunken
+# Perf smoke: the five policy benches end to end in SMOKE mode — shrunken
 # budgets/traces, metrics pipelines fully exercised, no JSON snapshot
 # rewrites (numbers from noisy runners must not be published) — then
 # one per-stage profile of the estimator forward (stage times, the
@@ -49,7 +49,6 @@ perf-smoke:
 	SMOKE=1 cargo bench --bench serving
 	SMOKE=1 cargo bench --bench fleet
 	SMOKE=1 cargo bench --bench fleet_scale
-	SMOKE=1 cargo bench --bench admission
 	SMOKE=1 cargo bench --bench chaos
 	SMOKE=1 cargo bench --bench telemetry_overhead
 	cargo run --release --example profile_forward -- 20
@@ -61,14 +60,13 @@ perf-smoke:
 	cargo run --release --example rpc_daemon
 
 # Full perf snapshots: rewrites BENCH_serving.json, BENCH_fleet.json,
-# BENCH_fleet_scale.json, BENCH_admission.json, BENCH_chaos.json and
+# BENCH_fleet_scale.json, BENCH_chaos.json and
 # BENCH_telemetry_overhead.json with this host's numbers.
 .PHONY: perf-snapshots
 perf-snapshots:
 	cargo bench --bench serving
 	cargo bench --bench fleet
 	cargo bench --bench fleet_scale
-	cargo bench --bench admission
 	cargo bench --bench chaos
 	cargo bench --bench telemetry_overhead
 
@@ -77,12 +75,6 @@ perf-snapshots:
 .PHONY: perf-scale
 perf-scale:
 	cargo bench --bench fleet_scale
-
-# Full admission-control run only: rewrites BENCH_admission.json
-# (fifo-vs-mempool arms at 2x and 5x overload, 3 trace seeds each).
-.PHONY: perf-admission
-perf-admission:
-	cargo bench --bench admission
 
 # Full chaos run only: rewrites BENCH_chaos.json (three chaos
 # intensities vs a chaos-free oracle, 3 trace seeds each).

@@ -14,8 +14,8 @@ use omniboost_bench::{config_digest, trace_config_pairs};
 use omniboost_hw::{AnalyticModel, Board};
 use omniboost_models::{ArrivalProcess, ArrivalTrace, TraceConfig};
 use omniboost_serve::{
-    AdmissionPolicy, LatencyStats, OnlineConfig, PlacementPolicy, ReschedulePolicy, SearchBudget,
-    ServingConfig, ServingReport, ServingSim,
+    LatencyStats, OnlineConfig, PlacementPolicy, ReschedulePolicy, SearchBudget, ServingConfig,
+    ServingReport, ServingSim,
 };
 
 struct BenchScale {
@@ -101,8 +101,6 @@ fn run(
         policy,
         placement: PlacementPolicy::LeastLoaded,
         online,
-        use_memo: policy == ReschedulePolicy::WarmStart,
-        admission: AdmissionPolicy::default(),
     };
     let mut sim = ServingSim::new(vec![Board::hikey970(); boards], config, AnalyticModel::new);
     sim.run(&trace, scale.horizon_ms)

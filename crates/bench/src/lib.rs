@@ -26,7 +26,6 @@ use omniboost::mcts::{Mcts, SchedulingEnv, SearchBudget};
 use omniboost::{ComparisonRow, OmniBoost, OmniBoostConfig, Runtime};
 use omniboost_hw::{Device, Fnv1a, HwError, Mapping, ThroughputModel, Workload};
 use omniboost_models::{FleetScriptConfig, ModelId, TraceConfig};
-use omniboost_serve::AdmissionPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hash::Hasher;
@@ -134,27 +133,6 @@ pub fn fleet_script_pairs(cfg: &FleetScriptConfig) -> Vec<(&'static str, String)
             "script.mean_recover_interval_ms",
             format!("{:?}", cfg.mean_recover_interval_ms),
         ),
-    ]
-}
-
-/// [`AdmissionPolicy`] rendered for [`config_digest`].
-pub fn admission_policy_pairs(policy: &AdmissionPolicy) -> Vec<(&'static str, String)> {
-    vec![
-        (
-            "admission.max_backoff_ms",
-            policy.max_backoff_ms.to_string(),
-        ),
-        ("admission.order", format!("{:?}", policy.order)),
-        (
-            "admission.retry_backoff_ms",
-            format!("{:?}", policy.retry_backoff_ms),
-        ),
-        (
-            "admission.tenant_queue_quota",
-            format!("{:?}", policy.tenant_queue_quota),
-        ),
-        ("admission.ttl_ms", format!("{:?}", policy.ttl_ms)),
-        ("admission.validate", policy.validate.to_string()),
     ]
 }
 
@@ -495,23 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_and_trace_pairs_cover_every_admission_knob() {
-        let policy = omniboost_serve::AdmissionPolicy::default();
-        let keys: Vec<&str> = admission_policy_pairs(&policy)
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(
-            keys,
-            [
-                "admission.max_backoff_ms",
-                "admission.order",
-                "admission.retry_backoff_ms",
-                "admission.tenant_queue_quota",
-                "admission.ttl_ms",
-                "admission.validate"
-            ]
-        );
+    fn trace_pairs_cover_the_guaranteed_floor() {
         let trace = omniboost_models::TraceConfig::default();
         assert!(trace_config_pairs(&trace)
             .iter()

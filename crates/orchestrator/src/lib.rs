@@ -74,8 +74,8 @@ pub use omniboost_models::{
     TraceConfig,
 };
 pub use omniboost_serve::{
-    tenant_tps_ratio, AdmissionPolicy, Mempool, OnlineConfig, PlacementPolicy, QueueOrder,
-    RejectReason, ReschedulePolicy, SloClass, SloSummary, TenantSummary,
+    tenant_tps_ratio, Mempool, OnlineConfig, PlacementPolicy, ReschedulePolicy, SloClass,
+    SloSummary, TenantSummary,
 };
 // Observability handle, re-exported so orchestrator users can inject a
 // recorder ([`OrchestratorSim::set_telemetry`]) without a direct

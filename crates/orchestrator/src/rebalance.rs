@@ -544,7 +544,6 @@ mod tests {
         let mut fleet = Fleet::new(
             vec![Board::hikey970(); jobs.len()],
             PlacementPolicy::LeastLoaded,
-            false,
             |board| {
                 OnlineScheduler::new(
                     AnalyticModel::new(board.clone()),

@@ -21,8 +21,8 @@ use omniboost_estimator::BoardScopedCache;
 use omniboost_hw::{Board, EvalCacheStats, Fnv1a, ThroughputModel};
 use omniboost_models::{zoo, ArrivalTrace, FleetEvent, FleetScript, JobEvent, JobSpec};
 use omniboost_serve::{
-    AdmissionPolicy, BoardDecision, Fleet, LatencyStats, OnlineConfig, OnlineScheduler,
-    PlacementPolicy, ReschedulePolicy, ServingConfig, ServingEngine, SloSummary, TenantSummary,
+    BoardDecision, Fleet, LatencyStats, OnlineConfig, OnlineScheduler, PlacementPolicy,
+    ReschedulePolicy, ServingConfig, ServingEngine, SloSummary, TenantSummary,
 };
 use omniboost_telemetry::{LogHistogram, Telemetry};
 use std::collections::HashMap;
@@ -37,28 +37,20 @@ pub struct OrchestratorConfig {
     pub placement: PlacementPolicy,
     /// Per-board online scheduler knobs.
     pub online: OnlineConfig,
-    /// Whether per-board runtimes memoize decisions per workload mix.
-    pub use_memo: bool,
     /// Periodic migration-costed rebalancing (`None` disables — the
     /// PR-4 behaviour where jobs stay pinned to their admission board).
     pub rebalance: Option<RebalanceConfig>,
-    /// Admission-mempool knobs (validation, quotas, TTL, backoff, and
-    /// the queue-drain ordering that used to be the standalone
-    /// `queue_order` field).
-    pub admission: AdmissionPolicy,
 }
 
 impl OrchestratorConfig {
-    /// The production configuration: warm starts, decision memo,
-    /// fair-share placement, rebalancing on.
+    /// The production configuration: warm starts (which bring the
+    /// per-board decision memo), fair-share placement, rebalancing on.
     pub fn warm() -> Self {
         Self {
             policy: ReschedulePolicy::WarmStart,
             placement: PlacementPolicy::FairShare,
             online: OnlineConfig::default(),
-            use_memo: true,
             rebalance: Some(RebalanceConfig::default()),
-            admission: AdmissionPolicy::default(),
         }
     }
 
@@ -68,8 +60,6 @@ impl OrchestratorConfig {
             policy: self.policy,
             placement: self.placement,
             online: self.online,
-            use_memo: self.use_memo,
-            admission: self.admission,
         }
     }
 }
@@ -119,11 +109,8 @@ pub struct OrchestratorTick {
     pub placements: Vec<(u64, usize)>,
     /// Job ids that had to queue.
     pub queued: Vec<u64>,
-    /// Job ids the mempool rejected at submit (validation or tenant
-    /// quota — empty under the default permissive policy).
+    /// Job ids the mempool rejected at submit as unservable.
     pub rejected: Vec<u64>,
-    /// Queued job ids the mempool TTL-evicted this tick.
-    pub expired: Vec<u64>,
     /// Per-board rescheduling outcomes.
     pub decisions: Vec<BoardDecision>,
     /// Rebalance moves accepted this tick.
@@ -217,12 +204,10 @@ pub struct OrchestratorSummary {
     pub peak_queue_depth: usize,
     /// Jobs still waiting when the trace ended.
     pub left_in_queue: usize,
-    /// Jobs the mempool rejected at submit (validation + tenant quota).
-    /// Rejected jobs are accounted — not lost — so they do not count
-    /// toward [`OrchestratorSummary::lost_jobs`].
+    /// Jobs the mempool rejected at submit as unservable. Rejected jobs
+    /// are accounted — not lost — so they do not count toward
+    /// [`OrchestratorSummary::lost_jobs`].
     pub rejected: usize,
-    /// Queued jobs the mempool TTL-evicted before they ever placed.
-    pub expired: usize,
     /// Per-SLO-class attainment (guaranteed floors, best-effort
     /// starvation).
     pub slo: SloSummary,
@@ -311,14 +296,10 @@ impl OrchestratorReport {
             for id in &tick.queued {
                 h.write(&id.to_le_bytes());
             }
-            // Rejections/expiries hash per id: empty vectors write no
-            // bytes, so pre-mempool digests are preserved verbatim.
+            // Rejections hash per id: an empty vector writes no bytes,
+            // so pre-mempool digests are preserved verbatim.
             for id in &tick.rejected {
                 h.write(&[3]);
-                h.write(&id.to_le_bytes());
-            }
-            for id in &tick.expired {
-                h.write(&[4]);
                 h.write(&id.to_le_bytes());
             }
             for d in &tick.decisions {
@@ -830,7 +811,6 @@ where
                     placements: tick.placements,
                     queued: tick.queued,
                     rejected: tick.rejected,
-                    expired: tick.expired,
                     decisions: tick.decisions,
                     rebalances,
                     queue_depth: tick.queue_depth,
@@ -898,7 +878,6 @@ where
             peak_queue_depth: s.peak_queue_depth,
             left_in_queue: s.left_in_queue,
             rejected: s.rejected,
-            expired: s.expired,
             slo: s.slo,
             mean_aggregate_tps: s.mean_aggregate_tps,
             board_utilization: s.board_utilization,

@@ -6,12 +6,10 @@ use omniboost_models::{
     JobEvent, JobSpec, ModelId, TraceConfig, TraceEvent,
 };
 use omniboost_orchestrator::{
-    BoardProfile, FleetSpec, OrchestratorConfig, OrchestratorReport, OrchestratorSim, QueueOrder,
+    BoardProfile, FleetSpec, OrchestratorConfig, OrchestratorReport, OrchestratorSim,
     RebalanceConfig,
 };
-use omniboost_serve::{
-    AdmissionPolicy, OnlineConfig, PlacementPolicy, SearchBudget, ServingConfig, ServingSim,
-};
+use omniboost_serve::{OnlineConfig, PlacementPolicy, SearchBudget, ServingConfig, ServingSim};
 use proptest::prelude::*;
 
 const HORIZON_MS: u64 = 30_000;
@@ -352,13 +350,12 @@ fn board_join_drains_the_queue() {
     assert!(join_tick.board_jobs[1] > 0, "new board took jobs");
 }
 
-/// `QueueOrder::TenantDeficit` drains the starved tenant first: with a
-/// single board fully held by tenant 0 and one queued job per tenant,
-/// the slot a departure frees goes to tenant 0's earlier-queued job
-/// under FIFO but to tenant 1's (zero attained throughput so far)
-/// under the deficit order.
+/// The queue drains in arrival order, whoever is starved: with a single
+/// board fully held by tenant 0 and one queued job per tenant, the slot
+/// a departure frees goes to tenant 0's earlier-queued job, not to
+/// tenant 1's (zero attained throughput so far).
 #[test]
-fn tenant_deficit_queue_order_serves_starved_tenant_first() {
+fn freed_slot_goes_to_the_earliest_queued_job() {
     let cap = Board::hikey970().max_concurrent_dnns as u64;
     let mut events = Vec::new();
     for id in 1..=cap {
@@ -378,33 +375,23 @@ fn tenant_deficit_queue_order_serves_starved_tenant_first() {
         event: JobEvent::Depart { job_id: 1 },
     });
     let trace = ArrivalTrace::from_events(events);
-    let run = |order: QueueOrder| {
-        let config = OrchestratorConfig {
-            placement: PlacementPolicy::LeastLoaded,
-            admission: AdmissionPolicy {
-                order,
-                ..AdmissionPolicy::default()
-            },
-            ..config(false)
-        };
-        let mut sim = OrchestratorSim::new(
-            FleetSpec::homogeneous(1, BoardProfile::hikey970()),
-            config,
-            AnalyticModel::new,
-        );
-        sim.run(&trace, &FleetScript::new(Vec::new()), 12_000)
+    let config = OrchestratorConfig {
+        placement: PlacementPolicy::LeastLoaded,
+        ..config(false)
     };
-    let drained_job = |report: &OrchestratorReport| {
-        let tick = report
-            .ticks
-            .iter()
-            .find(|t| t.at_ms == 10_000)
-            .expect("departure tick recorded");
-        assert_eq!(tick.placements.len(), 1, "exactly one slot freed");
-        tick.placements[0].0
-    };
-    assert_eq!(drained_job(&run(QueueOrder::Fifo)), cap + 1);
-    assert_eq!(drained_job(&run(QueueOrder::TenantDeficit)), cap + 2);
+    let mut sim = OrchestratorSim::new(
+        FleetSpec::homogeneous(1, BoardProfile::hikey970()),
+        config,
+        AnalyticModel::new,
+    );
+    let report = sim.run(&trace, &FleetScript::new(Vec::new()), 12_000);
+    let tick = report
+        .ticks
+        .iter()
+        .find(|t| t.at_ms == 10_000)
+        .expect("departure tick recorded");
+    assert_eq!(tick.placements.len(), 1, "exactly one slot freed");
+    assert_eq!(tick.placements[0].0, cap + 1);
 }
 
 /// Evacuation ordering on board failure: with one VGG-19 among
@@ -527,8 +514,8 @@ fn batched_rebalance_commits_multiple_moves_in_one_tick() {
 // Admission-mempool properties (PR 7).
 // ---------------------------------------------------------------------------
 
-/// Behaviour preservation across the mempool extraction: the default
-/// [`AdmissionPolicy`] must replay exactly the digest the pre-mempool
+/// Behaviour preservation across the mempool extraction: the mempool
+/// must replay exactly the digest the pre-mempool
 /// `OrchestratorSim` (own FIFO `VecDeque`, linear drains) produced for
 /// this seed/config pair, captured at the commit *before* the refactor.
 #[test]
@@ -646,12 +633,10 @@ fn recording_telemetry_is_digest_neutral() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// (vi) **Strict admission conserves jobs through fleet churn**:
-    /// with quotas, TTL eviction, retry backoff and the deficit drain
-    /// all engaged on top of failures/drains/joins/rebalancing, every
-    /// arrival still ends in exactly one of {resident, queued,
-    /// departed, rejected, expired} at every tick, and the end-of-run
-    /// `lost_jobs` audit stays zero (rejected/expired jobs are
+    /// (vi) **Admission conserves jobs through fleet churn**: on top of
+    /// failures/drains/joins/rebalancing, every arrival ends in exactly
+    /// one of {resident, queued, departed, rejected} at every tick, and
+    /// the end-of-run `lost_jobs` audit stays zero (rejected jobs are
     /// first-class accounting, not losses).
     #[test]
     fn strict_admission_conserves_jobs_through_fleet_churn(
@@ -659,28 +644,11 @@ proptest! {
         seed in 0u64..400,
         mode in 0u8..3,
     ) {
-        let config = OrchestratorConfig {
-            admission: AdmissionPolicy {
-                order: QueueOrder::TenantDeficit,
-                tenant_queue_quota: Some(2),
-                ttl_ms: Some(4_000),
-                retry_backoff_ms: Some(100),
-                max_backoff_ms: 2_000,
-                ..AdmissionPolicy::default()
-            },
-            ..config_mode(mode)
-        };
-        let report = run(process, seed, config);
+        let report = run(process, seed, config_mode(mode));
         prop_assert_eq!(report.summary.lost_jobs, 0);
         let mut live = std::collections::HashSet::new();
         let mut rejected = 0usize;
-        let mut expired = 0usize;
         for tick in &report.ticks {
-            // The TTL sweep runs at tick start, before the tick's events.
-            for id in &tick.expired {
-                prop_assert!(live.remove(id), "expired job {} was not live", id);
-                expired += 1;
-            }
             for e in &tick.events {
                 match e {
                     JobEvent::Arrive(job) => {
@@ -689,7 +657,7 @@ proptest! {
                         }
                     }
                     JobEvent::Depart { job_id } => {
-                        // Departures of rejected/expired jobs are no-ops.
+                        // Departures of rejected jobs are no-ops.
                         live.remove(job_id);
                     }
                 }
@@ -704,7 +672,6 @@ proptest! {
             );
         }
         prop_assert_eq!(report.summary.rejected, rejected);
-        prop_assert_eq!(report.summary.expired, expired);
     }
 }
 

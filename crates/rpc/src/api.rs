@@ -35,8 +35,8 @@ pub enum ErrorCode {
     /// The daemon is draining: new admissions are refused, residents
     /// keep running. The **distinct drain code** clients key on.
     Draining,
-    /// The admission mempool rejected the job (validation/quota); the
-    /// message carries the reason.
+    /// The admission mempool rejected the job: no profile in the fleet
+    /// could ever admit its model.
     AdmissionRejected,
     /// No such route.
     NotFound,

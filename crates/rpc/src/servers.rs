@@ -31,8 +31,7 @@ use crate::http::{render_response, FrameDecoder, FrameLimits, Request};
 use crate::json;
 use omniboost_hw::{Board, ThroughputModel};
 use omniboost_serve::{
-    LatencyStats, RejectReason, ServingConfig, ServingEngine, ServingReport, ServingSummary,
-    SubmitOutcome,
+    LatencyStats, ServingConfig, ServingEngine, ServingReport, ServingSummary, SubmitOutcome,
 };
 use omniboost_telemetry::{export, LogHistogram, Telemetry};
 use std::io::{Read, Write};
@@ -381,12 +380,9 @@ fn handle_submit<M: ThroughputModel + Send>(
             queue_depth: engine.queue_depth(),
         }
         .to_json()),
-        SubmitOutcome::Rejected(reason) => Err(ApiError::new(
+        SubmitOutcome::Rejected => Err(ApiError::new(
             ErrorCode::AdmissionRejected,
-            match reason {
-                RejectReason::Unservable => "unservable: no profile in the fleet admits this model",
-                RejectReason::TenantQuota => "tenant quota: in-queue quota exhausted",
-            },
+            "unservable: no profile in the fleet admits this model",
         )),
     }
 }
@@ -528,9 +524,9 @@ pub(crate) fn summary_json(s: &ServingSummary) -> String {
         .collect();
     format!(
         "{{\"events\": {}, \"arrivals\": {}, \"departures\": {}, \"placements\": {}, \
-         \"peak_queue_depth\": {}, \"left_in_queue\": {}, \"rejected\": {}, \"expired\": {}, \
+         \"peak_queue_depth\": {}, \"left_in_queue\": {}, \"rejected\": {}, \
          \"pool\": {{\"submitted\": {}, \"requeued\": {}, \"placed\": {}, \"rejected\": {}, \
-         \"expired\": {}, \"departed_queued\": {}, \"retries\": {}}}, \
+         \"departed_queued\": {}, \"retries\": {}}}, \
          \"slo\": {{\"guaranteed_jobs\": {}, \"guaranteed_met\": {}, \
          \"guaranteed_attainment\": {:?}, \"best_effort_jobs\": {}, \"best_effort_served\": {}, \
          \"best_effort_mean_tps\": {:?}}}, \
@@ -545,12 +541,10 @@ pub(crate) fn summary_json(s: &ServingSummary) -> String {
         s.peak_queue_depth,
         s.left_in_queue,
         s.rejected,
-        s.expired,
         s.pool.submitted,
         s.pool.requeued,
         s.pool.placed,
         s.pool.rejected,
-        s.pool.expired,
         s.pool.departed_queued,
         s.pool.retries,
         s.slo.guaranteed_jobs,
@@ -612,12 +606,10 @@ fn metrics_text<M: ThroughputModel + Send>(shared: &Shared<M>) -> String {
     line("placements", s.placements.to_string());
     line("peak_queue_depth", s.peak_queue_depth.to_string());
     line("rejected", s.rejected.to_string());
-    line("expired", s.expired.to_string());
     line("pool_submitted", s.pool.submitted.to_string());
     line("pool_requeued", s.pool.requeued.to_string());
     line("pool_placed", s.pool.placed.to_string());
     line("pool_rejected", s.pool.rejected.to_string());
-    line("pool_expired", s.pool.expired.to_string());
     line("pool_departed_queued", s.pool.departed_queued.to_string());
     line("pool_retries", s.pool.retries.to_string());
     line("decisions", s.decisions.to_string());

@@ -3,7 +3,7 @@
 
 use omniboost_estimator::CnnEstimator;
 use omniboost_hw::{AnalyticModel, Board};
-use omniboost_models::{ArrivalProcess, ArrivalTrace, ModelId, TraceConfig};
+use omniboost_models::{zoo, ArrivalProcess, ArrivalTrace, ModelId, TraceConfig};
 use omniboost_rpc::api::{DepartRequest, ShutdownRequest, SubmitRequest};
 use omniboost_rpc::client::{ClientConfig, RpcClient};
 use omniboost_rpc::loadgen::replay_trace;
@@ -298,6 +298,51 @@ fn metrics_histograms_and_trace_export() {
     for layer in ["core", "serve", "rpc"] {
         assert!(cats.contains(layer), "no {layer} spans in {cats:?}");
     }
+
+    client
+        .shutdown(&ShutdownRequest::default())
+        .expect("shutdown");
+    server.join();
+}
+
+/// A model no board in the fleet could ever hold is refused with `409
+/// admission-rejected` and the "unservable" reason, and counted as
+/// rejected; a light model on the same fleet still places.
+#[test]
+fn unservable_submit_answers_admission_rejected() {
+    let mut board = Board::hikey970();
+    board.memory_budget_bytes = zoo::build(ModelId::Vgg19).total_weight_bytes() - 1;
+    let server = RpcServer::start(
+        ServerConfig::default(),
+        vec![board],
+        serving_config(),
+        AnalyticModel::new,
+    )
+    .expect("bind loopback");
+    let mut client =
+        RpcClient::connect(ClientConfig::new(server.addr().to_string())).expect("dial daemon");
+
+    let refused = client
+        .submit(&SubmitRequest::simple(ModelId::Vgg19))
+        .expect_err("no board holds VGG-19");
+    match refused {
+        omniboost_rpc::RpcError::Api {
+            status,
+            ref code,
+            ref message,
+        } => {
+            assert_eq!((status, code.as_str()), (409, "admission-rejected"));
+            assert!(message.starts_with("unservable: "), "got {message}");
+        }
+        other => panic!("expected api error, got {other}"),
+    }
+    let placed = client
+        .submit(&SubmitRequest::simple(ModelId::MobileNet))
+        .expect("a light model still places");
+    assert_eq!(placed.outcome, "placed");
+    let metrics = client.metrics().expect("metrics");
+    assert!(metrics.contains("omniboost_pool_rejected 1"));
+    assert!(metrics.contains("omniboost_queue_depth 0"));
 
     client
         .shutdown(&ShutdownRequest::default())

@@ -12,7 +12,7 @@
 //! **The tick.** Inputs sharing a timestamp accumulate into one open
 //! tick. Opening it integrates throughput/utilization over the interval
 //! since the previous stamp (with the deployment that actually served
-//! it) and sweeps TTL-expired pool entries. Inputs then land in it:
+//! it). Inputs then land in it:
 //! [`ServingEngine::submit`] / [`ServingEngine::depart`] for jobs, and
 //! the structural fleet operations ([`ServingEngine::deactivate`],
 //! [`ServingEngine::swap_board`], [`ServingEngine::add_board`],
@@ -52,7 +52,6 @@ struct OpenTick {
     placed: Vec<(u64, usize)>,
     queued: Vec<u64>,
     rejected: Vec<u64>,
-    expired: Vec<u64>,
     capacity_freed: bool,
 }
 
@@ -103,8 +102,8 @@ struct RunState {
     /// uptime).
     decisions: usize,
     migrated_layers: usize,
-    /// Conservation audit: ids admitted (placed or queued) and neither
-    /// departed nor TTL-expired since. Each must be resident or queued.
+    /// Conservation audit: ids admitted (placed or queued) and not
+    /// departed since. Each must be resident or queued.
     live: HashSet<u64>,
     /// Evacuees waiting in the pool: job id → the stamp their
     /// evacuation latency counts from.
@@ -126,8 +125,7 @@ impl RunState {
         self.acc.tenant_acc.placement(job, wait_ms);
     }
 
-    /// Drops a departed or expired id from the audit and the evacuee
-    /// ledger.
+    /// Drops a departed id from the audit and the evacuee ledger.
     fn forget(&mut self, job_id: u64) {
         self.live.remove(&job_id);
         self.evac_pending.retain(|(id, _)| *id != job_id);
@@ -156,14 +154,13 @@ impl<M: ThroughputModel> ServingEngine<M> {
         assert!(!boards.is_empty(), "a fleet needs at least one board");
         let policy = config.policy;
         let online = config.online;
-        let fleet = Fleet::new(boards, config.placement, config.use_memo, |board| {
+        let fleet = Fleet::new(boards, config.placement, |board| {
             OnlineScheduler::new(make_evaluator(board.clone()), policy, online)
         });
-        let pool = Mempool::new(config.admission);
         Self {
             fleet,
             config,
-            pool,
+            pool: Mempool::new(),
             run: RunState::default(),
             telemetry: Telemetry::noop(),
         }
@@ -273,11 +270,9 @@ impl<M: ThroughputModel> ServingEngine<M> {
     }
 
     /// Takes the tick at `at_ms` out of the run, opening it first:
-    /// an older open tick closes, the interval since the previous stamp
-    /// integrates, and the TTL sweep runs (before any input — an entry
-    /// that outlived its TTL must not grab capacity this tick frees).
-    /// Time never runs backwards: a stale stamp re-enters the open
-    /// tick.
+    /// an older open tick closes and the interval since the previous
+    /// stamp integrates. Time never runs backwards: a stale stamp
+    /// re-enters the open tick.
     fn take_tick(&mut self, at_ms: u64) -> OpenTick {
         let t = at_ms.max(self.now());
         match self.run.open.take() {
@@ -286,13 +281,8 @@ impl<M: ThroughputModel> ServingEngine<M> {
             None => {}
         }
         self.run.acc.advance_to(&self.fleet, t);
-        let expired = self.pool.expire(t);
-        for id in &expired {
-            self.run.forget(*id);
-        }
         OpenTick {
             at_ms: t,
-            expired,
             ..OpenTick::default()
         }
     }
@@ -308,19 +298,16 @@ impl<M: ThroughputModel> ServingEngine<M> {
     }
 
     /// Offers capacity to the waiting pool entries (guaranteed class
-    /// first, then the configured order, visiting only entries some
-    /// board can actually admit — no head-of-line blocking). Drained
-    /// evacuees close their evacuation-latency sample.
+    /// first, then arrival order, visiting only entries some board can
+    /// actually admit — no head-of-line blocking). Drained evacuees
+    /// close their evacuation-latency sample.
     fn drain_pool(&mut self, open: &mut OpenTick) {
         if self.pool.is_empty() {
             return;
         }
         let _span = self.telemetry.span("serve.pool.drain");
         let t = open.at_ms;
-        for d in self
-            .pool
-            .drain(&mut self.fleet, t, &self.run.acc.tenant_acc)
-        {
+        for d in self.pool.drain(&mut self.fleet) {
             self.run
                 .record_placement(open, &d.job, d.board, t - d.queued_at);
             if let Some(p) = self
@@ -377,25 +364,12 @@ impl<M: ThroughputModel> ServingEngine<M> {
             self.drain_pool(&mut open);
             decisions.extend(self.flush());
         }
-        if !open.expired.is_empty() && self.telemetry.is_recording() {
-            self.telemetry
-                .incr("serve.pool.expired", open.expired.len() as u64);
-            self.telemetry.event(
-                "serve.pool.expire",
-                format!(
-                    "{} queued entries TTL-evicted at t={}ms",
-                    open.expired.len(),
-                    open.at_ms
-                ),
-            );
-        }
         self.run.ticks.push(TickRecord {
             at_ms: open.at_ms,
             events: open.events,
             placements: open.placed,
             queued: open.queued,
             rejected: open.rejected,
-            expired: open.expired,
             decisions,
             queue_depth: self.pool.len(),
             board_jobs: self.fleet.board_jobs(),
@@ -427,7 +401,7 @@ impl<M: ThroughputModel> ServingEngine<M> {
                     run.live.insert(job.id);
                     open.queued.push(job.id);
                 }
-                SubmitOutcome::Rejected(_) => open.rejected.push(job.id),
+                SubmitOutcome::Rejected => open.rejected.push(job.id),
             }
             outcome
         })
@@ -502,8 +476,8 @@ impl<M: ThroughputModel> ServingEngine<M> {
 
     /// Re-places `evacuees`, in the order given, through the
     /// admission-gated pool path at `at_ms`: each lands on a board now
-    /// or queues — an admitted job is never bounced by validation or
-    /// quota, and never dropped. Returns how many relocated within the
+    /// or queues — an admitted job is never bounced by validation, and
+    /// never dropped. Returns how many relocated within the
     /// tick and how many queued; queued evacuees' waits are sampled
     /// into [`ServingSummary::evacuation_wait`] when they drain.
     pub fn requeue(&mut self, evacuees: Vec<JobSpec>, at_ms: u64) -> (usize, usize) {
@@ -596,7 +570,6 @@ impl<M: ThroughputModel> ServingEngine<M> {
             peak_queue_depth: run.peak_queue.max(self.pool.len()),
             left_in_queue: self.pool.len(),
             rejected: pool_stats.rejected,
-            expired: pool_stats.expired,
             pool: pool_stats,
             slo: acc.slo_acc.finish(),
             decisions: run.decisions,

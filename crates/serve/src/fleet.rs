@@ -17,7 +17,7 @@
 //! from exactly these two cases and never asks the fleet to merge
 //! anything. No cache outlives the process.
 
-use crate::scheduler::{DecisionKind, OnlineScheduler, WarmHint};
+use crate::scheduler::{DecisionKind, OnlineScheduler, ReschedulePolicy, WarmHint};
 use crate::sim::BoardDecision;
 use omniboost::{PreviousDeployment, Runtime};
 use omniboost_hw::{Board, Mapping, ThroughputModel, ThroughputReport, Workload};
@@ -368,7 +368,6 @@ impl<M: ThroughputModel> BoardSlot<M> {
 pub struct Fleet<M> {
     slots: Vec<BoardSlot<M>>,
     policy: PlacementPolicy,
-    use_memo: bool,
     rr_cursor: usize,
     /// Observability handle, propagated into every slot's runtime (and
     /// into runtimes built later by joins and profile swaps). No-op by
@@ -382,13 +381,11 @@ impl<M: ThroughputModel> Fleet<M> {
     pub fn new(
         boards: Vec<Board>,
         policy: PlacementPolicy,
-        use_memo: bool,
         mut make_scheduler: impl FnMut(&Board) -> OnlineScheduler<M>,
     ) -> Self {
         let mut fleet = Self {
             slots: Vec::new(),
             policy,
-            use_memo,
             rr_cursor: 0,
             telemetry: Telemetry::noop(),
         };
@@ -403,12 +400,7 @@ impl<M: ThroughputModel> Fleet<M> {
     /// its (stable) index.
     pub fn add_board(&mut self, board: Board, scheduler: OnlineScheduler<M>) -> usize {
         let index = self.slots.len();
-        let mut runtime = if self.use_memo {
-            Runtime::new(board.clone()).with_memo()
-        } else {
-            Runtime::new(board.clone())
-        };
-        runtime.set_telemetry(self.telemetry.clone());
+        let runtime = self.runtime_for(&board, &scheduler);
         self.slots.push(BoardSlot {
             index,
             scheduler,
@@ -425,6 +417,18 @@ impl<M: ThroughputModel> Fleet<M> {
             resident_weight_bytes: 0,
         });
         index
+    }
+
+    /// A fresh runtime for `board`, carrying the fleet's telemetry. Warm
+    /// starts memoize decisions per workload mix (an unchanged mix
+    /// answers instantly); cold restarts pay a full search every time.
+    fn runtime_for(&self, board: &Board, scheduler: &OnlineScheduler<M>) -> Runtime {
+        let mut runtime = Runtime::new(board.clone());
+        if scheduler.policy() == ReschedulePolicy::WarmStart {
+            runtime = runtime.with_memo();
+        }
+        runtime.set_telemetry(self.telemetry.clone());
+        runtime
     }
 
     /// Attaches a telemetry handle and propagates it into every slot's
@@ -520,14 +524,9 @@ impl<M: ThroughputModel> Fleet<M> {
         board: Board,
         scheduler: OnlineScheduler<M>,
     ) -> (Vec<JobSpec>, OnlineScheduler<M>) {
-        let use_memo = self.use_memo;
+        let runtime = self.runtime_for(&board, &scheduler);
         let slot = &mut self.slots[index];
-        slot.runtime = if use_memo {
-            Runtime::new(board.clone()).with_memo()
-        } else {
-            Runtime::new(board.clone())
-        };
-        slot.runtime.set_telemetry(self.telemetry.clone());
+        slot.runtime = runtime;
         slot.board = board;
         let replaced = std::mem::replace(&mut slot.scheduler, scheduler);
         slot.deployed_jobs.clear();

@@ -30,13 +30,11 @@
 //!   policy (least-loaded by estimated throughput headroom, or
 //!   round-robin), per-board schedulers: a tick's dirty boards
 //!   reschedule one after another, in slot order.
-//! * **An admission mempool** ([`Mempool`], [`AdmissionPolicy`]) — the
-//!   one intake path shared with the orchestrator: validates on submit,
-//!   enforces per-tenant in-queue quotas, queue-jumps
-//!   [`SloClass::Guaranteed`] work, retries unplaceable jobs with
-//!   exponential backoff, TTL-evicts stale entries, and drains through
-//!   per-model admissibility buckets instead of walking a FIFO
-//!   linearly.
+//! * **An admission mempool** ([`Mempool`]) — the one intake path
+//!   shared with the orchestrator, a fixed queue with no options:
+//!   rejects unservable jobs on submit, drains [`SloClass::Guaranteed`]
+//!   work first and then arrival order, and probes admissibility once
+//!   per model bucket instead of walking the queue linearly.
 //! * **Serving metrics** ([`ServingReport`]) — per-event decision
 //!   latency by kind, queue depth, migration churn, per-board
 //!   utilization and time-weighted aggregate throughput.
@@ -61,9 +59,7 @@ mod tenants;
 
 pub use engine::ServingEngine;
 pub use fleet::{BoardSlot, Fleet, PlacementPolicy};
-pub use mempool::{
-    AdmissionPolicy, Drained, Mempool, MempoolStats, QueueOrder, RejectReason, SubmitOutcome,
-};
+pub use mempool::{Drained, Mempool, MempoolStats, SubmitOutcome};
 pub use scheduler::{DecisionKind, OnlineConfig, OnlineScheduler, ReschedulePolicy, WarmHint};
 pub use sim::{
     BoardDecision, LatencyStats, ServingConfig, ServingReport, ServingSim, ServingSummary,

@@ -9,7 +9,7 @@
 
 use crate::engine::ServingEngine;
 use crate::fleet::PlacementPolicy;
-use crate::mempool::{AdmissionPolicy, MempoolStats};
+use crate::mempool::MempoolStats;
 use crate::scheduler::{DecisionKind, OnlineConfig, ReschedulePolicy};
 use crate::slo::SloSummary;
 use crate::tenants::TenantSummary;
@@ -27,24 +27,16 @@ pub struct ServingConfig {
     pub placement: PlacementPolicy,
     /// Per-board online scheduler knobs.
     pub online: OnlineConfig,
-    /// Whether per-board runtimes memoize decisions per workload mix
-    /// (the "unchanged mix answers instantly" serving behaviour).
-    pub use_memo: bool,
-    /// Admission-mempool knobs (validation, quotas, TTL, backoff,
-    /// drain order). The default is the historical permissive FIFO.
-    pub admission: AdmissionPolicy,
 }
 
 impl ServingConfig {
-    /// The production configuration: warm starts, decision memo,
-    /// least-loaded placement.
+    /// The production configuration: warm starts (which bring the
+    /// per-board decision memo), least-loaded placement.
     pub fn warm() -> Self {
         Self {
             policy: ReschedulePolicy::WarmStart,
             placement: PlacementPolicy::LeastLoaded,
             online: OnlineConfig::default(),
-            use_memo: true,
-            admission: AdmissionPolicy::default(),
         }
     }
 
@@ -52,7 +44,6 @@ impl ServingConfig {
     pub fn cold() -> Self {
         Self {
             policy: ReschedulePolicy::ColdRestart,
-            use_memo: false,
             ..Self::warm()
         }
     }
@@ -94,12 +85,8 @@ pub struct TickRecord {
     pub placements: Vec<(u64, usize)>,
     /// Job ids that had to queue (no board could admit them).
     pub queued: Vec<u64>,
-    /// Job ids the mempool rejected at submit (validation or tenant
-    /// quota — empty under the default permissive policy).
+    /// Job ids the mempool rejected at submit as unservable.
     pub rejected: Vec<u64>,
-    /// Queued job ids the mempool TTL-evicted this tick (empty when no
-    /// TTL is configured).
-    pub expired: Vec<u64>,
     /// Per-board rescheduling outcomes.
     pub decisions: Vec<BoardDecision>,
     /// Waiting jobs after the tick.
@@ -163,14 +150,12 @@ pub struct ServingSummary {
     pub peak_queue_depth: usize,
     /// Jobs still waiting when the trace ended.
     pub left_in_queue: usize,
-    /// Jobs the mempool rejected at submit (validation + tenant quota).
+    /// Jobs the mempool rejected at submit as unservable.
     pub rejected: usize,
-    /// Queued jobs the mempool TTL-evicted before they ever placed.
-    pub expired: usize,
     /// The admission pool's full lifetime counters (submits, requeues,
-    /// placements, rejects, TTL evictions, queued departures and drain
-    /// retries) — surfaced here so exporters like the RPC daemon's
-    /// `/metrics` endpoint never reach into `serve::mempool` internals.
+    /// placements, rejects, queued departures and drain retries) —
+    /// surfaced here so exporters like the RPC daemon's `/metrics`
+    /// endpoint never reach into `serve::mempool` internals.
     pub pool: MempoolStats,
     /// Per-SLO-class attainment (guaranteed floors, best-effort
     /// starvation).
@@ -212,8 +197,8 @@ pub struct ServingSummary {
     pub evacuation_wait: LatencyStats,
     /// Evacuees still waiting in the pool.
     pub evacuees_still_queued: usize,
-    /// Jobs admitted and neither departed nor expired that are neither
-    /// resident nor queued — the conservation invariant demands
+    /// Jobs admitted and not departed that are neither resident nor
+    /// queued — the conservation invariant demands
     /// **zero**, and the orchestrator proptests pin it there.
     pub lost_jobs: usize,
 }
@@ -259,14 +244,10 @@ impl ServingReport {
             for id in &tick.queued {
                 h.write(&id.to_le_bytes());
             }
-            // Rejections/expiries hash per id: empty vectors write no
-            // bytes, so pre-mempool digests are preserved verbatim.
+            // Rejections hash per id: an empty vector writes no bytes,
+            // so pre-mempool digests are preserved verbatim.
             for id in &tick.rejected {
                 h.write(&[3]);
-                h.write(&id.to_le_bytes());
-            }
-            for id in &tick.expired {
-                h.write(&[4]);
                 h.write(&id.to_le_bytes());
             }
             for d in &tick.decisions {

@@ -7,7 +7,7 @@
 //! does) and judges each guaranteed job on its *time-weighted mean
 //! while resident*: a job is **met** when it was resident at all and
 //! its mean attained rate reached the floor. Guaranteed jobs that were
-//! rejected, expired or never left the queue count as missed — the
+//! rejected or never left the queue count as missed — the
 //! admission layer failing them is exactly what the attainment number
 //! must surface. One asymmetry: a job resident for less than one
 //! inference period at its floor rate whose mean fell short is
@@ -110,7 +110,7 @@ impl SloAccumulator {
                     // below-floor mean over such a window is excluded
                     // as unjudgeable — but an attained floor counts
                     // however short the window. Never-resident jobs
-                    // (rejected, expired, queued forever) stay in: the
+                    // (rejected, queued forever) stay in: the
                     // admission layer failing them is exactly what
                     // attainment surfaces.
                     if row.resident_ms > 0

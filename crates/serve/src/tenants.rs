@@ -86,16 +86,6 @@ impl TenantAccumulator {
         self.row(job.tenant).arrivals += 1;
     }
 
-    /// The tenant's attained tps·ms integral so far — the deficit key
-    /// for tenant-ordered queue drains (tenants never seen read as 0,
-    /// i.e. maximally deficient).
-    pub fn attained_integral(&self, tenant: u32) -> f64 {
-        self.rows
-            .iter()
-            .find(|r| r.tenant == tenant)
-            .map_or(0.0, |r| r.tps_integral)
-    }
-
     /// Records a placement with the time the job waited in the queue
     /// (0 for jobs placed on arrival).
     pub fn placement(&mut self, job: &JobSpec, wait_ms: u64) {

@@ -2,11 +2,12 @@
 
 use omniboost_hw::{AnalyticModel, Board};
 use omniboost_mcts::SearchBudget;
-use omniboost_models::{ArrivalProcess, ArrivalTrace, JobEvent, JobSpec, ModelId, TraceConfig};
+use omniboost_models::{
+    zoo, ArrivalProcess, ArrivalTrace, JobEvent, JobSpec, ModelId, TraceConfig,
+};
 use omniboost_serve::{
-    AdmissionPolicy, DecisionKind, Fleet, Mempool, OnlineConfig, OnlineScheduler, PlacementPolicy,
-    QueueOrder, RejectReason, ReschedulePolicy, ServingConfig, ServingEngine, ServingSim,
-    SubmitOutcome, TenantAccumulator,
+    DecisionKind, Fleet, Mempool, OnlineConfig, OnlineScheduler, PlacementPolicy, ReschedulePolicy,
+    ServingConfig, ServingEngine, ServingSim, SubmitOutcome,
 };
 use proptest::prelude::*;
 
@@ -55,8 +56,6 @@ fn run_once(
         policy,
         placement,
         online: quick_online(),
-        use_memo: policy == ReschedulePolicy::WarmStart,
-        admission: AdmissionPolicy::default(),
     };
     let mut sim = ServingSim::new(vec![Board::hikey970(); boards], config, AnalyticModel::new);
     sim.run(&trace, HORIZON_MS)
@@ -483,7 +482,7 @@ proptest! {
         ]),
     ) {
         let boards = vec![Board::hikey970(), Board::hikey970(), Board::hikey970_lite()];
-        let mut fleet = Fleet::new(boards, placement, false, fleet_scheduler);
+        let mut fleet = Fleet::new(boards, placement, fleet_scheduler);
         let mut live: Vec<u64> = Vec::new();
         let mut next_id = 1u64;
         for i in 0..kinds.len() {
@@ -574,7 +573,6 @@ fn swap_board_evicts_newest_until_the_weaker_profile_admits() {
     let mut fleet = Fleet::new(
         vec![full.clone()],
         PlacementPolicy::LeastLoaded,
-        false,
         fleet_scheduler,
     );
     for id in 1..=full.max_concurrent_dnns as u64 {
@@ -634,7 +632,6 @@ fn multi_board_flush_decides_in_slot_order_into_an_exact_vector() {
     let mut fleet = Fleet::new(
         vec![Board::hikey970(); 4],
         PlacementPolicy::RoundRobin,
-        false,
         fleet_scheduler,
     );
     // Two jobs a board: 1..=4 land on boards 0..=3, then 5..=8.
@@ -681,7 +678,7 @@ fn decision_memo_is_scoped_by_slo_floor_vector() {
             },
         )
     };
-    let mut fleet = Fleet::new(vec![board], PlacementPolicy::LeastLoaded, true, no_refresh);
+    let mut fleet = Fleet::new(vec![board], PlacementPolicy::LeastLoaded, no_refresh);
     let flush_with = |fleet: &mut Fleet<AnalyticModel>, job: JobSpec| -> DecisionKind {
         if let Some(resident) = fleet.slots()[0].jobs.first().map(|j| j.id) {
             assert!(fleet.remove_job(0, resident));
@@ -718,8 +715,8 @@ fn decision_memo_is_scoped_by_slo_floor_vector() {
 // Admission-mempool properties (PR 7).
 // ---------------------------------------------------------------------------
 
-/// Behaviour preservation across the mempool extraction: the default
-/// [`AdmissionPolicy`] must replay exactly the digests the pre-mempool
+/// Behaviour preservation across the mempool extraction: the mempool
+/// must replay exactly the digests the pre-mempool
 /// `ServingSim` (own FIFO `VecDeque`, linear drains) produced. The
 /// constants were captured by running the seed/config pairs below at
 /// the commit *before* the refactor.
@@ -754,8 +751,6 @@ fn recording_telemetry_is_digest_neutral() {
         policy: ReschedulePolicy::WarmStart,
         placement: PlacementPolicy::LeastLoaded,
         online: quick_online(),
-        use_memo: true,
-        admission: AdmissionPolicy::default(),
     };
     let mut sim = ServingSim::new(vec![Board::hikey970(); 2], config, AnalyticModel::new);
     let telemetry = omniboost_serve::Telemetry::recording();
@@ -859,13 +854,8 @@ fn snapshot_counters_equal_a_rewalk_of_the_tick_records() {
 fn guaranteed_class_jumps_the_queue_on_drain() {
     let board = Board::hikey970();
     let cap = board.max_concurrent_dnns as u64;
-    let mut fleet = Fleet::new(
-        vec![board],
-        PlacementPolicy::LeastLoaded,
-        false,
-        fleet_scheduler,
-    );
-    let mut pool = Mempool::new(AdmissionPolicy::default());
+    let mut fleet = Fleet::new(vec![board], PlacementPolicy::LeastLoaded, fleet_scheduler);
+    let mut pool = Mempool::new();
     for id in 1..=cap {
         assert!(matches!(
             pool.submit(&mut fleet, JobSpec::new(id, ModelId::MobileNet, 0), 0),
@@ -884,7 +874,7 @@ fn guaranteed_class_jumps_the_queue_on_drain() {
     );
     let victim = fleet.slots()[0].jobs.first().expect("board is full").id;
     assert!(fleet.remove_job(0, victim));
-    let drained = pool.drain(&mut fleet, 3, &TenantAccumulator::new());
+    let drained = pool.drain(&mut fleet);
     assert_eq!(
         drained.first().map(|d| d.job.id),
         Some(cap + 2),
@@ -892,23 +882,41 @@ fn guaranteed_class_jumps_the_queue_on_drain() {
     );
 }
 
-/// An overload-posture admission policy for the strict-mode proptests:
-/// tight quota and TTL so rejects and expiries actually fire at these
-/// trace intensities.
-fn strict_admission() -> AdmissionPolicy {
-    AdmissionPolicy {
-        order: QueueOrder::TenantDeficit,
-        tenant_queue_quota: Some(2),
-        ttl_ms: Some(4_000),
-        retry_backoff_ms: Some(100),
-        max_backoff_ms: 2_000,
-        ..AdmissionPolicy::default()
-    }
+/// The one rejection the mempool makes: on a board whose memory cannot
+/// hold VGG-19's weights even alone, a VGG-19 submit comes back
+/// `Rejected`, never enters the queue and is counted both in the pool's
+/// `rejected` and in its tick's `rejected`; a light model on the same
+/// board still places.
+#[test]
+fn unservable_model_is_rejected_while_a_light_one_places() {
+    let config = ServingConfig {
+        online: quick_online(),
+        ..ServingConfig::warm()
+    };
+    let board = without_room_for_vgg19(Board::hikey970());
+    let mut engine = ServingEngine::new(vec![board], config, AnalyticModel::new);
+    engine.begin_run();
+    assert_eq!(
+        engine.submit(JobSpec::new(1, ModelId::Vgg19, 0), 0),
+        SubmitOutcome::Rejected
+    );
+    assert_eq!(engine.queue_depth(), 0);
+    assert_eq!(
+        engine.submit(JobSpec::new(2, ModelId::MobileNet, 0), 0),
+        SubmitOutcome::Placed(0)
+    );
+    let report = engine.finish(1_000);
+    assert_eq!(report.summary.pool.rejected, 1);
+    assert_eq!(report.summary.rejected, 1);
+    assert_eq!(report.summary.lost_jobs, 0);
+    assert_eq!(report.ticks.len(), 1);
+    assert_eq!(report.ticks[0].rejected, [1]);
+    assert_eq!(report.ticks[0].placements, [(2, 0)]);
 }
 
 /// A skewed multi-tenant, mixed-SLO-class trace on a single board —
-/// small enough fleet that quotas, TTLs and backoff all engage.
-fn run_strict(process: ArrivalProcess, seed: u64) -> omniboost_serve::ServingReport {
+/// small enough fleet that jobs queue and guaranteed work jumps them.
+fn run_skewed(process: ArrivalProcess, seed: u64) -> omniboost_serve::ServingReport {
     let trace_cfg = TraceConfig {
         tenant_weights: vec![7.0, 1.0, 1.0, 1.0],
         guaranteed_share: 0.25,
@@ -918,7 +926,6 @@ fn run_strict(process: ArrivalProcess, seed: u64) -> omniboost_serve::ServingRep
     let trace = ArrivalTrace::generate(process, &trace_cfg, seed);
     let config = ServingConfig {
         online: quick_online(),
-        admission: strict_admission(),
         ..ServingConfig::warm()
     };
     let mut sim = ServingSim::new(vec![Board::hikey970()], config, AnalyticModel::new);
@@ -928,40 +935,34 @@ fn run_strict(process: ArrivalProcess, seed: u64) -> omniboost_serve::ServingRep
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// (v) Strict admission (deficit order, quotas, TTL, backoff, SLO
-    /// classes) is as deterministic as the permissive default: two
-    /// fresh runtimes replay the same seed bit-for-bit.
+    /// (v) Admission under overload (one board, a skewed tenant mix,
+    /// guaranteed jobs jumping the queue) is deterministic: two fresh
+    /// runtimes replay the same seed bit-for-bit.
     #[test]
     fn strict_admission_replays_bit_for_bit(
         process in arb_process(),
         seed in 0u64..500,
     ) {
-        let a = run_strict(process, seed);
-        let b = run_strict(process, seed);
+        let a = run_skewed(process, seed);
+        let b = run_skewed(process, seed);
         prop_assert_eq!(a.digest(), b.digest());
         prop_assert_eq!(a.summary.rejected, b.summary.rejected);
-        prop_assert_eq!(a.summary.expired, b.summary.expired);
     }
 
     /// (vi) **Admission conservation**: every arrival ends in exactly
-    /// one of {placed, rejected, expired, departed-while-queued, still
-    /// waiting} — re-derived per job id from the tick records and
+    /// one of {placed, rejected, departed-while-queued, still waiting} — re-derived per job id from the tick records and
     /// balanced against the summary counters.
     #[test]
     fn admission_accounting_conserves_every_arrival(
         process in arb_process(),
         seed in 0u64..500,
     ) {
-        let report = run_strict(process, seed);
+        let report = run_skewed(process, seed);
         let mut arrived = std::collections::HashSet::new();
         let mut placed = std::collections::HashSet::new();
         let mut rejected = std::collections::HashSet::new();
-        let mut expired = std::collections::HashSet::new();
         let mut departed_queued = 0usize;
         for tick in &report.ticks {
-            for id in &tick.expired {
-                prop_assert!(expired.insert(*id), "job {} expired twice", id);
-            }
             for id in &tick.rejected {
                 prop_assert!(rejected.insert(*id), "job {} rejected twice", id);
             }
@@ -974,10 +975,7 @@ proptest! {
                         prop_assert!(arrived.insert(job.id));
                     }
                     JobEvent::Depart { job_id } => {
-                        if !placed.contains(job_id)
-                            && !rejected.contains(job_id)
-                            && !expired.contains(job_id)
-                        {
+                        if !placed.contains(job_id) && !rejected.contains(job_id) {
                             departed_queued += 1;
                         }
                     }
@@ -985,19 +983,15 @@ proptest! {
             }
         }
         prop_assert!(placed.is_disjoint(&rejected));
-        prop_assert!(placed.is_disjoint(&expired));
-        prop_assert!(rejected.is_disjoint(&expired));
         let s = &report.summary;
         prop_assert_eq!(s.rejected, rejected.len());
-        prop_assert_eq!(s.expired, expired.len());
         prop_assert_eq!(s.placements, placed.len());
         prop_assert_eq!(
             arrived.len(),
-            placed.len() + rejected.len() + expired.len() + departed_queued
-                + s.left_in_queue,
-            "conservation: {} arrivals vs {} placed + {} rejected + {} expired \
+            placed.len() + rejected.len() + departed_queued + s.left_in_queue,
+            "conservation: {} arrivals vs {} placed + {} rejected \
              + {} departed-queued + {} waiting",
-            arrived.len(), placed.len(), rejected.len(), expired.len(),
+            arrived.len(), placed.len(), rejected.len(),
             departed_queued, s.left_in_queue
         );
     }
@@ -1013,7 +1007,7 @@ enum PoolOp {
     DepartQueued { sel: u8 },
     /// Free a random resident job's slot (so the next drain can move).
     Free { sel: u8 },
-    /// Advance simulated time and sweep the TTL.
+    /// Advance simulated time.
     Advance,
     /// Offer freed capacity to the pool.
     Drain,
@@ -1033,39 +1027,38 @@ fn decode_pool_op(kind: u8, a: u8, b: u8) -> PoolOp {
     }
 }
 
+/// A board with `board`'s devices whose memory cannot hold VGG-19's
+/// weights even alone, so the mempool must reject VGG-19 as unservable
+/// while every lighter zoo model still fits.
+fn without_room_for_vgg19(mut board: Board) -> Board {
+    board.memory_budget_bytes = zoo::build(ModelId::Vgg19).total_weight_bytes() - 1;
+    board
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// (vii) **Mempool indexes and quotas under arbitrary
-    /// interleavings**: after every submit/depart/free/expire/drain the
-    /// full [`Mempool::index_check`] audit passes (id index, model
-    /// buckets, tenant depths and the conservation counters re-derived
-    /// from the entry spine), no tenant ever holds more waiting entries
-    /// than the quota, and every submit outcome is consistent with the
-    /// pool state that produced it.
+    /// (vii) **Mempool indexes under arbitrary interleavings**: after
+    /// every submit/depart/free/advance/drain the full
+    /// [`Mempool::index_check`] audit passes (id index, model buckets
+    /// and the conservation counters re-derived from the entry spine),
+    /// and every submit outcome is consistent with the fleet: the one
+    /// unservable model is rejected, every other model places or
+    /// queues.
     #[test]
-    fn mempool_indexes_and_quotas_hold_under_random_ops(
+    fn mempool_indexes_hold_under_random_ops(
         kinds in proptest::collection::vec(0u8..10, 64),
         operands_a in proptest::collection::vec(0u8..=255, 64),
         operands_b in proptest::collection::vec(0u8..=255, 64),
     ) {
-        const QUOTA: usize = 3;
-        let policy = AdmissionPolicy {
-            order: QueueOrder::TenantDeficit,
-            tenant_queue_quota: Some(QUOTA),
-            ttl_ms: Some(6_000),
-            retry_backoff_ms: Some(200),
-            max_backoff_ms: 1_600,
-            ..AdmissionPolicy::default()
-        };
-        let boards = vec![Board::hikey970_lite()];
-        let mut fleet = Fleet::new(boards, PlacementPolicy::LeastLoaded, false, fleet_scheduler);
-        let mut pool = Mempool::new(policy);
-        let acc = TenantAccumulator::new();
+        let boards = vec![without_room_for_vgg19(Board::hikey970_lite())];
+        let mut fleet = Fleet::new(boards, PlacementPolicy::LeastLoaded, fleet_scheduler);
+        let mut pool = Mempool::new();
         let mut now = 0u64;
         let mut next_id = 1u64;
         let mut queued: Vec<u64> = Vec::new();
         let mut resident: Vec<u64> = Vec::new();
+        let mut rejected = 0usize;
         for i in 0..kinds.len() {
             let op = decode_pool_op(kinds[i], operands_a[i], operands_b[i]);
             match op {
@@ -1077,20 +1070,16 @@ proptest! {
                         JobSpec::new(next_id, model, u32::from(tenant))
                     };
                     next_id += 1;
-                    let depth_before = pool.tenant_depth(spec.tenant);
-                    match pool.submit(&mut fleet, spec, now) {
+                    let outcome = pool.submit(&mut fleet, spec, now);
+                    prop_assert_eq!(
+                        outcome == SubmitOutcome::Rejected,
+                        model == ModelId::Vgg19,
+                        "{:?} answered {:?}", model, outcome
+                    );
+                    match outcome {
                         SubmitOutcome::Placed(_) => resident.push(spec.id),
                         SubmitOutcome::Queued => queued.push(spec.id),
-                        SubmitOutcome::Rejected(RejectReason::TenantQuota) => {
-                            prop_assert_eq!(depth_before, QUOTA,
-                                "quota reject below the quota");
-                        }
-                        SubmitOutcome::Rejected(RejectReason::Unservable) => {
-                            // The lite board admits every zoo model on
-                            // an empty slot, so validation never fires
-                            // here.
-                            prop_assert!(false, "no zoo model is unservable");
-                        }
+                        SubmitOutcome::Rejected => rejected += 1,
                     }
                 }
                 PoolOp::DepartQueued { sel } => {
@@ -1107,31 +1096,21 @@ proptest! {
                         prop_assert!(fleet.remove_job(board, id));
                     }
                 }
-                PoolOp::Advance => {
-                    now += 2_500;
-                    let expired = pool.expire(now);
-                    for id in &expired {
-                        let pos = queued.iter().position(|q| q == id);
-                        prop_assert!(pos.is_some(), "expired a non-queued job");
-                        queued.swap_remove(pos.unwrap());
-                    }
-                }
+                PoolOp::Advance => now += 2_500,
                 PoolOp::Drain => {
-                    for d in pool.drain(&mut fleet, now, &acc) {
+                    for d in pool.drain(&mut fleet) {
                         let pos = queued.iter().position(|q| *q == d.job.id);
                         prop_assert!(pos.is_some(), "drained a non-queued job");
                         queued.swap_remove(pos.unwrap());
                         resident.push(d.job.id);
+                        prop_assert!(d.queued_at <= now);
                     }
                 }
             }
             let audit = pool.index_check();
             prop_assert!(audit.is_ok(), "mempool audit failed after {op:?}: {audit:?}");
             prop_assert_eq!(pool.len(), queued.len());
-            for tenant in 0..4u32 {
-                prop_assert!(pool.tenant_depth(tenant) <= QUOTA,
-                    "tenant {} over quota after {:?}", tenant, op);
-            }
+            prop_assert_eq!(pool.stats().rejected, rejected);
         }
     }
 }

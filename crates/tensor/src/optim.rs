@@ -50,14 +50,13 @@ impl Adam {
             .zip(self.m.iter_mut())
             .zip(self.v.iter_mut())
         {
-            let g = p.grad.data().to_vec();
-            for (((w, mi), vi), gi) in p
-                .value
+            let Param { value, grad } = &mut **p;
+            for (((w, mi), vi), gi) in value
                 .data_mut()
                 .iter_mut()
                 .zip(m.iter_mut())
                 .zip(v.iter_mut())
-                .zip(&g)
+                .zip(grad.data())
             {
                 *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
                 *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
