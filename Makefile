@@ -41,8 +41,8 @@ bench-quick:
 # design-time pass; the paper's figure code runs nowhere else), the
 # probe_train bin (where a training step spends its time, and the GEMM
 # conv backward next to the reference loop: read it after any kernel
-# change) and the serving_sim and rpc_daemon walkthroughs (their
-# assertions run nowhere else). Latency itself is perfbench's job: see
+# change) and the serving_sim, rpc_daemon and chaos_fleet walkthroughs
+# (their assertions run nowhere else). Latency itself is perfbench's job: see
 # bench-quick.
 .PHONY: perf-smoke
 perf-smoke:
@@ -58,6 +58,7 @@ perf-smoke:
 	cargo run --release -p omniboost-bench --bin probe_train
 	cargo run --release --example serving_sim
 	cargo run --release --example rpc_daemon
+	cargo run --release --example chaos_fleet
 
 # Full perf snapshots: rewrites BENCH_serving.json, BENCH_fleet.json,
 # BENCH_fleet_scale.json, BENCH_chaos.json and

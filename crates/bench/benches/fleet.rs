@@ -16,6 +16,8 @@
 //!
 //! `SMOKE=1` (the CI mode) shrinks horizons and budgets so the whole
 //! bench runs in seconds and **does not** rewrite the JSON snapshot.
+//! Zero lost jobs is asserted at every scale (conservation does not
+//! depend on sample size); the other bars only outside `SMOKE=1`.
 
 use omniboost_bench::{config_digest, trace_config_pairs};
 use omniboost_hw::AnalyticModel;
@@ -217,6 +219,11 @@ fn main() {
         rebalanced.summary.rebalance_migrated_layers,
         if skew_pass { "pass" } else { "FAIL" },
     );
+    assert_eq!(
+        pinned.summary.lost_jobs + rebalanced.summary.lost_jobs,
+        0,
+        "skewed-departure lost jobs"
+    );
     let mut skew_drive = scale_pairs(&scale);
     skew_drive.push(("boards", "4".into()));
     skew_drive.push(("section", "skewed_departure".into()));
@@ -285,6 +292,7 @@ fn main() {
             mean(&tps),
             if pass { "pass" } else { "FAIL" },
         );
+        assert_eq!(lost, 0, "board-failure (rebalance {rebalancing}) lost jobs");
         let mut drive = trace_config_pairs(&poisson_trace_cfg(&scale, Vec::new()));
         drive.extend(scale_pairs(&scale));
         drive.push(("boards", "3+1lite".into()));
@@ -394,5 +402,6 @@ fn main() {
         failure_rows.join(",\n"),
         fairness_json,
     );
+    assert!(smoke || all_pass, "a fleet bar failed");
     omniboost_bench::write_snapshot("fleet", &json);
 }

@@ -9,6 +9,9 @@
 //!
 //! `SMOKE=1` (the CI mode) shrinks traces and budgets so the whole
 //! bench runs in seconds and **does not** rewrite the JSON snapshot.
+//! The bar is asserted outside `SMOKE=1` only; a smoke cell with fewer
+//! than [`SMOKE_MIN_DELTAS`] single-delta decisions in either arm is
+//! `n/a` (two samples compare nothing).
 
 use omniboost_bench::{config_digest, trace_config_pairs};
 use omniboost_hw::{AnalyticModel, Board};
@@ -17,6 +20,10 @@ use omniboost_serve::{
     LatencyStats, OnlineConfig, PlacementPolicy, ReschedulePolicy, SearchBudget, ServingConfig,
     ServingReport, ServingSim,
 };
+
+/// Single-delta decisions each arm of a smoke cell needs before its
+/// verdict means anything.
+const SMOKE_MIN_DELTAS: usize = 10;
 
 struct BenchScale {
     horizon_ms: u64,
@@ -172,6 +179,8 @@ fn main() {
             let warm_migrated: usize = warms.iter().map(|r| r.summary.migrated_layers).sum();
             let cold_migrated: usize = colds.iter().map(|r| r.summary.migrated_layers).sum();
             let comparable = cold_delta.count > 0 && warm_delta.count > 0;
+            let min_deltas = if smoke { SMOKE_MIN_DELTAS } else { 1 };
+            let judged = cold_delta.count >= min_deltas && warm_delta.count >= min_deltas;
             let speedup = if comparable {
                 cold_delta.median_ms / warm_delta.median_ms.max(1e-9)
             } else {
@@ -179,9 +188,9 @@ fn main() {
             };
             // The acceptance bar, evaluated inline so a regression is
             // visible in the snapshot itself (vacuously true when the
-            // traces produced no single-job-delta event to compare on —
-            // only happens at smoke scale).
-            let pass = !comparable
+            // traces produced too few single-job-delta events to compare
+            // on — only happens at smoke scale).
+            let pass = !judged
                 || (warm_delta.median_ms < cold_delta.median_ms && warm_tps >= cold_tps * 0.99);
             all_pass &= pass;
             println!(
@@ -190,7 +199,11 @@ fn main() {
                  warm migration {warm_migrated} layers [{}]",
                 cold_delta.median_ms,
                 warm_delta.median_ms,
-                if pass { "pass" } else { "FAIL" },
+                match (judged, pass) {
+                    (false, _) => "n/a",
+                    (true, true) => "pass",
+                    (true, false) => "FAIL",
+                },
             );
             let sum = |f: &dyn Fn(&ServingReport) -> usize, rs: &[ServingReport]| -> usize {
                 rs.iter().map(f).sum()
@@ -286,6 +299,10 @@ fn main() {
         threads,
         all_pass,
         rows.join(",\n"),
+    );
+    assert!(
+        smoke || all_pass,
+        "warm rescheduling missed the serving bar"
     );
     omniboost_bench::write_snapshot("serving", &json);
 }

@@ -186,6 +186,7 @@ impl Lru {
     }
 
     /// Every entry, least-recently-used first.
+    #[cfg(test)]
     fn lru_first(&self) -> impl Iterator<Item = &Entry> {
         std::iter::successors((self.tail != NIL).then(|| &self.slab[self.tail]), |e| {
             (e.prev != NIL).then(|| &self.slab[e.prev])
@@ -308,10 +309,7 @@ impl EvalCache {
             .set(self.evictions.get() + u64::from(evicted));
     }
 
-    /// Snapshot of every cached entry, **least-recently-used first** —
-    /// replaying the snapshot through [`EvalCache::insert`] reproduces
-    /// the recency order, which is what the tests of
-    /// [`EvalCache::absorb`] check against.
+    /// Snapshot of every cached entry, **least-recently-used first**.
     #[cfg(test)]
     pub fn entries_lru_first(&self) -> Vec<(u64, Mapping, ThroughputReport)> {
         self.lru
@@ -319,23 +317,6 @@ impl EvalCache {
             .lru_first()
             .map(|e| (e.fingerprint, e.mapping.clone(), e.value.clone()))
             .collect()
-    }
-
-    /// Copies every entry of `other` into this cache, least recently
-    /// used first (recency preserved, capacity bound enforced by normal
-    /// eviction) — the in-memory warm boot of a scheduler coming up next
-    /// to a cache of its profile. Every entry is cloned once, straight
-    /// from slab to slab. Absorbing a cache into itself is a no-op.
-    pub fn absorb(&self, other: &EvalCache) {
-        if self.is_disabled() || std::ptr::eq(self, other) {
-            return;
-        }
-        let (mut mine, theirs) = (self.lru.borrow_mut(), other.lru.borrow());
-        let evicted: u64 = theirs
-            .lru_first()
-            .map(|e| u64::from(mine.insert(e.digest, e.fingerprint, &e.mapping, e.value.clone())))
-            .sum();
-        self.evictions.set(self.evictions.get() + evicted);
     }
 }
 
@@ -669,37 +650,6 @@ mod tests {
         assert_eq!(lru.get(digest, 1, &b), Some(report_b));
         assert_eq!(lru.get(digest, 1, &a), None);
         assert_eq!((lru.map.len(), lru.slab.len()), (1, 1));
-    }
-
-    #[test]
-    fn absorb_equals_replaying_the_snapshot_through_insert() {
-        let (w, model) = setup();
-        let fp = w.fingerprint();
-        let mut rng = StdRng::seed_from_u64(13);
-        let source = EvalCache::new(64);
-        for _ in 0..48 {
-            let m = Mapping::random(&w, 3, &mut rng);
-            source.insert(fp, &m, model.inner.evaluate(&w, &m).unwrap());
-        }
-        // Refresh a few entries so recency differs from insertion order.
-        for (fp, m, _) in source.entries_lru_first().into_iter().step_by(5) {
-            assert!(source.get(fp, &m).is_some());
-        }
-        // Roomy target, then one small enough to evict while absorbing.
-        for capacity in [64, 16] {
-            let absorbed = EvalCache::new(capacity);
-            absorbed.absorb(&source);
-            let replayed = EvalCache::new(capacity);
-            for (fp, m, report) in source.entries_lru_first() {
-                replayed.insert(fp, &m, report);
-            }
-            assert_eq!(absorbed.entries_lru_first(), replayed.entries_lru_first());
-            assert_eq!(absorbed.stats(), replayed.stats());
-        }
-        // A disabled target stays empty.
-        let disabled = EvalCache::new(0);
-        disabled.absorb(&source);
-        assert!(disabled.is_empty());
     }
 
     #[test]

@@ -289,9 +289,8 @@ pub struct FleetScriptConfig {
     pub degrade_profiles: usize,
     /// Mean time between flap sequences (exponential; 0 disables): a
     /// flap fails an alive board and schedules its rejoin
-    /// [`FleetScriptConfig::flap_down_ms`] later — the warm-reboot
-    /// scenario (the orchestrator's warm pool hands the rejoining board
-    /// the evaluation cache its profile left behind).
+    /// [`FleetScriptConfig::flap_down_ms`] later (the rejoining board
+    /// boots with an empty evaluation cache, like any joining board).
     pub mean_flap_interval_ms: f64,
     /// Downtime between a flap's fail and its rejoin. Rejoin stamps
     /// past the horizon are dropped (the board stays down).

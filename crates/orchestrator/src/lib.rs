@@ -18,7 +18,7 @@
 //!   true throughput headroom because load scores normalize by each
 //!   board's own peak compute, and evaluation caches are keyed **per
 //!   profile** (a cache is flushed when its board's fingerprint
-//!   changes, and the warm pool hands caches on only within a profile).
+//!   changes).
 //! * **Lifecycle events** ([`omniboost_models::FleetEvent`]) — seeded
 //!   scripts of board failures, graceful drains and joins interleave
 //!   with the arrival trace. On fail/drain every resident job is
@@ -32,10 +32,9 @@
 //!   residents the weaker profile still admits stay put and re-price on
 //!   the new hardware (migrating only when the priced gain clears the
 //!   rebalancer's bar), only the overflow evicts. `BoardRecover`
-//!   restores the original hardware, and flapped/recovered/degraded/
-//!   joined boards **warm-boot**: one in-memory copy from the run's
-//!   warm pool — the profile's most recently retired cache, else a
-//!   live peer's.
+//!   restores the original hardware. A board that comes up (join,
+//!   flap rejoin, degrade or recover) gets a fresh scheduler with an
+//!   empty evaluation cache, as every board does at t = 0.
 //! * **Migration-costed rebalancing** ([`RebalanceConfig`]) — a
 //!   periodic step proposes moving the newest job from the most-loaded
 //!   board to the least-loaded one, prices both sides with warm-started

@@ -8,8 +8,8 @@
 //!
 //! * what each [`FleetEvent`] does to the fleet — evacuation on
 //!   fail/drain (heaviest model first), the in-place hardware swap of
-//!   degrade/recover, joins, and the in-memory [`WarmPool`] that lets
-//!   flapped, degraded, recovered and joining boards boot warm;
+//!   degrade/recover, and joins. A board that comes up boots with an
+//!   empty evaluation cache, as every board does at t = 0;
 //! * the post-flush stage of every tick — targeted relief for boards
 //!   degraded this tick, then the periodic whole-fleet rebalance pass;
 //! * the report: engine tick records joined with the fleet events and
@@ -17,7 +17,6 @@
 
 use crate::rebalance::{self, balance_slice, receivers, RebalanceConfig, RebalanceMove};
 use crate::spec::FleetSpec;
-use omniboost_estimator::BoardScopedCache;
 use omniboost_hw::{Board, EvalCacheStats, Fnv1a, ThroughputModel};
 use omniboost_models::{zoo, ArrivalTrace, FleetEvent, FleetScript, JobEvent, JobSpec};
 use omniboost_serve::{
@@ -148,13 +147,11 @@ pub struct OrchestratorSummary {
     pub board_degrades: usize,
     /// Degraded boards restored to their original profile.
     pub board_recovers: usize,
-    /// Boards that booted **warm**: joins, degrades and recoveries whose
-    /// fresh scheduler came up non-empty, preloaded in memory from a
-    /// cache of its hardware profile (the flap warm-reboot path — a
-    /// board that fails and rejoins finds the cache its profile left
-    /// behind on the way down).
+    /// Always 0: every board boots with an empty evaluation cache.
+    /// Kept because the benchmark harness still reads it.
     pub warm_boots: usize,
-    /// Evaluation-cache entries those warm boots preloaded, total.
+    /// Always 0: no boot preloads evaluation-cache entries. Kept
+    /// because the benchmark harness still reads it.
     pub warm_boot_entries: usize,
     /// Jobs evicted off degraded boards because the weakened profile no
     /// longer admitted them (requeued through the evacuation path, so
@@ -349,68 +346,6 @@ pub struct OrchestratorSim<M, F> {
     _marker: std::marker::PhantomData<M>,
 }
 
-/// Where a hardware profile's most recently torn-down cache lives.
-enum Retired {
-    /// Moved out of the scheduler a degrade or recovery replaced.
-    Pooled(BoardScopedCache),
-    /// Still in the slot of the failed or drained board that filled it
-    /// (dead slots keep their scheduler, and their counters stay in the
-    /// run's cache statistics).
-    InSlot(usize),
-}
-
-/// The run's warm-boot sources, keyed by [`Board::fingerprint`]: per
-/// profile, the last cache a chaos event took out of service. A cache
-/// is retired by move or by slot index, so an event costs O(1); the
-/// copy happens once per boot, into the board coming up.
-#[derive(Default)]
-struct WarmPool {
-    retired: HashMap<u64, Retired>,
-}
-
-impl WarmPool {
-    /// Retires the cache a swap tore down, replacing the profile's
-    /// previous entry. A cache that never saw a decision has no board
-    /// and nothing worth keeping.
-    fn retire(&mut self, cache: BoardScopedCache) {
-        if let Some(fingerprint) = cache.board_fingerprint() {
-            self.retired.insert(fingerprint, Retired::Pooled(cache));
-        }
-    }
-
-    /// Records that slot `index` — about to be deactivated, its cache
-    /// staying where it is — is now its profile's most recent source.
-    fn retire_in_place<M: ThroughputModel>(&mut self, fleet: &Fleet<M>, index: usize) {
-        let cache = fleet.slots()[index].scheduler.board_cache();
-        if let Some(fingerprint) = cache.board_fingerprint() {
-            self.retired.insert(fingerprint, Retired::InSlot(index));
-        }
-    }
-
-    /// The **one** cache a board of profile `fingerprint` boots from:
-    /// the profile's most recently retired cache, else the cache of the
-    /// lowest-index live board that has decided on that profile — so a
-    /// flap rejoin, a recovery, a repeated brown-out and a join next to
-    /// live peers all boot warm. `None` for a profile the run has not
-    /// seen.
-    fn source<'a, M: ThroughputModel>(
-        &'a self,
-        fleet: &'a Fleet<M>,
-        fingerprint: u64,
-    ) -> Option<&'a BoardScopedCache> {
-        match self.retired.get(&fingerprint) {
-            Some(Retired::Pooled(cache)) => Some(cache),
-            Some(Retired::InSlot(index)) => Some(fleet.slots()[*index].scheduler.board_cache()),
-            None => fleet
-                .slots()
-                .iter()
-                .filter(|slot| slot.active)
-                .map(|slot| slot.scheduler.board_cache())
-                .find(|cache| cache.board_fingerprint() == Some(fingerprint)),
-        }
-    }
-}
-
 /// Fleet-event state of one run.
 #[derive(Default)]
 struct ChaosState {
@@ -418,9 +353,6 @@ struct ChaosState {
     /// degrade of a slot captures the healthy board; stacked degrades
     /// keep it; fail/drain forgets it (that board is gone for good).
     original_boards: HashMap<usize, Board>,
-    pool: WarmPool,
-    warm_boots: usize,
-    warm_boot_entries: usize,
     /// Slots degraded in the tick being assembled — the donors of its
     /// targeted relief pass.
     degraded: Vec<usize>,
@@ -562,34 +494,14 @@ where
         &self.telemetry
     }
 
-    /// Builds the scheduler of a board coming up, warmed by one
-    /// in-memory copy from the pool's source for its profile
-    /// ([`WarmPool::source`]) when there is one, instead of re-deriving
-    /// every mapping cold. Returns the scheduler and the entries
-    /// preloaded.
-    fn boot(
-        &mut self,
-        chaos: &mut ChaosState,
-        fleet: &Fleet<M>,
-        board: &Board,
-    ) -> (OnlineScheduler<M>, usize) {
-        let mut scheduler = OnlineScheduler::new(
+    /// Builds the scheduler of a board coming up, its evaluation cache
+    /// empty.
+    fn boot(&mut self, board: &Board) -> OnlineScheduler<M> {
+        OnlineScheduler::new(
             (self.make_evaluator)(board.clone()),
             self.config.policy,
             self.config.online,
-        );
-        let entries = chaos
-            .pool
-            .source(fleet, board.fingerprint())
-            .map_or(0, |source| scheduler.warm_from(source));
-        if entries > 0 {
-            chaos.warm_boots += 1;
-            chaos.warm_boot_entries += entries;
-            self.telemetry.incr("orchestrator.warm_boots", 1);
-            self.telemetry
-                .incr("orchestrator.warm_boot_entries", entries as u64);
-        }
-        (scheduler, entries)
+        )
     }
 
     /// Finishes an applied fleet event: re-places `evacuees` heaviest
@@ -603,7 +515,6 @@ where
         event: FleetEvent,
         slot: usize,
         mut evacuees: Vec<JobSpec>,
-        warm_entries: usize,
         t: u64,
     ) -> FleetEventRecord {
         evacuees.sort_by(|a, b| {
@@ -627,7 +538,7 @@ where
                 kind,
                 format!(
                     "t_ms={t} board={slot} evacuated={} relocated={relocated} \
-                     queued={queued} warm_entries={warm_entries}",
+                     queued={queued}",
                     evacuated.len()
                 ),
             );
@@ -657,12 +568,10 @@ where
                 }
                 let _span = self.telemetry.span("orchestrator.evacuate");
                 // The board is gone for good: forget any pre-degrade
-                // original. Its cache stays in the dead slot, and a
-                // flap's rejoin (same profile) warm-boots from it.
+                // original.
                 chaos.original_boards.remove(&board);
-                chaos.pool.retire_in_place(engine.fleet(), board);
                 let evacuees = engine.deactivate(board, t);
-                self.settle(engine, event, board, evacuees, 0, t)
+                self.settle(engine, event, board, evacuees, t)
             }
             FleetEvent::BoardDegrade { board, profile } => {
                 let pool = &self.spec.degrade_profiles;
@@ -678,16 +587,14 @@ where
                     .original_boards
                     .entry(board)
                     .or_insert_with(|| engine.fleet().slots()[board].board.clone());
-                // Swap the weakened board in place — only what it no
-                // longer admits evicts — and retire the healthy
-                // profile's cache: a recovery warm-boots from it.
-                let (scheduler, warm) = self.boot(chaos, engine.fleet(), &hardware);
-                let (evicted, replaced) = engine.swap_board(board, hardware, scheduler, t);
-                chaos.pool.retire(replaced.into_cache());
+                // Swap the weakened board in place: only what it no
+                // longer admits evicts.
+                let scheduler = self.boot(&hardware);
+                let evicted = engine.swap_board(board, hardware, scheduler, t);
                 self.telemetry
                     .incr("orchestrator.degrade_evictions", evicted.len() as u64);
                 chaos.degraded.push(board);
-                self.settle(engine, event, board, evicted, warm, t)
+                self.settle(engine, event, board, evicted, t)
             }
             FleetEvent::BoardRecover { board } => {
                 let original = alive(engine, board)
@@ -698,18 +605,14 @@ where
                 };
                 let _span = self.telemetry.span("orchestrator.chaos.recover");
                 self.telemetry.incr("orchestrator.recovers", 1);
-                // Restore the healthy hardware, warmed from its
-                // profile's source, and retire the degraded profile's
-                // cache: the next brown-out to that profile warm-boots.
-                let (scheduler, warm) = self.boot(chaos, engine.fleet(), &hardware);
-                let (evicted, replaced) = engine.swap_board(board, hardware, scheduler, t);
-                chaos.pool.retire(replaced.into_cache());
+                let scheduler = self.boot(&hardware);
+                let evicted = engine.swap_board(board, hardware, scheduler, t);
                 // Restored capacity: waiting jobs may fit again.
                 // (Eviction on recovery only happens when a
                 // misconfigured degrade pool is *stronger* than the
                 // original board; jobs still conserve.)
                 engine.mark_capacity_freed(t);
-                self.settle(engine, event, board, evicted, warm, t)
+                self.settle(engine, event, board, evicted, t)
             }
             FleetEvent::BoardJoin { profile } => {
                 // Profile indices wrap around the spec's pool: a script
@@ -723,9 +626,9 @@ where
                     return FleetEventRecord::noop(event);
                 }
                 let hardware = pool[profile % pool.len()].board.clone();
-                let (scheduler, warm) = self.boot(chaos, engine.fleet(), &hardware);
+                let scheduler = self.boot(&hardware);
                 let slot = engine.add_board(hardware, scheduler, t);
-                self.settle(engine, event, slot, Vec::new(), warm, t)
+                self.settle(engine, event, slot, Vec::new(), t)
             }
         }
     }
@@ -820,13 +723,7 @@ where
                 },
             )
             .collect();
-        self.summarize(
-            ticks,
-            report.summary,
-            &chaos,
-            rebalancing.as_ref(),
-            &decision_hist,
-        )
+        self.summarize(ticks, report.summary, rebalancing.as_ref(), &decision_hist)
     }
 
     /// Joins the engine's summary with the run's fleet-event and
@@ -835,7 +732,6 @@ where
         &self,
         ticks: Vec<OrchestratorTick>,
         s: omniboost_serve::ServingSummary,
-        chaos: &ChaosState,
         rebalancing: Option<&Rebalancing>,
         decision_hist: &LogHistogram,
     ) -> OrchestratorReport {
@@ -843,8 +739,6 @@ where
         // sees them even when every increment-site counter stayed 0.
         self.telemetry
             .incr("orchestrator.lost_jobs", s.lost_jobs as u64);
-        self.telemetry.incr("orchestrator.warm_boots", 0);
-        self.telemetry.incr("orchestrator.warm_boot_entries", 0);
         self.telemetry.incr("orchestrator.evacuated_jobs", 0);
 
         let mut summary = OrchestratorSummary {
@@ -857,8 +751,8 @@ where
             board_joins: 0,
             board_degrades: 0,
             board_recovers: 0,
-            warm_boots: chaos.warm_boots,
-            warm_boot_entries: chaos.warm_boot_entries,
+            warm_boots: 0,
+            warm_boot_entries: 0,
             degrade_evictions: 0,
             evacuated_jobs: 0,
             evacuees_relocated_same_tick: 0,

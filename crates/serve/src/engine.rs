@@ -441,15 +441,14 @@ impl<M: ThroughputModel> ServingEngine<M> {
 
     /// Swaps board `board`'s hardware in place at `at_ms`
     /// ([`Fleet::swap_board`]) and returns the residents the new
-    /// profile no longer admits, for [`ServingEngine::requeue`], next
-    /// to the scheduler the swap tore down.
+    /// profile no longer admits, for [`ServingEngine::requeue`].
     pub fn swap_board(
         &mut self,
         board: usize,
         hardware: Board,
         scheduler: OnlineScheduler<M>,
         at_ms: u64,
-    ) -> (Vec<JobSpec>, OnlineScheduler<M>) {
+    ) -> Vec<JobSpec> {
         self.in_tick(at_ms, |engine, _| {
             engine.fleet.swap_board(board, hardware, scheduler)
         })

@@ -12,10 +12,7 @@
 //! cache for as long as the scheduler lives. A failed or drained slot
 //! keeps both (so the run's cache statistics keep its counters);
 //! [`Fleet::swap_board`] is the only operation that tears a scheduler
-//! down, and it hands the replaced one back so the caller can retire
-//! its cache by move — the orchestrator's in-memory warm pool is built
-//! from exactly these two cases and never asks the fleet to merge
-//! anything. No cache outlives the process.
+//! down, and its cache goes with it. No cache outlives its scheduler.
 
 use crate::scheduler::{DecisionKind, OnlineScheduler, ReschedulePolicy, WarmHint};
 use crate::sim::BoardDecision;
@@ -508,27 +505,23 @@ impl<M: ThroughputModel> Fleet<M> {
     /// The runtime and scheduler are rebuilt (both are calibrated
     /// against a specific board: the runtime owns the board's oracle
     /// simulator, the scheduler its evaluator), so the decision memo
-    /// restarts cold and the evaluation cache is whatever the caller
-    /// warmed the incoming scheduler with
-    /// ([`OnlineScheduler::warm_from`]). The replaced scheduler comes
-    /// back next to the evicted jobs: this is the one place a live
-    /// scheduler is torn down, and its cache — the old profile's
-    /// reports — is the caller's to retire by move
-    /// ([`OnlineScheduler::into_cache`]) or drop. The previous
-    /// deployment is dropped rather than carried: it was priced on the
-    /// old profile, and surviving jobs must re-price on the new one
-    /// (the next [`BoardSlot::flush`] runs a cold decision).
+    /// and the evaluation cache both restart with the incoming
+    /// scheduler; the replaced one is dropped with the old profile's
+    /// reports. The previous deployment is dropped rather than carried:
+    /// it was priced on the old profile, and surviving jobs must
+    /// re-price on the new one (the next [`BoardSlot::flush`] runs a
+    /// cold decision).
     pub fn swap_board(
         &mut self,
         index: usize,
         board: Board,
         scheduler: OnlineScheduler<M>,
-    ) -> (Vec<JobSpec>, OnlineScheduler<M>) {
+    ) -> Vec<JobSpec> {
         let runtime = self.runtime_for(&board, &scheduler);
         let slot = &mut self.slots[index];
         slot.runtime = runtime;
         slot.board = board;
-        let replaced = std::mem::replace(&mut slot.scheduler, scheduler);
+        slot.scheduler = scheduler;
         slot.deployed_jobs.clear();
         slot.mapping = None;
         slot.report = None;
@@ -546,7 +539,7 @@ impl<M: ThroughputModel> Fleet<M> {
             evicted.push(job);
         }
         slot.dirty = !slot.jobs.is_empty();
-        (evicted, replaced)
+        evicted
     }
 
     /// Attained inferences/s per tenant under the current deployments,

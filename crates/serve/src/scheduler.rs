@@ -181,27 +181,6 @@ impl<M: ThroughputModel> OnlineScheduler<M> {
         self.cache.cache()
     }
 
-    /// The board-scoped cache wrapper (the orchestrator's warm pool
-    /// warm-boots other boards from it).
-    pub fn board_cache(&self) -> &BoardScopedCache {
-        &self.cache
-    }
-
-    /// Warm-boots this scheduler in memory from a cache of its hardware
-    /// profile ([`BoardScopedCache::absorb`]); returns the entries its
-    /// own cache holds afterwards.
-    pub fn warm_from(&mut self, source: &BoardScopedCache) -> usize {
-        self.cache.absorb(source)
-    }
-
-    /// Tears the scheduler down to the one thing worth keeping: what
-    /// its cache learned. [`crate::Fleet::swap_board`] hands the
-    /// replaced scheduler back so the caller can retire its cache by
-    /// move.
-    pub fn into_cache(self) -> BoardScopedCache {
-        self.cache
-    }
-
     /// Arms the next `decide` call with warm-start context. Consumed by
     /// the next decision (whatever kind it ends up being); call
     /// [`OnlineScheduler::clear_hint`] if the decision was answered

@@ -1,6 +1,6 @@
 //! Bounded flight recorder: a fixed-capacity ring of structured
-//! events (chaos degrades, warm boots, evictions, rejected rebalance
-//! proposals, drain transitions) that can be dumped after a run or a
+//! events (chaos degrades, evictions, rejected rebalance proposals,
+//! drain transitions) that can be dumped after a run or a
 //! chaos drill without ever growing past its capacity.
 
 use std::collections::VecDeque;

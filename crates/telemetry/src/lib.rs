@@ -152,8 +152,9 @@ impl Telemetry {
 
     /// Appends a structured event to the flight recorder. Callers on
     /// hot paths should gate `format!`-built details behind
-    /// [`Telemetry::is_recording`]; the events this records (degrades,
-    /// warm boots, drain transitions) are rare by construction.
+    /// [`Telemetry::is_recording`]; the events this records (fleet
+    /// events, rejected rebalance proposals, drain transitions) are
+    /// rare by construction.
     pub fn event(&self, kind: &'static str, detail: String) {
         if let Some(inner) = &self.inner {
             let at_us = inner.epoch.elapsed().as_micros() as u64;
@@ -323,9 +324,9 @@ mod tests {
     #[test]
     fn counters_and_events_round_trip() {
         let t = Telemetry::recording_with_capacity(2, 8);
-        t.incr("orchestrator.warm_boots", 1);
-        t.incr("orchestrator.warm_boots", 2);
-        assert_eq!(t.counter_value("orchestrator.warm_boots"), 3);
+        t.incr("orchestrator.degrades", 1);
+        t.incr("orchestrator.degrades", 2);
+        assert_eq!(t.counter_value("orchestrator.degrades"), 3);
         for i in 0..3 {
             t.event("chaos.degrade", format!("board {i}"));
         }
